@@ -13,9 +13,9 @@ import csv
 import dataclasses
 import io
 import os
+import secrets
 import struct
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,7 +30,8 @@ from .patch_sampler import (PATCH_TABLE, PatchSpec, extract_patches,
 from .rebalance import MODES
 from .segmentation import (EmptySegmentation, Mask, SegmentationParams,
                            component_count, segment_lung)
-from .train import TrainConfig, progressive_fit
+from .train import (IncompatibleSpec, NonFiniteLoss, TrainConfig,
+                    history_to_csv, progressive_fit)
 
 LABELS = ("NOR", "MiNCP", "MoNCP", "SeNCP", "CrNCP")
 
@@ -114,6 +115,12 @@ def class_labels(rows, protocol):
 
 @dataclass
 class RunConfig:
+    """A run's whole configuration; the field defaults are the config defaults.
+
+    `seed` is the run's one seed: construction copies it into the policy and
+    the training config, and training gets the policy only while
+    `augment_enabled`.
+    """
     protocol: str = "binary"
     seed: int = 0
     levels: tuple = ("P4", "P5", "P6")
@@ -124,8 +131,18 @@ class RunConfig:
     policy: AugmentPolicy = field(default_factory=AugmentPolicy)
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        if self.protocol not in PROTOCOL_CLASSES:
+            raise ValueError(f"protocol must be one of {sorted(PROTOCOL_CLASSES)}")
+        if self.train.weight_mode not in MODES:
+            raise ValueError(f"rebalance.mode must be one of {sorted(MODES)}")
+        self.policy = dataclasses.replace(self.policy, seed=self.seed)
+        self.train = dataclasses.replace(
+            self.train, seed=self.seed,
+            augment=self.policy if self.augment_enabled else None)
 
-# key -> (value kind, default); the dump order below is the file order
+
+# kind -> (parse text, format value)
 _KINDS = {
     "int": (int, str),
     "float": (float, repr),
@@ -140,77 +157,52 @@ _KINDS = {
              lambda v: ",".join(v)),
 }
 
+# key, kind, RunConfig section (None: RunConfig itself), attribute;
+# the order here is the order of a dumped file
 CONFIG_KEYS = [
-    ("protocol", "str", "binary"),
-    ("seed", "int", 0),
-    ("patch.levels", "strs", ("P4", "P5", "P6")),
-    ("model.channels", "ints", tuple(nn_core.BASE_CHANNELS)),
-    ("seg.hu_low", "float", -1000.0),
-    ("seg.hu_high", "float", -400.0),
-    ("seg.keep_k", "int", 2),
-    ("seg.erode_radius", "float", 2.0),
-    ("seg.close_radius", "float", 4.0),
-    ("seg.connectivity", "int", 26),
-    ("augment.enabled", "bool", True),
-    ("augment.rotation_angles", "floats", (-25.0, -15.0, 10.0, 30.0)),
-    ("augment.shift_fraction", "float", 0.20),
-    ("augment.gammas", "floats", (0.7, 1.7)),
-    ("augment.noise_sigma", "float", 0.02),
-    ("augment.elastic_grid", "ints", (4, 4, 2)),
-    ("augment.elastic_sigma", "float", 2.0),
-    ("rebalance.mode", "str", "inverse_frequency"),
-    ("train.lr0", "float", 1e-4),
-    ("train.beta1", "float", 0.9),
-    ("train.beta2", "float", 0.999),
-    ("train.epsilon", "float", 1e-8),
-    ("train.decay_rate", "float", 0.97),
-    ("train.max_epochs", "int", 200),
-    ("train.patience", "int", 15),
-    ("train.batch_size", "int", 8),
-    ("train.monitor", "str", "val_accuracy"),
-    ("train.val_fraction", "float", 0.2),
+    ("protocol", "str", None, "protocol"),
+    ("seed", "int", None, "seed"),
+    ("patch.levels", "strs", None, "levels"),
+    ("model.channels", "ints", None, "channels"),
+    ("seg.hu_low", "float", "seg", "hu_low"),
+    ("seg.hu_high", "float", "seg", "hu_high"),
+    ("seg.keep_k", "int", "seg", "keep_k"),
+    ("seg.erode_radius", "float", "seg", "erode_radius"),
+    ("seg.close_radius", "float", "seg", "close_radius"),
+    ("seg.connectivity", "int", "seg", "connectivity"),
+    ("augment.enabled", "bool", None, "augment_enabled"),
+    ("augment.rotation_angles", "floats", "policy", "rotation_angles"),
+    ("augment.shift_fraction", "float", "policy", "shift_fraction"),
+    ("augment.gammas", "floats", "policy", "gammas"),
+    ("augment.noise_sigma", "float", "policy", "noise_sigma"),
+    ("augment.elastic_grid", "ints", "policy", "elastic_grid"),
+    ("augment.elastic_sigma", "float", "policy", "elastic_sigma"),
+    ("rebalance.mode", "str", "train", "weight_mode"),
+    ("train.lr0", "float", "train", "lr0"),
+    ("train.beta1", "float", "train", "beta1"),
+    ("train.beta2", "float", "train", "beta2"),
+    ("train.epsilon", "float", "train", "epsilon"),
+    ("train.decay_rate", "float", "train", "decay_rate"),
+    ("train.max_epochs", "int", "train", "max_epochs"),
+    ("train.patience", "int", "train", "patience"),
+    ("train.batch_size", "int", "train", "batch_size"),
+    ("train.monitor", "str", "train", "monitor"),
+    ("train.val_fraction", "float", None, "val_fraction"),
 ]
+_SECTIONS = {"seg": SegmentationParams, "policy": AugmentPolicy,
+             "train": TrainConfig}
 
 
-def _config_from_values(values) -> RunConfig:
-    v = dict(values)
-    if v["protocol"] not in PROTOCOL_CLASSES:
-        raise ConfigError(f"protocol must be one of {sorted(PROTOCOL_CLASSES)}")
-    if v["rebalance.mode"] not in MODES:
-        raise ConfigError(f"rebalance.mode must be one of {sorted(MODES)}")
-    seed = v["seed"]
-    try:
-        seg = SegmentationParams(
-            hu_low=v["seg.hu_low"], hu_high=v["seg.hu_high"],
-            keep_k=v["seg.keep_k"], erode_radius=v["seg.erode_radius"],
-            close_radius=v["seg.close_radius"],
-            connectivity=v["seg.connectivity"])
-        policy = AugmentPolicy(
-            rotation_angles=v["augment.rotation_angles"],
-            shift_fraction=v["augment.shift_fraction"],
-            gammas=v["augment.gammas"], noise_sigma=v["augment.noise_sigma"],
-            elastic_grid=v["augment.elastic_grid"],
-            elastic_sigma=v["augment.elastic_sigma"], seed=seed)
-        train = TrainConfig(
-            lr0=v["train.lr0"], beta1=v["train.beta1"], beta2=v["train.beta2"],
-            epsilon=v["train.epsilon"], decay_rate=v["train.decay_rate"],
-            max_epochs=v["train.max_epochs"], patience=v["train.patience"],
-            batch_size=v["train.batch_size"], seed=seed,
-            weight_mode=v["rebalance.mode"], monitor=v["train.monitor"],
-            augment=policy if v["augment.enabled"] else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(protocol=v["protocol"], seed=seed,
-                     levels=v["patch.levels"], channels=v["model.channels"],
-                     val_fraction=v["train.val_fraction"], seg=seg,
-                     augment_enabled=v["augment.enabled"], policy=policy,
-                     train=train)
+def config_values(cfg: RunConfig):
+    """{key: value} for every config key, read from where the key lives."""
+    return {key: getattr(getattr(cfg, section) if section else cfg, attr)
+            for key, _, section, attr in CONFIG_KEYS}
 
 
 def parse_config(text) -> RunConfig:
     """Flat `key = value` lines; '#' comments; unknown keys are errors."""
-    kinds = {key: kind for key, kind, _ in CONFIG_KEYS}
-    values = {key: default for key, _, default in CONFIG_KEYS}
+    kinds = {key: kind for key, kind, _, _ in CONFIG_KEYS}
+    values = config_values(RunConfig())
     seen = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,66 +221,34 @@ def parse_config(text) -> RunConfig:
             values[key] = parse(val)
         except (ValueError, KeyError):
             raise ConfigError(f"line {ln}: bad value for {key}: '{val}'") from None
-    return _config_from_values(values)
-
-
-def config_values(cfg: RunConfig):
-    p = cfg.policy
-    t = cfg.train
-    return {
-        "protocol": cfg.protocol, "seed": cfg.seed,
-        "patch.levels": tuple(cfg.levels),
-        "model.channels": tuple(cfg.channels),
-        "seg.hu_low": cfg.seg.hu_low, "seg.hu_high": cfg.seg.hu_high,
-        "seg.keep_k": cfg.seg.keep_k, "seg.erode_radius": cfg.seg.erode_radius,
-        "seg.close_radius": cfg.seg.close_radius,
-        "seg.connectivity": cfg.seg.connectivity,
-        "augment.enabled": cfg.augment_enabled,
-        "augment.rotation_angles": tuple(p.rotation_angles),
-        "augment.shift_fraction": p.shift_fraction,
-        "augment.gammas": tuple(p.gammas),
-        "augment.noise_sigma": p.noise_sigma,
-        "augment.elastic_grid": tuple(p.elastic_grid),
-        "augment.elastic_sigma": p.elastic_sigma,
-        "rebalance.mode": t.weight_mode,
-        "train.lr0": t.lr0, "train.beta1": t.beta1, "train.beta2": t.beta2,
-        "train.epsilon": t.epsilon, "train.decay_rate": t.decay_rate,
-        "train.max_epochs": t.max_epochs, "train.patience": t.patience,
-        "train.batch_size": t.batch_size, "train.monitor": t.monitor,
-        "train.val_fraction": cfg.val_fraction,
-    }
+    fields = {section: {} for section in (None, *_SECTIONS)}
+    for key, _, section, attr in CONFIG_KEYS:
+        fields[section][attr] = values[key]
+    try:
+        parts = {name: make(**fields[name]) for name, make in _SECTIONS.items()}
+        return RunConfig(**fields[None], **parts)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def dump_config(cfg: RunConfig):
     """Canonical text form; parse_config(dump_config(c)) == c."""
     values = config_values(cfg)
-    lines = []
-    for key, kind, _ in CONFIG_KEYS:
-        fmt = _KINDS[kind][1]
-        lines.append(f"{key} = {fmt(values[key])}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_KINDS[kind][1](values[key])}\n"
+                   for key, kind, _, _ in CONFIG_KEYS)
 
 
 def load_config(path=None, seed=None) -> RunConfig:
-    if path is None:
-        cfg = _config_from_values({k: d for k, _, d in CONFIG_KEYS})
-    else:
+    cfg = RunConfig()
+    if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
-    if seed is not None and seed != cfg.seed:
-        cfg = reseed(cfg, seed)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
-
-
-def reseed(cfg: RunConfig, seed: int) -> RunConfig:
-    policy = dataclasses.replace(cfg.policy, seed=seed)
-    train = dataclasses.replace(
-        cfg.train, seed=seed,
-        augment=policy if cfg.augment_enabled else None)
-    return dataclasses.replace(cfg, seed=seed, policy=policy, train=train)
 
 
 # ------------------------------------------------------------ patch packs
@@ -322,37 +282,23 @@ def write_pack(level, samples, path=None):
 
 def read_pack(src):
     """Inverse of write_pack; returns (level name, list of samples)."""
-    if isinstance(src, str):
-        with open(src, "rb") as fh:
-            blob = fh.read()
-    else:
-        blob = bytes(src)
-    if blob[:4] != PACK_MAGIC:
+    cur = nn_core.ByteCursor(src, "patch pack")
+    if cur.take(4) != PACK_MAGIC:
         raise ValueError("not a patch pack")
-    version, = struct.unpack_from("<H", blob, 4)
+    version, = cur.unpack("H")
     if version != PACK_VERSION:
         raise ValueError(f"unsupported pack version {version}")
-    nlen, = struct.unpack_from("<B", blob, 6)
-    level = blob[7:7 + nlen].decode("ascii")
-    off = 7 + nlen
-    r, c, s, count = struct.unpack_from("<HHHI", blob, off)
-    off += 10
-    nbytes = r * c * s * 4
+    level = str(cur.take(cur.unpack("B")[0]), "ascii")
+    r, c, s, count = cur.unpack("HHHI")
+    if count == 0 or 0 in (r, c, s):
+        raise ValueError("pack holds no patch data")
     samples = []
     for _ in range(count):
-        slen, = struct.unpack_from("<H", blob, off)
-        off += 2
-        sid = blob[off:off + slen].decode("utf-8")
-        off += slen
-        label, orow, ocol, oslc = struct.unpack_from("<BHHH", blob, off)
-        off += 7
-        tensor = np.frombuffer(blob, dtype="<f4", count=r * c * s,
-                               offset=off).reshape(r, c, s).copy()
-        off += nbytes
-        samples.append(Sample(tensor, int(label), sid, level,
-                              (orow, ocol, oslc)))
-    if off != len(blob):
-        raise ValueError("trailing bytes after last pack sample")
+        sid = cur.text("utf-8")
+        label, *origin = cur.unpack("BHHH")
+        tensor = cur.array("<f4", (r, c, s))
+        samples.append(Sample(tensor, label, sid, level, tuple(origin)))
+    cur.end()
     return level, samples
 
 
@@ -384,7 +330,10 @@ def _atomic_write(path, data):
     if isinstance(data, str):
         data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    # mode 0o666 leaves the final mode to the process umask, as open() would;
+    # mkstemp would fix it at 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -395,25 +344,8 @@ def _atomic_write(path, data):
         raise
 
 
-def _pmap(fn, items, jobs):
-    # order of results always follows the input order, whatever finishes first
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_effective_config(cfg, out_dir):
     _atomic_write(os.path.join(out_dir, "effective.cfg"), dump_config(cfg))
-
-
-def _read_scan(path):
-    header, raw = nifti_io.read_raw(path)
-    hu = nifti_io.hu_from_raw(raw, header.scl_slope, header.scl_inter)
-    if not np.all(np.isfinite(hu)):
-        raise NiftiError("scaling produced non-finite voxel values")
-    return header, Volume(voxels=hu, spacing=header.spacing,
-                          source_id=_stem(path))
 
 
 def _read_mask(path, want_shape):
@@ -423,6 +355,13 @@ def _read_mask(path, want_shape):
     return Mask(raw > 0)
 
 
+def _load_model(path):
+    try:
+        return nn_core.load_checkpoint(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
+
+
 def _model_input(std: Volume, spec: nn_core.ModelSpec):
     """Standardized volume resampled to the checkpoint grid, batch of one."""
     _, d, h, w = spec.input_shape
@@ -430,7 +369,43 @@ def _model_input(std: Volume, spec: nn_core.ModelSpec):
     return tensor.transpose(2, 0, 1)[None, None].astype(np.float32)
 
 
+def _scan_probs(spec, weights, volume, mask):
+    """Class probabilities for one scan; non-finite ones fail the scan."""
+    std = standardize_volume(volume, mask)
+    probs = nn_core.model_forward(spec, weights, _model_input(std, spec),
+                                  mode="infer")[0]
+    if not np.isfinite(probs).all():
+        raise ValueError("checkpoint produced non-finite probabilities")
+    return probs
+
+
 _FILE_ERRORS = (NiftiError, EmptySegmentation, MissingMask, OSError, ValueError)
+
+
+def _per_scan(work, paths, jobs):
+    """Run work(index, path) for every scan, on `jobs` threads.
+
+    A scan whose work raises one of _FILE_ERRORS is named on stderr and
+    gives None; the others still run. Returns (results, failure count);
+    results follow the input order, whatever finishes first.
+    """
+    def guarded(item):
+        index, path = item
+        try:
+            return work(index, path), None
+        except _FILE_ERRORS as exc:
+            return None, f"error: {path}: {exc}"
+
+    items = list(enumerate(paths))
+    if jobs <= 1:
+        outcomes = [guarded(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(guarded, items))
+    failures = [err for _, err in outcomes if err is not None]
+    for err in failures:
+        print(err, file=sys.stderr)
+    return [result for result, _ in outcomes], len(failures)
 
 
 # -------------------------------------------------------------- commands
@@ -441,31 +416,22 @@ def cmd_segment(args):
     os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
 
-    def work(row):
-        try:
-            header, volume = _read_scan(row.path)
-            mask = segment_lung(volume, cfg.seg)
-            blob = nifti_io.write_mask(mask, header, gzipped=True)
-            _atomic_write(os.path.join(args.out, mask_name(row.path)), blob)
-            parts = component_count(mask, cfg.seg.connectivity)
-            return (volume.source_id, mask.count(), parts), None
-        except _FILE_ERRORS as exc:
-            return None, f"{row.path}: {exc}"
+    def work(_, path):
+        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        mask = segment_lung(volume, cfg.seg)
+        blob = nifti_io.write_mask(mask, volume, gzipped=True)
+        _atomic_write(os.path.join(args.out, mask_name(path)), blob)
+        parts = component_count(mask, cfg.seg.connectivity)
+        return volume.source_id, mask.count(), parts
 
-    results = _pmap(work, rows, args.jobs)
+    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["source_id", "lung_voxels", "components"])
-    for ok, _ in results:
-        if ok is not None:
-            w.writerow(list(ok))
+    w.writerows(ok for ok in results if ok is not None)
     _atomic_write(os.path.join(args.out, "summary.csv"), buf.getvalue())
-    failures = [err for _, err in results if err is not None]
-    for err in failures:
-        print(f"error: {err}", file=sys.stderr)
-    done = len(rows) - len(failures)
-    print(f"segmented {done}/{len(rows)} scans -> {args.out}")
-    return 1 if failures else 0
+    print(f"segmented {len(rows) - failed}/{len(rows)} scans -> {args.out}")
+    return 1 if failed else 0
 
 
 def cmd_patch(args):
@@ -479,30 +445,21 @@ def cmd_patch(args):
     os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
 
-    def work(pair):
-        index, row = pair
-        try:
-            mask_path = os.path.join(args.masks, mask_name(row.path))
-            if not os.path.exists(mask_path):
-                raise MissingMask(f"no mask at {mask_path}")
-            _, volume = _read_scan(row.path)
-            mask = _read_mask(mask_path, volume.voxels.shape)
-            std = standardize_volume(volume, mask)
-            scan_seed = int(np.random.SeedSequence(
-                [cfg.seed, index]).generate_state(1)[0])
-            patches = extract_patches(std, mask, spec, scan_seed,
-                                      label=int(labels[index]))
-            return patches, None
-        except _FILE_ERRORS as exc:
-            return None, f"{row.path}: {exc}"
+    def work(index, path):
+        mask_path = os.path.join(args.masks, mask_name(path))
+        if not os.path.exists(mask_path):
+            raise MissingMask(f"no mask at {mask_path}")
+        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        mask = _read_mask(mask_path, volume.shape)
+        std = standardize_volume(volume, mask)
+        scan_seed = int(np.random.SeedSequence(
+            [cfg.seed, index]).generate_state(1)[0])
+        return extract_patches(std, mask, spec, scan_seed, label=int(labels[index]))
 
-    results = _pmap(work, list(enumerate(rows)), args.jobs)
-    failures = [err for _, err in results if err is not None]
-    for err in failures:
-        print(f"error: {err}", file=sys.stderr)
-    if failures:
+    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
+    if failed:
         return 1
-    samples = [smp for patches, _ in results for smp in patches]
+    samples = [smp for patches in results for smp in patches]
     write_pack(args.level, samples, os.path.join(args.out, f"{args.level}.pack"))
     _atomic_write(os.path.join(args.out, f"{args.level}_index.csv"),
                   pack_index_csv(samples))
@@ -519,7 +476,10 @@ def _load_level_datasets(cfg, packs_dir):
         path = os.path.join(packs_dir, f"{name}.pack")
         if not os.path.exists(path):
             raise ConfigError(f"missing pack for level {name}: {path}")
-        level, samples = read_pack(path)
+        try:
+            level, samples = read_pack(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad pack {path}: {exc}") from exc
         if level != name:
             raise ConfigError(f"{path} holds level {level}, expected {name}")
         if name in PATCH_TABLE:
@@ -550,22 +510,21 @@ def cmd_train(args):
               f"val_loss {stats.val_loss:.4f} val_acc {stats.val_acc:.4f} "
               f"lr {stats.lr:.3e}")
 
-    _, results = progressive_fit(specs, datasets, cfg.train, class_count,
-                                 channels=cfg.channels, log=log)
+    try:
+        _, results = progressive_fit(specs, datasets, cfg.train, class_count,
+                                     channels=cfg.channels, log=log)
+    except (IncompatibleSpec, nn_core.LabelOutOfRange) as exc:
+        raise ConfigError(str(exc)) from exc
+    except NonFiniteLoss as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-    history = io.StringIO()
-    w = csv.writer(history)
-    w.writerow(["level", "epoch", "train_loss", "train_acc",
-                "val_loss", "val_acc", "lr"])
-    blob = None
     for res in results:
         blob = nn_core.save_checkpoint(res.spec, res.best_weights)
         _atomic_write(os.path.join(args.out, f"checkpoint_{res.level}.ctck"), blob)
-        for h in res.history:
-            w.writerow([res.level, h.epoch, repr(h.train_loss), repr(h.train_acc),
-                        repr(h.val_loss), repr(h.val_acc), repr(h.lr)])
     _atomic_write(os.path.join(args.out, "checkpoint_final.ctck"), blob)
-    _atomic_write(os.path.join(args.out, "history.csv"), history.getvalue())
+    _atomic_write(os.path.join(args.out, "history.csv"),
+                  history_to_csv({res.level: res.history for res in results}))
     print(f"trained {len(results)} levels -> {args.out}")
     return 0
 
@@ -589,10 +548,7 @@ def cmd_eval(args):
     names = PROTOCOL_CLASSES.get(protocol)
     if names is None:
         raise ProtocolMismatch(f"unknown protocol '{protocol}'")
-    try:
-        spec, weights = nn_core.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
+    spec, weights = _load_model(args.checkpoint)
     if spec.class_count != len(names):
         raise ProtocolMismatch(
             f"checkpoint has {spec.class_count} classes, "
@@ -603,28 +559,19 @@ def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
 
-    def work(row):
-        try:
-            _, volume = _read_scan(row.path)
-            if args.masks is not None:
-                mask = _read_mask(os.path.join(args.masks, mask_name(row.path)),
-                                  volume.voxels.shape)
-            else:
-                mask = segment_lung(volume, cfg.seg)
-            std = standardize_volume(volume, mask)
-            x = _model_input(std, spec)
-            probs = nn_core.model_forward(spec, weights, x, mode="infer")
-            return probs[0], None
-        except _FILE_ERRORS as exc:
-            return None, f"{row.path}: {exc}"
+    def work(_, path):
+        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        if args.masks is not None:
+            mask = _read_mask(os.path.join(args.masks, mask_name(path)),
+                              volume.shape)
+        else:
+            mask = segment_lung(volume, cfg.seg)
+        return _scan_probs(spec, weights, volume, mask)
 
-    results = _pmap(work, rows, args.jobs)
-    failures = [err for _, err in results if err is not None]
-    for err in failures:
-        print(f"error: {err}", file=sys.stderr)
-    if failures:
+    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
+    if failed:
         return 1
-    probs = np.stack([p for p, _ in results])
+    probs = np.stack(results)
 
     summaries = []
     for f in range(args.folds):
@@ -633,14 +580,8 @@ def cmd_eval(args):
         _atomic_write(os.path.join(args.out, f"fold{f}_report.csv"),
                       metrics.report_csv(report, list(names)))
         if report.roc_points is not None:
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            w.writerow(["class", "fpr", "tpr"])
-            for c, points in enumerate(report.roc_points):
-                for x, y in points:
-                    w.writerow([names[c], repr(float(x)), repr(float(y))])
-            _atomic_write(os.path.join(args.out, f"fold{f}_roc.csv"),
-                          buf.getvalue())
+            roc = metrics.roc_points_csv(dict(zip(names, report.roc_points)))
+            _atomic_write(os.path.join(args.out, f"fold{f}_roc.csv"), roc)
         summaries.append(report)
 
     rates = {
@@ -662,10 +603,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     cfg = load_config(args.config, args.seed)
-    try:
-        spec, weights = nn_core.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
+    spec, weights = _load_model(args.checkpoint)
     if args.protocol is not None:
         names = PROTOCOL_CLASSES.get(args.protocol)
         if names is None or len(names) != spec.class_count:
@@ -676,18 +614,13 @@ def cmd_predict(args):
         by_count = {len(v): v for v in PROTOCOL_CLASSES.values()}
         names = by_count.get(spec.class_count,
                              tuple(f"class{i}" for i in range(spec.class_count)))
-    try:
-        _, volume = _read_scan(args.scan)
-        mask = segment_lung(volume, cfg.seg)
-    except _FILE_ERRORS as exc:
-        print(f"error: {args.scan}: {exc}", file=sys.stderr)
-        return 1
-    std = standardize_volume(volume, mask)
-    probs = nn_core.model_forward(spec, weights, _model_input(std, spec),
-                                  mode="infer")[0]
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        print("error: checkpoint produced non-normalized probabilities",
-              file=sys.stderr)
+
+    def work(_, path):
+        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        return _scan_probs(spec, weights, volume, segment_lung(volume, cfg.seg))
+
+    (probs,), failed = _per_scan(work, [args.scan], 1)
+    if failed:
         return 1
     for name, p in zip(names, probs):
         print(f"{name} {p:.6f}")

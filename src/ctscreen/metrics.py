@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class LabelOutOfRange(Exception):
-    pass
+from .nn_core import LabelOutOfRange
 
 
 class SingleClassInput(Exception):
@@ -215,12 +213,14 @@ def report_csv(report: EvalReport, class_names=None):
     return buf.getvalue()
 
 
-def roc_points_csv(points):
+def roc_points_csv(class_points):
+    """{class name: ROC points} as CSV, one (class, fpr, tpr) row per point."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["fpr", "tpr"])
-    for x, y in points:
-        w.writerow([repr(float(x)), repr(float(y))])
+    w.writerow(["class", "fpr", "tpr"])
+    for name, points in class_points.items():
+        for x, y in points:
+            w.writerow([name, repr(float(x)), repr(float(y))])
     return buf.getvalue()
 
 

@@ -266,11 +266,12 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     return out
 
 
-def write_mask(mask, template: NiftiHeader, gzipped=False, path=None):
+def write_mask(mask, template, gzipped=False, path=None):
     """Write a binary mask as uint8 NIfTI with geometry copied from template.
 
-    `mask` may be a segmentation Mask or a boolean array; shape must match
-    the template's dim[1..3].
+    `template` is anything with `shape` and `spacing`, such as the scan's
+    Volume or NiftiHeader. `mask` may be a segmentation Mask or a boolean
+    array; its shape must match the template's.
     """
     bits = np.asarray(getattr(mask, "bits", mask), dtype=bool)
     if bits.shape != template.shape:

@@ -14,6 +14,7 @@ finite-difference tests need headroom.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -22,6 +23,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(Exception):
+    pass
+
+
+class LabelOutOfRange(Exception):
     pass
 
 
@@ -530,31 +535,43 @@ def _backward_from(spec, weights, caches, grad, start):
     return grads, grad
 
 
+LOG_FLOOR = 1e-12  # probabilities are clamped here before the log
+
+
+def weighted_cross_entropy(probs, labels, weights):
+    """loss = mean_b w[y_b] * -log(max(p_b[y_b], LOG_FLOOR)); also the
+    gradient w[y] * (p - onehot) / B the loss induces at the softmax input."""
+    probs = np.asarray(probs)
+    labels = np.asarray(labels, dtype=np.int64)
+    k = probs.shape[1]
+    if labels.min() < 0 or labels.max() >= k:
+        raise LabelOutOfRange(f"labels must lie in [0,{k}), got "
+                              f"[{labels.min()},{labels.max()}]")
+    w = np.asarray(weights, dtype=np.float64)
+    b = probs.shape[0]
+    picked = probs[np.arange(b), labels]
+    loss = float((w[labels] * -np.log(np.maximum(picked, LOG_FLOOR))).sum() / b)
+    grad_logits = probs.astype(np.float64).copy()
+    grad_logits[np.arange(b), labels] -= 1.0
+    grad_logits *= (w[labels] / b)[:, None]
+    return loss, grad_logits
+
+
 def loss_and_grads(spec, weights, x, labels, class_weight_vec=None,
                    mode="train", seed=0):
     """Weighted cross-entropy loss plus gradients for every trainable tensor.
 
-    loss = mean_b w[y_b] * (-log p_b[y_b]). The softmax layer is folded into
-    the loss gradient (w[y] * (p - onehot) / B at the logits), so the last
-    explicit backward starts just below it.
+    The softmax layer is folded into the loss gradient at the logits, so
+    the last explicit backward starts just below it.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if class_weight_vec is None:
         class_weight_vec = np.ones(spec.class_count)
-    w = np.asarray(class_weight_vec, dtype=np.float64)
-    if w.shape != (spec.class_count,):
+    if np.shape(class_weight_vec) != (spec.class_count,):
         raise ShapeMismatch("class weight vector length must equal class_count")
     caches = []
     probs = _forward(spec, weights, x, mode, seed, caches)
-    b = x.shape[0]
-    picked = probs[np.arange(b), labels]
-    sample_w = w[labels]
-    loss = float((sample_w * -np.log(np.maximum(picked, 1e-12))).sum() / b)
-    grad_logits = probs.astype(np.float64).copy()
-    grad_logits[np.arange(b), labels] -= 1.0
-    grad_logits *= (sample_w / b)[:, None]
-    grad_logits = grad_logits.astype(x.dtype)
-    grads, _ = _backward_from(spec, weights, caches, grad_logits,
+    loss, grad_logits = weighted_cross_entropy(probs, labels, class_weight_vec)
+    grads, _ = _backward_from(spec, weights, caches, grad_logits.astype(x.dtype),
                               len(spec.layers) - 2)
     return loss, grads, probs
 
@@ -645,42 +662,72 @@ def save_checkpoint(spec: ModelSpec, weights, path=None):
     return blob
 
 
+class ByteCursor:
+    """Bounds-checked little-endian reader over one binary container.
+
+    A read past the end raises ValueError, never struct.error, and `end`
+    rejects trailing bytes; `.pack` and `.ctck` files are both read with it.
+    """
+
+    def __init__(self, src, what):
+        if isinstance(src, str):
+            with open(src, "rb") as fh:
+                src = fh.read()
+        self.view = memoryview(bytes(src))
+        self.what = what
+        self.off = 0
+
+    def take(self, n):
+        if n > len(self.view) - self.off:
+            raise ValueError(f"{self.what} truncated at byte {self.off}")
+        self.off += n
+        return self.view[self.off - n:self.off]
+
+    def unpack(self, fmt):
+        fmt = "<" + fmt
+        return struct.unpack_from(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, encoding):
+        """A string stored as a u16 byte length, then the bytes."""
+        return str(self.take(self.unpack("H")[0]), encoding)
+
+    def array(self, dtype, shape):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.frombuffer(self.take(nbytes),
+                             dtype=dtype).reshape(shape).copy()
+
+    def end(self):
+        if self.off != len(self.view):
+            raise ValueError(f"{len(self.view) - self.off} trailing bytes "
+                             f"after the {self.what}")
+
+
 def load_checkpoint(src):
-    """Inverse of save_checkpoint; validates magic and tensor completeness."""
-    if isinstance(src, str):
-        with open(src, "rb") as fh:
-            blob = fh.read()
-    else:
-        blob = bytes(src)
-    if blob[:4] != CHECKPOINT_MAGIC:
+    """Inverse of save_checkpoint; checks magic, version and exact byte
+    length, and that the tensors are exactly the ones the spec's layers own,
+    with their shapes."""
+    cur = ByteCursor(src, "checkpoint")
+    if cur.take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file")
-    version, spec_len = struct.unpack_from("<HI", blob, 4)
+    version, spec_len = cur.unpack("HI")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    off = 10
-    spec = ModelSpec.from_json(blob[off:off + spec_len].decode())
-    off += spec_len
-    count, = struct.unpack_from("<I", blob, off)
-    off += 4
+    spec_text = str(cur.take(spec_len), "utf-8")
+    try:
+        spec = ModelSpec.from_json(spec_text)
+        expected = {n: w.shape for n, w in init_weights(spec).items()}
+    except (KeyError, TypeError, OverflowError, ShapeMismatch) as exc:
+        raise ValueError(f"bad model spec: {exc!r}") from exc
+    count, = cur.unpack("I")
     weights = {}
     for _ in range(count):
-        nlen, = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode()
-        off += nlen
-        dlen, = struct.unpack_from("<H", blob, off)
-        off += 2
-        dtype = np.dtype(blob[off:off + dlen].decode())
-        off += dlen
-        ndim, = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) * dtype.itemsize
-        weights[name] = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)),
-                                      offset=off).reshape(shape).copy()
-        off += n
-    expected = set(init_weights(spec, seed=0, dtype=np.float32))
-    if set(weights) != expected:
+        name = cur.text("utf-8")
+        dtype = cur.text("ascii")
+        if dtype not in ("<f2", "<f4", "<f8"):  # float weights, as saved
+            raise ValueError(f"tensor {name}: unsupported dtype {dtype!r}")
+        ndim, = cur.unpack("B")
+        weights[name] = cur.array(dtype, cur.unpack(f"{ndim}I"))
+    cur.end()
+    if {n: w.shape for n, w in weights.items()} != expected:
         raise ValueError("checkpoint tensors do not match the declared model spec")
     return spec, weights

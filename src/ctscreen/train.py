@@ -1,5 +1,5 @@
-"""Training loop: weighted cross-entropy, Adam, LR decay, early stopping,
-and progressive input enlargement.
+"""Training loop: Adam, LR decay, early stopping, and progressive input
+enlargement, on the weighted cross-entropy of `nn_core`.
 
 Datasets are plain lists of patch Samples. A patch stored as (rows, cols,
 slices) enters the network as (1, slices, rows, cols), i.e. channel-first
@@ -19,11 +19,8 @@ import numpy as np
 
 from . import nn_core as nn
 from .augment import AugmentPolicy, augment_sample
+from .nn_core import LabelOutOfRange
 from .rebalance import class_weights, DEFAULT_MODE
-
-
-class LabelOutOfRange(Exception):
-    pass
 
 
 class EmptyDataset(Exception):
@@ -34,7 +31,8 @@ class IncompatibleSpec(Exception):
     """Progressive enlargement cannot map the old model onto the new input."""
 
 
-LOG_FLOOR = 1e-12  # probabilities are clamped here before the log
+class NonFiniteLoss(Exception):
+    """A training batch produced a NaN or infinite loss."""
 
 
 @dataclass
@@ -43,7 +41,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    amsgrad: bool = False       # kept explicit: the update never uses max(v)
     decay_rate: float = 0.97
     max_epochs: int = 200
     patience: int = 15
@@ -64,8 +61,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.monitor not in ("val_accuracy", "val_loss"):
             raise ValueError("monitor must be val_accuracy or val_loss")
-        if self.amsgrad:
-            raise ValueError("the AMSGrad variant is deliberately not implemented")
 
 
 @dataclass
@@ -92,25 +87,6 @@ class LevelResult:
     init_weights: dict
     best_weights: dict
     history: list
-
-
-def weighted_cross_entropy(probs, labels, weights):
-    """loss = mean_b w[y_b] * -log(max(p_b[y_b], 1e-12)); also the gradient
-    the loss induces at the softmax input."""
-    probs = np.asarray(probs)
-    labels = np.asarray(labels, dtype=np.int64)
-    k = probs.shape[1]
-    if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0,{k}), got "
-                              f"[{labels.min()},{labels.max()}]")
-    w = np.asarray(weights, dtype=np.float64)
-    b = probs.shape[0]
-    picked = probs[np.arange(b), labels]
-    loss = float((w[labels] * -np.log(np.maximum(picked, LOG_FLOOR))).sum() / b)
-    grad_logits = probs.astype(np.float64).copy()
-    grad_logits[np.arange(b), labels] -= 1.0
-    grad_logits *= (w[labels] / b)[:, None]
-    return loss, grad_logits
 
 
 def init_adam(weights):
@@ -176,7 +152,7 @@ def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
         chunk = dataset[i:i + batch_size]
         x, y = to_batch(chunk)
         probs = nn.model_forward(spec, weights, x, mode="infer")
-        loss, _ = weighted_cross_entropy(probs, y, weight_vec)
+        loss, _ = nn.weighted_cross_entropy(probs, y, weight_vec)
         total_loss += loss * len(chunk)
         hits += int((probs.argmax(axis=1) == y).sum())
     return total_loss / len(dataset), hits / len(dataset)
@@ -184,6 +160,9 @@ def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
 
 def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
     """Train; returns (best-epoch weights, history). Inputs are not mutated.
+
+    A NaN or infinite batch loss stops training with NonFiniteLoss, which
+    names the epoch and the batch.
 
     `log`, when given, is called with each EpochStats as it completes.
     """
@@ -218,6 +197,9 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
                 [int(config.seed), epoch, int(bidx)]).generate_state(1)[0])
             loss, grads, probs = nn.loss_and_grads(spec, weights, x, y, wvec,
                                                    mode="train", seed=batch_seed)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"training loss is {loss} at epoch {epoch}, "
+                                    f"batch {bidx // config.batch_size}")
             loss_sum += loss * len(picks)
             hit_sum += int((probs.argmax(axis=1) == y).sum())
             weights, state = adam_step(weights, grads, state, lr, config)
@@ -234,24 +216,6 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
         if early_stop(history, config.patience, config.monitor):
             break
     return best_weights, history
-
-
-def build_progressive(small_spec, small_weights, factor=2, large_input=None,
-                      seed=0):
-    """Stem-prepended enlargement; carried tensors are bit-identical copies.
-
-    The default large input scales every spatial extent by `factor`; pass
-    large_input explicitly for ladders that are not integer multiples (the
-    depth sequence 20 -> 27 -> 36 is one).
-    """
-    if large_input is None:
-        ci = small_spec.input_shape[0]
-        large_input = (ci,) + tuple(factor * n for n in small_spec.input_shape[1:])
-    try:
-        return nn.build_progressive(small_spec, small_weights,
-                                    large_input=large_input, seed=seed)
-    except nn.ShapeMismatch as exc:
-        raise IncompatibleSpec(str(exc)) from exc
 
 
 def progressive_fit(levels, datasets, config: TrainConfig, class_count,
@@ -279,9 +243,9 @@ def progressive_fit(levels, datasets, config: TrainConfig, class_count,
             spec = nn.base_model(input_shape, class_count, channels=channels)
             init = nn.init_weights(spec, seed=config.seed)
         else:
-            spec, init = build_progressive(prev_spec, prev_best,
-                                           large_input=input_shape,
-                                           seed=config.seed + li)
+            spec, init = nn.build_progressive(prev_spec, prev_best,
+                                              large_input=input_shape,
+                                              seed=config.seed + li)
         train_set, val_set = datasets[level.level]
         init_snapshot = {n: w.copy() for n, w in init.items()}
         level_log = None if log is None else (
@@ -292,17 +256,23 @@ def progressive_fit(levels, datasets, config: TrainConfig, class_count,
     return results[-1].best_weights, results
 
 
-def history_to_csv(history):
+def history_to_csv(histories):
+    """{level: [EpochStats]} as CSV, one row per epoch, levels in order."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc", "lr"])
-    for h in history:
-        writer.writerow([h.epoch, repr(h.train_loss), repr(h.train_acc),
-                         repr(h.val_loss), repr(h.val_acc), repr(h.lr)])
+    writer.writerow(["level", "epoch", "train_loss", "train_acc",
+                     "val_loss", "val_acc", "lr"])
+    for level, history in histories.items():
+        for h in history:
+            writer.writerow([level, h.epoch, repr(h.train_loss), repr(h.train_acc),
+                             repr(h.val_loss), repr(h.val_acc), repr(h.lr)])
     return buf.getvalue()
 
 
 def history_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    return [EpochStats(int(r[0]), float(r[1]), float(r[2]), float(r[3]),
-                       float(r[4]), float(r[5])) for r in rows[1:]]
+    histories = {}
+    for r in list(csv.reader(io.StringIO(text)))[1:]:
+        histories.setdefault(r[0], []).append(EpochStats(
+            int(r[1]), float(r[2]), float(r[3]), float(r[4]), float(r[5]),
+            float(r[6])))
+    return histories

@@ -19,7 +19,7 @@ from ctscreen.phantoms import dice, lung_phantom
 from ctscreen.rebalance import class_weights
 from ctscreen.segmentation import (Mask, SegmentationParams, component_count,
                                    fill_holes, segment_lung)
-from ctscreen.train import TrainConfig, weighted_cross_entropy
+from ctscreen.train import TrainConfig
 
 from synth import blob_dataset, blob_tensor
 
@@ -336,7 +336,7 @@ def test_c07_class_weight_checks():
         probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 3, size=40)
         uniform = class_weights((10, 20, 10), "uniform").weights
-        weighted, _ = weighted_cross_entropy(probs, labels, uniform)
+        weighted, _ = nn.weighted_cross_entropy(probs, labels, uniform)
         plain = float(np.mean(-np.log(probs[np.arange(40), labels])))
         assert abs(weighted - plain) < 1e-12
 

@@ -1,9 +1,12 @@
 import csv
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, nifti_io, nn_core
 from ctscreen.phantoms import lung_phantom
@@ -93,6 +96,7 @@ def test_class_label_maps():
 
 def test_config_round_trip_and_reseed(tmp_path):
     default = cli.load_config()
+    assert default == cli.RunConfig()
     assert cli.parse_config(cli.dump_config(default)) == default
     p = tmp_path / "c.cfg"
     p.write_text(CFG_TEXT)
@@ -102,6 +106,12 @@ def test_config_round_trip_and_reseed(tmp_path):
     assert cfg.policy.seed == 9
     assert cfg.train.augment is cfg.policy
     assert cfg.seg.erode_radius == 1.0
+
+
+def test_readme_config_defaults_match_dump():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Defaults:\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert block == cli.dump_config(cli.load_config())
 
 
 def test_config_errors_name_line_and_key():
@@ -143,6 +153,56 @@ def test_pack_rejects_garbage():
     mixed = samples + blob_dataset(1, seed=1, shape=(8, 8, 4), level="T1")
     with pytest.raises(ValueError, match="one shape"):
         cli.write_pack("T1", mixed)
+
+
+def test_outputs_honour_the_umask(tmp_path):
+    samples = blob_dataset(2, seed=0, shape=(4, 4, 2), level="T1")
+    old = os.umask(0o027)
+    try:
+        cli.write_pack("T1", samples, str(tmp_path / "T1.pack"))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "T1.pack").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def _small_checkpoint():
+    spec = nn_core.base_model((1, 4, 8, 8), 2, channels=(2,))
+    return spec, nn_core.init_weights(spec, seed=0)
+
+
+def _containers():
+    ckpt = nn_core.save_checkpoint(*_small_checkpoint())
+    pack = cli.write_pack("T1", blob_dataset(2, seed=0, shape=(4, 4, 2),
+                                             level="T1"))
+    return {"pack": (pack, cli.read_pack),
+            "checkpoint": (ckpt, nn_core.load_checkpoint)}
+
+
+CONTAINERS = _containers()
+
+
+@pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+def test_container_every_prefix_raises_value_error(fmt):
+    blob, read = CONTAINERS[fmt]
+    read(blob)
+    for n in range(len(blob)):
+        with pytest.raises(ValueError):
+            read(blob[:n])
+
+
+@pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)),
+                      min_size=1, max_size=6))
+def test_container_flipped_bytes_load_or_raise_value_error(fmt, flips):
+    blob, read = CONTAINERS[fmt]
+    bad = bytearray(blob)
+    for pos, xor in flips:
+        bad[pos % len(bad)] ^= xor
+    try:
+        read(bytes(bad))
+    except ValueError:
+        pass
 
 
 # ----------------------------------------------------------------- segment
@@ -296,14 +356,55 @@ def test_train_missing_pack_exits_2(trained, tmp_path, capsys):
     assert "missing pack" in capsys.readouterr().err
 
 
+def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
+    cut = trained["packs"].joinpath("T1.pack").read_bytes()[:7]
+    t2 = trained["packs"].joinpath("T2.pack").read_bytes()
+    samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
+    for smp in samples[::4]:
+        smp.label = 5  # enough of them to split, outside the binary protocol
+    for name, blob, says in (
+            ("cut", cut, "bad pack"),
+            ("text", b"plain text, not a pack\n", "bad pack"),
+            ("label", cli.write_pack("T1", samples), "label 5 outside")):
+        packs = tmp_path / name
+        packs.mkdir()
+        (packs / "T1.pack").write_bytes(blob)
+        (packs / "T2.pack").write_bytes(t2)
+        rc = cli.main(["train", "--config", str(trained["cfg"]),
+                       "--packs", str(packs), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert says in err and err.count("\n") == 1
+
+
+def test_train_non_finite_loss_exits_1(tmp_path, capsys):
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
+    for smp in samples:
+        smp.tensor[0, 0, 0] = np.nan
+    cli.write_pack("T1", samples, str(packs / "T1.pack"))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("T1,T2", "T1"))
+    rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: training loss is nan at epoch 0, batch 0\n"
+    assert not (tmp_path / "run" / "history.csv").exists()
+
+
 def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("train.lr = 0.1\n")
-    rc = cli.main(["train", "--config", str(cfg),
-                   "--packs", str(trained["packs"]),
-                   "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "train.lr" in capsys.readouterr().err
+    for text, says in (("train.lr = 0.1\n", "train.lr"),
+                       (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically")):
+        cfg.write_text(text)
+        rc = cli.main(["train", "--config", str(cfg),
+                       "--packs", str(trained["packs"]),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert says in err and err.count("\n") == 1
 
 
 # -------------------------------------------------------------------- eval
@@ -370,7 +471,7 @@ def _threshold_checkpoint(workspace, path):
 
     # probe the brightness feature of the healthy scan through the real path
     cfg = cli.load_config(str(workspace["config"]))
-    _, vol = cli._read_scan(workspace["scan_paths"][0])
+    vol = nifti_io.read_volume(workspace["scan_paths"][0])
     std = cli.standardize_volume(vol, segment_lung(vol, cfg.seg))
     probe = dict(weights)
     w7 = np.zeros_like(weights["L7.weight"])
@@ -413,9 +514,41 @@ def test_predict_fixture_healthy_scan(workspace, tmp_path, capsys):
 
 
 def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):
+    spec, weights = _small_checkpoint()
+    good = nn_core.save_checkpoint(spec, weights)
+    kernel = weights["L0.kernel"]
+    weights["L0.kernel"] = kernel.reshape((1, 2) + kernel.shape[2:])
+    reshaped = nn_core.save_checkpoint(spec, weights)
     junk = tmp_path / "junk.ctck"
-    junk.write_bytes(b"not a checkpoint at all")
-    rc = cli.main(["predict", workspace["scan_paths"][0],
-                   "--checkpoint", str(junk)])
-    assert rc == 2
-    assert "checkpoint" in capsys.readouterr().err
+    for blob in (b"not a checkpoint at all", good[:7], good + b"\0\0", reshaped):
+        junk.write_bytes(blob)
+        rc = cli.main(["predict", workspace["scan_paths"][0],
+                       "--checkpoint", str(junk)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad checkpoint") and err.count("\n") == 1
+
+
+def test_non_finite_probabilities_fail_the_scan(workspace, tmp_path, capsys):
+    spec, weights = _small_checkpoint()
+    weights["L0.kernel"][:] = np.nan
+    ck = tmp_path / "nan.ctck"
+    nn_core.save_checkpoint(spec, weights, str(ck))
+    scan = workspace["scan_paths"][0]
+    rc = cli.main(["predict", scan, "--checkpoint", str(ck),
+                   "--config", str(workspace["config"])])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {scan}: checkpoint produced non-finite probabilities\n"
+
+    rc = cli.main(["eval", "--checkpoint", str(ck),
+                   "--manifest", str(workspace["manifest"]),
+                   "--config", str(workspace["config"]),
+                   "--masks", str(workspace["masks"]), "--folds", "2",
+                   "--out", str(tmp_path / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    for path in workspace["scan_paths"]:
+        assert f"error: {path}: checkpoint produced non-finite" in err

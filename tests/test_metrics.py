@@ -248,11 +248,14 @@ def test_report_csv_round_trip():
 
 
 def test_roc_points_csv():
-    points, _ = roc_curve([0.9, 0.8, 0.2], [1, 1, 0])
-    rows = list(csv.reader(io.StringIO(roc_points_csv(points))))
-    assert rows[0] == ["fpr", "tpr"]
-    parsed = [(float(a), float(b)) for a, b in rows[1:]]
-    assert parsed == points
+    first, _ = roc_curve([0.9, 0.8, 0.2], [1, 1, 0])
+    second, _ = roc_curve([0.1, 0.7, 0.8], [1, 1, 0])
+    text = roc_points_csv({"NOR": first, "NCP": second})
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["class", "fpr", "tpr"]
+    for name, points in (("NOR", first), ("NCP", second)):
+        parsed = [(float(a), float(b)) for c, a, b in rows[1:] if c == name]
+        assert parsed == points
 
 
 def test_summary_text_mentions_orientation_and_rates():

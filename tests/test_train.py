@@ -28,13 +28,13 @@ def quick_config(**kw):
 
 def test_cross_entropy_perfect_prediction_zero():
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, _ = tr.weighted_cross_entropy(probs, [0, 1], np.ones(2))
+    loss, _ = nn.weighted_cross_entropy(probs, [0, 1], np.ones(2))
     assert loss == 0.0
 
 
 def test_cross_entropy_uniform_binary_ln2():
     probs = np.full((6, 2), 0.5)
-    loss, _ = tr.weighted_cross_entropy(probs, [0, 1, 0, 1, 1, 0], np.ones(2))
+    loss, _ = nn.weighted_cross_entropy(probs, [0, 1, 0, 1, 1, 0], np.ones(2))
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
@@ -44,7 +44,7 @@ def test_cross_entropy_matches_direct_sum():
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     labels = rng.integers(0, 2, 16)
     w = np.array([0.2288, 0.7712])
-    loss, _ = tr.weighted_cross_entropy(probs, labels, w)
+    loss, _ = nn.weighted_cross_entropy(probs, labels, w)
     direct = sum(w[y] * -np.log(probs[i, y]) for i, y in enumerate(labels)) / 16
     assert abs(loss - direct) < 1e-10
 
@@ -55,15 +55,22 @@ def test_cross_entropy_gradient_formula():
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     labels = np.array([0, 2, 1, 1, 0])
     w = np.array([1.5, 0.5, 2.0])
-    _, g = tr.weighted_cross_entropy(probs, labels, w)
+    _, g = nn.weighted_cross_entropy(probs, labels, w)
     onehot = np.eye(3)[labels]
     want = w[labels][:, None] * (probs - onehot) / 5
     assert np.allclose(g, want, atol=1e-12)
 
 
 def test_cross_entropy_label_out_of_range():
-    with pytest.raises(tr.LabelOutOfRange):
-        tr.weighted_cross_entropy(np.full((2, 2), 0.5), [0, 2], np.ones(2))
+    with pytest.raises(nn.LabelOutOfRange):
+        nn.weighted_cross_entropy(np.full((2, 2), 0.5), [0, 2], np.ones(2))
+    # the model loss runs the same check, negative labels included
+    spec = tiny_spec()
+    weights = nn.init_weights(spec, seed=0)
+    x, _ = tr.to_batch(blob_dataset(2, seed=1))
+    for labels in ([0, 2], [-1, 0]):
+        with pytest.raises(nn.LabelOutOfRange):
+            nn.loss_and_grads(spec, weights, x, labels)
 
 
 def test_cross_entropy_agrees_with_fused_model_loss():
@@ -75,7 +82,7 @@ def test_cross_entropy_agrees_with_fused_model_loss():
     x = x.astype(np.float64)
     wvec = np.array([1.3, 0.6])
     fused_loss, _, probs = nn.loss_and_grads(spec, weights, x, y, wvec, mode="infer")
-    solo_loss, _ = tr.weighted_cross_entropy(probs, y, wvec)
+    solo_loss, _ = nn.weighted_cross_entropy(probs, y, wvec)
     assert abs(fused_loss - solo_loss) < 1e-12
 
 
@@ -196,6 +203,15 @@ def test_fit_bad_label_raises():
         tr.fit(spec, weights, data, data, quick_config())
 
 
+def test_fit_stops_on_non_finite_loss():
+    spec = tiny_spec()
+    weights = nn.init_weights(spec, seed=13)
+    weights["L0.kernel"] = np.full_like(weights["L0.kernel"], np.nan)
+    data = blob_dataset(16, seed=13)
+    with pytest.raises(tr.NonFiniteLoss, match="nan at epoch 0, batch 0"):
+        tr.fit(spec, weights, data, data, quick_config())
+
+
 def test_fit_deterministic_same_seed():
     spec = tiny_spec()
     weights = nn.init_weights(spec, seed=6)
@@ -267,8 +283,6 @@ def test_monitor_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(monitor="train_loss")
     with pytest.raises(ValueError):
-        tr.TrainConfig(amsgrad=True)
-    with pytest.raises(ValueError):
         tr.TrainConfig(patience=200, max_epochs=200)
 
 
@@ -277,7 +291,7 @@ def test_monitor_validation():
 def test_build_progressive_default_doubling():
     small = tiny_spec()
     sw = nn.init_weights(small, seed=13)
-    large, lw = tr.build_progressive(small, sw)
+    large, lw = nn.build_progressive(small, sw)
     assert large.input_shape == (1, 12, 24, 24)
 
 
@@ -285,7 +299,7 @@ def test_build_progressive_source_untouched():
     small = tiny_spec()
     sw = nn.init_weights(small, seed=14)
     snapshot = {n: w.copy() for n, w in sw.items()}
-    _, lw = tr.build_progressive(small, sw, large_input=(1, 8, 16, 16))
+    _, lw = nn.build_progressive(small, sw, large_input=(1, 8, 16, 16))
     for n in sw:
         assert np.array_equal(sw[n], snapshot[n])
     # and the copies are independent storage
@@ -297,18 +311,11 @@ def test_build_progressive_source_untouched():
 def test_build_progressive_full_resolution_ladder_shapes():
     base = nn.base_model((1, 20, 128, 128), 2)
     bw = nn.init_weights(base, seed=15)
-    mid, mw = tr.build_progressive(base, bw, large_input=(1, 27, 256, 256))
+    mid, mw = nn.build_progressive(base, bw, large_input=(1, 27, 256, 256))
     assert mid.input_shape == (1, 27, 256, 256)
-    top, _ = tr.build_progressive(mid, mw, large_input=(1, 36, 512, 512))
+    top, _ = nn.build_progressive(mid, mw, large_input=(1, 36, 512, 512))
     assert top.input_shape == (1, 36, 512, 512)
     nn.model_shapes(top)  # whole ladder is shape-legal
-
-
-def test_build_progressive_incompatible_raises():
-    small = tiny_spec()
-    sw = nn.init_weights(small, seed=16)
-    with pytest.raises(tr.IncompatibleSpec):
-        tr.build_progressive(small, sw, large_input=(2, 12, 24, 24))
 
 
 def ladder_levels():
@@ -361,7 +368,11 @@ def test_progressive_fit_rejects_shrinking_ladder():
 # ---------------------------------------------------------------- history
 
 def test_history_csv_round_trip():
-    hist = [tr.EpochStats(0, 0.9, 0.5, 1.1, 0.4, 1e-4),
-            tr.EpochStats(1, 0.7, 0.75, 0.9, 0.6, 9.7e-5)]
-    back = tr.history_from_csv(tr.history_to_csv(hist))
-    assert back == hist
+    hist = {"T1": [tr.EpochStats(0, 0.9, 0.5, 1.1, 0.4, 1e-4),
+                   tr.EpochStats(1, 0.7, 0.75, 0.9, 0.6, 9.7e-5)],
+            "T2": [tr.EpochStats(0, 0.6, 0.8, 0.7, 0.7, 9.4e-5)]}
+    text = tr.history_to_csv(hist)
+    assert text.splitlines()[0] == \
+        "level,epoch,train_loss,train_acc,val_loss,val_acc,lr"
+    back = tr.history_from_csv(text)
+    assert back == hist and list(back) == ["T1", "T2"]
