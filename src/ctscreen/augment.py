@@ -10,6 +10,7 @@ All transforms keep shape, keep the label, and map [0,1] into [0,1].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,23 +39,28 @@ class AugmentPolicy:
             raise ValueError("elastic grid needs at least 2 control points per axis")
 
 
-def _bilinear_slicewise(vol, src_r, src_c):
-    """Sample every axial slice at in-plane float coords; outside reads 0."""
-    R, C, _ = vol.shape
-    r0 = np.floor(src_r).astype(np.int64)
-    c0 = np.floor(src_c).astype(np.int64)
-    fr = (src_r - r0).astype(vol.dtype)
-    fc = (src_c - c0).astype(vol.dtype)
+def _sample_linear(vol, coords):
+    """Multilinear gather at float coords over the leading len(coords) axes.
+
+    `coords` holds one array per gathered axis, each of shape
+    vol.shape[:len(coords)]; trailing axes ride along with one weight per
+    line. Neighbours outside the grid read 0.
+    """
+    n = len(coords)
+    shape = vol.shape[:n]
+    base = [np.floor(x).astype(np.int64) for x in coords]
+    frac = [(x - b).astype(vol.dtype) for x, b in zip(coords, base)]
+    ride = (...,) + (None,) * (vol.ndim - n)
     out = np.zeros_like(vol)
-    for dr in (0, 1):
-        for dc in (0, 1):
-            rr = r0 + dr
-            cc = c0 + dc
-            w = (fr if dr else 1 - fr) * (fc if dc else 1 - fc)
-            valid = (rr >= 0) & (rr < R) & (cc >= 0) & (cc < C)
-            rcl = np.clip(rr, 0, R - 1)
-            ccl = np.clip(cc, 0, C - 1)
-            out += (w * valid)[:, :, None] * vol[rcl, ccl, :]
+    for corner in itertools.product((0, 1), repeat=n):
+        w, valid, index = None, True, []
+        for b, f, d, size in zip(base, frac, corner, shape):
+            i = b + d
+            wa = f if d else 1 - f
+            w = wa if w is None else w * wa
+            valid = valid & (i >= 0) & (i < size)
+            index.append(np.clip(i, 0, size - 1))
+        out += (w * valid)[ride] * vol[tuple(index)]
     return out
 
 
@@ -75,19 +81,9 @@ def rotation_map(shape_rc, angle_deg):
     return cr + cos * dr + sin * dc, cc - sin * dr + cos * dc
 
 
-def rotate_inplane(tensor, angle_deg, mode="bilinear"):
-    src_r, src_c = rotation_map(tensor.shape[:2], angle_deg)
-    if mode == "nearest":
-        R, C, _ = tensor.shape
-        rn = np.rint(src_r).astype(np.int64)
-        cn = np.rint(src_c).astype(np.int64)
-        valid = (rn >= 0) & (rn < R) & (cn >= 0) & (cn < C)
-        out = np.zeros_like(tensor)
-        out[valid] = tensor[rn[valid], cn[valid], :]
-        return out
-    if mode != "bilinear":
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-    out = _bilinear_slicewise(tensor, src_r, src_c)
+def rotate_inplane(tensor, angle_deg):
+    """Bilinear in-plane rotation of every axial slice; zero fill."""
+    out = _sample_linear(tensor, rotation_map(tensor.shape[:2], angle_deg))
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -137,29 +133,6 @@ def elastic_field(shape, grid, sigma, seed):
     return field
 
 
-def _sample_trilinear(vol, src_r, src_c, src_s):
-    R, C, S = vol.shape
-    r0 = np.floor(src_r).astype(np.int64)
-    c0 = np.floor(src_c).astype(np.int64)
-    s0 = np.floor(src_s).astype(np.int64)
-    fr = (src_r - r0).astype(vol.dtype)
-    fc = (src_c - c0).astype(vol.dtype)
-    fs = (src_s - s0).astype(vol.dtype)
-    out = np.zeros_like(vol)
-    for dr in (0, 1):
-        for dc in (0, 1):
-            for ds in (0, 1):
-                rr, cc, ss = r0 + dr, c0 + dc, s0 + ds
-                w = ((fr if dr else 1 - fr) * (fc if dc else 1 - fc)
-                     * (fs if ds else 1 - fs))
-                valid = ((rr >= 0) & (rr < R) & (cc >= 0) & (cc < C)
-                         & (ss >= 0) & (ss < S))
-                out += (w * valid) * vol[np.clip(rr, 0, R - 1),
-                                         np.clip(cc, 0, C - 1),
-                                         np.clip(ss, 0, S - 1)]
-    return out
-
-
 def elastic_deform(tensor, grid, sigma, seed):
     """Warp: out(p) = in(p + d(p)) with trilinear sampling, zero fill."""
     if min(grid) < 2:
@@ -169,8 +142,7 @@ def elastic_deform(tensor, grid, sigma, seed):
     field = elastic_field(tensor.shape, grid, sigma, seed)
     coords = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in tensor.shape],
                          indexing="ij")
-    out = _sample_trilinear(tensor, coords[0] + field[0], coords[1] + field[1],
-                            coords[2] + field[2])
+    out = _sample_linear(tensor, [c + d for c, d in zip(coords, field)])
     return np.clip(out, 0.0, 1.0, out=out)
 
 

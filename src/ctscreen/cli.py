@@ -530,16 +530,28 @@ def cmd_train(args):
 
 
 def _fold_assignment(rows, labels, k, seed):
+    """Fold id per scan: the manifest's fold column, else a stratified k-fold.
+
+    Every one of the k folds must hold at least one scan.
+    """
+    if k < 2:
+        raise ConfigError(f"--folds must be at least 2, got {k}")
     overrides = [r.fold for r in rows]
     given = [f for f in overrides if f is not None]
     if given and len(given) != len(rows):
         raise ManifestError("either every row sets a fold or none do")
-    if given:
-        folds = np.array(overrides, dtype=np.int64)
-        if folds.min() < 0 or folds.max() >= k:
-            raise ManifestError(f"fold overrides outside [0,{k})")
-        return folds
-    return metrics.kfold_split(labels, k=k, seed=seed)
+    if not given:
+        try:
+            return metrics.kfold_split(labels, k=k, seed=seed)
+        except metrics.TooFewSamples as exc:
+            raise ManifestError(f"--folds {k}: {exc}") from exc
+    folds = np.array(overrides, dtype=np.int64)
+    if folds.min() < 0 or folds.max() >= k:
+        raise ManifestError(f"fold overrides outside [0,{k})")
+    empty = np.flatnonzero(np.bincount(folds, minlength=k) == 0)
+    if empty.size:
+        raise ManifestError(f"fold overrides leave fold {empty[0]} with no scans")
+    return folds
 
 
 def cmd_eval(args):
@@ -634,12 +646,15 @@ def _common_flags(sub, out=True):
     sub.add_argument("--config", default=None, help="run configuration file")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for per-scan stages")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="force single-worker execution")
     if out:
         sub.add_argument("--out", required=True, help="output directory")
+
+
+def _manifest_flags(sub):
+    """Flags of the commands that work through a manifest's scans."""
+    sub.add_argument("--manifest", required=True)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker threads over the scans; outputs never depend on it")
 
 
 def build_parser():
@@ -650,12 +665,12 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("segment", help="write lung masks for every scan")
-    p.add_argument("--manifest", required=True)
+    _manifest_flags(p)
     _common_flags(p)
     p.set_defaults(fn=cmd_segment)
 
     p = subs.add_parser("patch", help="cut a patch pack at one pyramid level")
-    p.add_argument("--manifest", required=True)
+    _manifest_flags(p)
     p.add_argument("--masks", required=True, help="directory of mask files")
     p.add_argument("--level", required=True,
                    help=f"one of {', '.join(PATCH_TABLE)}")
@@ -670,7 +685,7 @@ def build_parser():
 
     p = subs.add_parser("eval", help="cross-validated evaluation of a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
+    _manifest_flags(p)
     p.add_argument("--protocol", choices=sorted(PROTOCOL_CLASSES), default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--masks", default=None,
@@ -689,8 +704,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "deterministic", False):
-        args.jobs = 1
     try:
         return args.fn(args)
     except (ManifestError, ConfigError, ProtocolMismatch) as exc:

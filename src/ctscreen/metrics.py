@@ -152,25 +152,19 @@ def macro_auc_ovr(probs, labels, k):
     return aucs, float(aucs.mean())
 
 
-def kfold_split(labels, k=5, seed=0, stratified=True):
-    """Fold id per sample; stratified keeps per-class fold sizes within 1."""
+def kfold_split(labels, k=5, seed=0):
+    """Fold id per sample, stratified: per-class fold sizes stay within 1."""
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise ValueError("need at least 2 folds")
     folds = np.empty(labels.size, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
-    if stratified:
-        for c in np.unique(labels):  # sorted, so the draw order is fixed
-            idx = np.nonzero(labels == c)[0]
-            if idx.size < k:
-                raise TooFewSamples(f"class {c} has {idx.size} samples for {k} folds")
-            perm = rng.permutation(idx.size)
-            folds[idx[perm]] = np.arange(idx.size) % k
-    else:
-        if labels.size < k:
-            raise TooFewSamples(f"{labels.size} samples for {k} folds")
-        perm = rng.permutation(labels.size)
-        folds[perm] = np.arange(labels.size) % k
+    for c in np.unique(labels):  # sorted, so the draw order is fixed
+        idx = np.nonzero(labels == c)[0]
+        if idx.size < k:
+            raise TooFewSamples(f"class {c} has {idx.size} samples for {k} folds")
+        perm = rng.permutation(idx.size)
+        folds[idx[perm]] = np.arange(idx.size) % k
     return folds
 
 
@@ -223,28 +217,3 @@ def roc_points_csv(class_points):
             w.writerow([name, repr(float(x)), repr(float(y))])
     return buf.getvalue()
 
-
-def summary_text(report: EvalReport, class_names=None):
-    """Fixed-width class-wise and weighted recall/precision block."""
-    k = report.matrix.k
-    names = class_names or [f"class{i}" for i in range(k)]
-    width = max(8, max(len(n) for n in names) + 1)
-    lines = ["confusion matrix (rows = predicted, columns = actual):"]
-    header = " " * width + "".join(f"{n:>{width}}" for n in names)
-    lines.append(header)
-    for i in range(k):
-        row = "".join(f"{int(v):>{width}}" for v in report.matrix.counts[i])
-        lines.append(f"{names[i]:>{width}}" + row)
-    lines.append("")
-    lines.append(f"{'class':>{width}}{'recall':>10}{'precision':>11}{'f1':>9}")
-    for i in range(k):
-        star = "*" if report.undefined_precision[i] else " "
-        lines.append(f"{names[i]:>{width}}{report.recall[i]:>10.4f}"
-                     f"{report.precision[i]:>10.4f}{star}{report.f1[i]:>9.4f}")
-    lines.append(f"{'weighted':>{width}}{report.weighted_recall:>10.4f}"
-                 f"{report.weighted_precision:>10.4f} {report.weighted_f1:>9.4f}")
-    if report.macro_auc is not None:
-        lines.append(f"macro one-vs-rest AUC: {report.macro_auc:.4f}")
-    if report.undefined_precision.any():
-        lines.append("* precision reported as 0: class was never predicted")
-    return "\n".join(lines) + "\n"

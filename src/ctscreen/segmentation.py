@@ -69,20 +69,13 @@ def _structure(connectivity: int):
     raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
 
-def _label_scan_order(bits, connectivity):
-    """Label components and return (labels, ids sorted by first scan-order hit).
-
-    The returned id order is derived from minimum linear voxel index, not
-    from whatever order the labeling backend happens to assign.
-    """
-    labels, n = ndimage.label(bits, structure=_structure(connectivity))
-    if n == 0:
-        return labels, []
-    flat = labels.ravel()
-    ids, first = np.unique(flat, return_index=True)
-    order = [int(i) for _, i in sorted(
-        (int(first[j]), int(ids[j])) for j in range(len(ids)) if ids[j] != 0)]
-    return labels, order
+def _border_connected(bits, connectivity):
+    """Voxels of `bits` whose component touches any of the six grid faces."""
+    labels, _ = ndimage.label(bits, structure=_structure(connectivity))
+    faces = [labels[0], labels[-1], labels[:, 0], labels[:, -1],
+             labels[:, :, 0], labels[:, :, -1]]
+    border = np.unique(np.concatenate([f.ravel() for f in faces]))
+    return np.isin(labels, border[border != 0])
 
 
 def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
@@ -94,14 +87,8 @@ def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
 
 def remove_border_components(mask: Mask, connectivity: int = 26) -> Mask:
     """Clear every component that touches any of the six grid faces."""
-    labels, _ = _label_scan_order(mask.bits, connectivity)
-    faces = [labels[0], labels[-1], labels[:, 0], labels[:, -1],
-             labels[:, :, 0], labels[:, :, -1]]
-    border = np.unique(np.concatenate([f.ravel() for f in faces]))
-    border = border[border != 0]
-    if border.size == 0:
-        return Mask(mask.bits.copy(), mask.source_id)
-    return Mask(mask.bits & ~np.isin(labels, border), mask.source_id)
+    return Mask(mask.bits & ~_border_connected(mask.bits, connectivity),
+                mask.source_id)
 
 
 def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
@@ -112,12 +99,17 @@ def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    labels, scan_ids = _label_scan_order(mask.bits, connectivity)
-    if len(scan_ids) <= k:
+    labels, n = ndimage.label(mask.bits, structure=_structure(connectivity))
+    if n <= k:
         return Mask(mask.bits.copy(), mask.source_id)
+    # scan order comes from each label's minimum linear voxel index, not from
+    # whatever ids the labeling backend happens to assign
+    ids, first = np.unique(labels, return_index=True)
+    fg = ids != 0
+    scan_ids = ids[fg][np.argsort(first[fg])].tolist()
     sizes = np.bincount(labels.ravel())
-    rank = {lab: pos for pos, lab in enumerate(scan_ids)}
-    keep = sorted(scan_ids, key=lambda lab: (-int(sizes[lab]), rank[lab]))[:k]
+    # a stable sort keeps scan order among equal sizes
+    keep = sorted(scan_ids, key=lambda lab: -int(sizes[lab]))[:k]
     return Mask(np.isin(labels, keep), mask.source_id)
 
 
@@ -163,14 +155,7 @@ def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
     both a wall and a passage.
     """
     bg_conn = 6 if connectivity == 26 else 26
-    bg = ~mask.bits
-    labels, _ = _label_scan_order(bg, bg_conn)
-    faces = [labels[0], labels[-1], labels[:, 0], labels[:, -1],
-             labels[:, :, 0], labels[:, :, -1]]
-    reachable = np.unique(np.concatenate([f.ravel() for f in faces]))
-    reachable = reachable[reachable != 0]
-    holes = bg & ~np.isin(labels, reachable)
-    return Mask(mask.bits | holes, mask.source_id)
+    return Mask(~_border_connected(~mask.bits, bg_conn), mask.source_id)
 
 
 def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:

@@ -494,8 +494,7 @@ def test_c10_cli_byte_determinism(tmp_path):
         runs = [tmp_path / f"run{i}" for i in (0, 1)]
         for out in runs:
             assert cli.main(["train", "--config", str(train_cfg),
-                             "--packs", str(blob_packs), "--out", str(out),
-                             "--deterministic"]) == 0
+                             "--packs", str(blob_packs), "--out", str(out)]) == 0
         for name in ("history.csv", "checkpoint_final.ctck"):
             assert (runs[0] / name).read_bytes() == \
                 (runs[1] / name).read_bytes(), name

@@ -23,18 +23,42 @@ def test_rotate_zero_identity():
 def test_rotate_full_turn_near_identity():
     t = rand_tensor(1)
     assert np.allclose(aug.rotate_inplane(t, 360.0), t, atol=1e-5)
-    assert np.array_equal(aug.rotate_inplane(t, 360.0, mode="nearest"), t)
+    src_r, src_c = aug.rotation_map(t.shape[:2], 360.0)
+    rows, cols = np.indices(t.shape[:2])
+    assert np.array_equal(np.rint(src_r), rows)
+    assert np.array_equal(np.rint(src_c), cols)
 
 
 def test_rotate_quarter_turn_nearest_matches_coordinate_map():
     # forward map about (R/2, C/2): (dr, dc) -> (cos*dr - sin*dc, sin*dr + cos*dc)
-    t = np.zeros((8, 8, 2))
-    t[2, 5, :] = 1.0
-    out = aug.rotate_inplane(t, 90.0, mode="nearest")
+    src_r, src_c = aug.rotation_map((8, 8), 90.0)
     dr, dc = 2 - 4.0, 5 - 4.0
     dest = (int(round(4.0 - dc)), int(round(4.0 + dr)))
-    assert out[dest][0] == 1.0
-    assert out[..., 0].sum() == 1.0
+    hits = (np.rint(src_r) == 2) & (np.rint(src_c) == 5)
+    assert hits[dest]
+    assert hits.sum() == 1
+
+
+def test_rotate_matches_bilinear_point_oracle():
+    # out(p) = bilinear sample of the same slice at the forward rotation of
+    # p by -angle about (R/2, C/2); neighbours outside the grid read 0
+    t = rand_tensor(5, (9, 12, 3))
+    R, C, S = t.shape
+    for angle in (-25.0, 10.0, 30.0):
+        got = aug.rotate_inplane(t, angle)
+        th = math.radians(-angle)
+        for r in range(R):
+            for c in range(C):
+                dr, dc = r - R / 2, c - C / 2
+                sr = R / 2 + math.cos(th) * dr - math.sin(th) * dc
+                sc = C / 2 + math.sin(th) * dr + math.cos(th) * dc
+                want = np.zeros(S)
+                for i in (math.floor(sr), math.floor(sr) + 1):
+                    for j in (math.floor(sc), math.floor(sc) + 1):
+                        if 0 <= i < R and 0 <= j < C:
+                            want += (1 - abs(sr - i)) * (1 - abs(sc - j)) * t[i, j]
+                assert np.allclose(got[r, c], np.clip(want, 0.0, 1.0),
+                                   rtol=0, atol=1e-12), (angle, r, c)
 
 
 def test_rotate_preserves_shape_and_range():

@@ -342,8 +342,7 @@ def test_train_artifacts(trained, capsys):
 def test_train_deterministic_rerun(trained, tmp_path):
     out2 = tmp_path / "rerun"
     rc = cli.main(["train", "--config", str(trained["cfg"]),
-                   "--packs", str(trained["packs"]), "--out", str(out2),
-                   "--deterministic"])
+                   "--packs", str(trained["packs"]), "--out", str(out2)])
     assert rc == 0
     for name in ("history.csv", "checkpoint_final.ctck", "effective.cfg"):
         assert (trained["out"] / name).read_bytes() == (out2 / name).read_bytes()
@@ -451,6 +450,43 @@ def test_eval_partial_fold_override_rejected(workspace, trained, tmp_path,
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "fold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("folds, says", [("5", "class 0 has 2 samples for 5 folds"),
+                                         ("1", "--folds must be at least 2")],
+                         ids=["folds5", "folds1"])
+def test_eval_bad_fold_count_exits_2(workspace, trained, tmp_path, capsys,
+                                     folds, says):
+    # two scans per class: five folds cannot all hold each class
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--checkpoint",
+                   str(trained["out"] / "checkpoint_final.ctck"),
+                   "--manifest", str(workspace["manifest"]),
+                   "--config", str(workspace["config"]),
+                   "--masks", str(workspace["masks"]), "--folds", folds,
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert says in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_empty_override_fold_exits_2(workspace, trained, tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    labels = ["NOR", "NOR", "MiNCP", "MiNCP"]
+    manifest.write_text("".join(f"{path},{label},{i % 2}\n" for i, (path, label)
+                                in enumerate(zip(workspace["scan_paths"], labels))))
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--checkpoint",
+                   str(trained["out"] / "checkpoint_final.ctck"),
+                   "--manifest", str(manifest),
+                   "--config", str(workspace["config"]),
+                   "--masks", str(workspace["masks"]), "--folds", "3",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fold 2 with no scans" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- predict

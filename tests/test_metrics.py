@@ -8,7 +8,7 @@ from ctscreen.metrics import (ConfusionMatrix, LabelOutOfRange, MissingClass,
                               SingleClassInput, TooFewSamples,
                               confusion_matrix, evaluate_probs, kfold_split,
                               macro_auc_ovr, precision_recall_f1, report_csv,
-                              roc_auc, roc_curve, roc_points_csv, summary_text)
+                              roc_auc, roc_curve, roc_points_csv)
 
 
 def auc_pair_oracle(scores, labels):
@@ -201,14 +201,6 @@ def test_kfold_published_cohort_sizes():
 def test_kfold_too_few_samples():
     with pytest.raises(TooFewSamples):
         kfold_split([0, 0, 0, 1, 1, 1, 1, 1], k=5, seed=0)
-    with pytest.raises(TooFewSamples):
-        kfold_split([0, 0, 0], k=5, seed=0, stratified=False)
-
-
-def test_kfold_unstratified_partitions():
-    folds = kfold_split(np.zeros(11, dtype=int), k=3, seed=1, stratified=False)
-    sizes = sorted(np.bincount(folds, minlength=3).tolist())
-    assert sizes == [3, 4, 4]
 
 
 # ---------------------------------------------------------------- report
@@ -257,10 +249,3 @@ def test_roc_points_csv():
         parsed = [(float(a), float(b)) for c, a, b in rows[1:] if c == name]
         assert parsed == points
 
-
-def test_summary_text_mentions_orientation_and_rates():
-    m = confusion_matrix([0, 1, 1], [0, 0, 1], k=2)
-    text = summary_text(precision_recall_f1(m), ["neg", "pos"])
-    assert "rows = predicted" in text
-    assert "weighted" in text
-    assert "recall" in text
