@@ -267,12 +267,3 @@ def history_to_csv(histories):
             writer.writerow([level, h.epoch, repr(h.train_loss), repr(h.train_acc),
                              repr(h.val_loss), repr(h.val_acc), repr(h.lr)])
     return buf.getvalue()
-
-
-def history_from_csv(text):
-    histories = {}
-    for r in list(csv.reader(io.StringIO(text)))[1:]:
-        histories.setdefault(r[0], []).append(EpochStats(
-            int(r[1]), float(r[2]), float(r[3]), float(r[4]), float(r[5]),
-            float(r[6])))
-    return histories

