@@ -35,6 +35,8 @@ class AugmentPolicy:
             raise ValueError("noise/elastic sigma must be non-negative")
         if any(g <= 0 for g in self.gammas):
             raise ValueError("gammas must be positive")
+        if len(self.elastic_grid) != 3:
+            raise ValueError("elastic_grid needs 3 values, one per axis")
         if self.elastic_sigma > 0 and min(self.elastic_grid) < 2:
             raise ValueError("elastic grid needs at least 2 control points per axis")
 

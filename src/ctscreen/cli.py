@@ -23,15 +23,14 @@ import numpy as np
 
 from . import metrics, nifti_io, nn_core
 from .augment import AugmentPolicy
-from .nifti_io import NiftiError, Volume
+from .nifti_io import Volume
 from .patch_sampler import (PATCH_TABLE, PatchSpec, extract_patches,
                             level_spec, Sample, standardize_volume,
                             trilinear_resample)
 from .rebalance import MODES
-from .segmentation import (EmptySegmentation, Mask, SegmentationParams,
-                           component_count, segment_lung)
-from .train import (IncompatibleSpec, NonFiniteLoss, TrainConfig,
-                    history_to_csv, progressive_fit)
+from .segmentation import (Mask, SegmentationParams, component_count,
+                           segment_lung)
+from .train import NonFiniteLoss, TrainConfig, history_to_csv, progressive_fit
 
 LABELS = ("NOR", "MiNCP", "MoNCP", "SeNCP", "CrNCP")
 
@@ -52,14 +51,6 @@ class ManifestError(Exception):
 
 
 class ConfigError(Exception):
-    pass
-
-
-class MissingMask(Exception):
-    pass
-
-
-class ProtocolMismatch(Exception):
     pass
 
 
@@ -105,8 +96,6 @@ def load_manifest(path):
 
 
 def class_labels(rows, protocol):
-    if protocol not in _LABEL_MAPS:
-        raise ProtocolMismatch(f"unknown protocol '{protocol}'")
     table = _LABEL_MAPS[protocol]
     return np.array([table[r.label] for r in rows], dtype=np.int64)
 
@@ -136,6 +125,11 @@ class RunConfig:
             raise ValueError(f"protocol must be one of {sorted(PROTOCOL_CLASSES)}")
         if self.train.weight_mode not in MODES:
             raise ValueError(f"rebalance.mode must be one of {sorted(MODES)}")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError(f"train.val_fraction must lie in (0,1), "
+                             f"got {self.val_fraction}")
+        if min(self.channels, default=0) < 1:
+            raise ValueError(f"model.channels must be positive, got {self.channels}")
         self.policy = dataclasses.replace(self.policy, seed=self.seed)
         self.train = dataclasses.replace(
             self.train, seed=self.seed,
@@ -349,9 +343,11 @@ def _write_effective_config(cfg, out_dir):
 
 
 def _read_mask(path, want_shape):
+    if not os.path.exists(path):
+        raise ValueError(f"no mask at {path}")
     _, raw = nifti_io.read_raw(path)
     if raw.shape != want_shape:
-        raise NiftiError(f"mask shape {raw.shape} != scan shape {want_shape}")
+        raise ValueError(f"mask shape {raw.shape} != scan shape {want_shape}")
     return Mask(raw > 0)
 
 
@@ -360,6 +356,16 @@ def _load_model(path):
         return nn_core.load_checkpoint(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
+
+
+def _checkpoint_classes(spec):
+    """(protocol, class names) of the one protocol with the checkpoint's
+    class count: binary has 2 classes, multiclass 4."""
+    for protocol, names in PROTOCOL_CLASSES.items():
+        if len(names) == spec.class_count:
+            return protocol, names
+    raise ConfigError(f"checkpoint has {spec.class_count} classes; "
+                      f"no protocol has that many")
 
 
 def _model_input(std: Volume, spec: nn_core.ModelSpec):
@@ -379,7 +385,7 @@ def _scan_probs(spec, weights, volume, mask):
     return probs
 
 
-_FILE_ERRORS = (NiftiError, EmptySegmentation, MissingMask, OSError, ValueError)
+_FILE_ERRORS = (OSError, ValueError)
 
 
 def _per_scan(work, paths, jobs):
@@ -397,7 +403,7 @@ def _per_scan(work, paths, jobs):
             return None, f"error: {path}: {exc}"
 
     items = list(enumerate(paths))
-    if jobs <= 1:
+    if jobs == 1:
         outcomes = [guarded(item) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -446,26 +452,24 @@ def cmd_patch(args):
     _write_effective_config(cfg, args.out)
 
     def work(index, path):
-        mask_path = os.path.join(args.masks, mask_name(path))
-        if not os.path.exists(mask_path):
-            raise MissingMask(f"no mask at {mask_path}")
         volume = nifti_io.read_volume(path, source_id=_stem(path))
-        mask = _read_mask(mask_path, volume.shape)
+        mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
         std = standardize_volume(volume, mask)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
         return extract_patches(std, mask, spec, scan_seed, label=int(labels[index]))
 
     results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
-    if failed:
+    if failed == len(rows):
         return 1
-    samples = [smp for patches in results for smp in patches]
+    samples = [smp for patches in results if patches is not None
+               for smp in patches]
     write_pack(args.level, samples, os.path.join(args.out, f"{args.level}.pack"))
     _atomic_write(os.path.join(args.out, f"{args.level}_index.csv"),
                   pack_index_csv(samples))
     print(f"packed {len(samples)} {args.level} patches "
-          f"from {len(rows)} scans -> {args.out}")
-    return 0
+          f"from {len(rows) - failed} scans -> {args.out}")
+    return 1 if failed else 0
 
 
 def _load_level_datasets(cfg, packs_dir):
@@ -482,10 +486,12 @@ def _load_level_datasets(cfg, packs_dir):
             raise ConfigError(f"bad pack {path}: {exc}") from exc
         if level != name:
             raise ConfigError(f"{path} holds level {level}, expected {name}")
-        if name in PATCH_TABLE:
-            specs.append(level_spec(name))
-        else:
-            specs.append(PatchSpec(name, samples[0].tensor.shape, 1))
+        shape = samples[0].tensor.shape
+        want, count = PATCH_TABLE.get(name, (shape, 1))
+        if shape != want:
+            raise ConfigError(
+                f"{path} holds {shape} patches, level {name} needs {want}")
+        specs.append(PatchSpec(name, shape, count))
         sample_labels = [smp.label for smp in samples]
         try:
             folds = metrics.kfold_split(sample_labels, k=k, seed=cfg.seed)
@@ -513,7 +519,7 @@ def cmd_train(args):
     try:
         _, results = progressive_fit(specs, datasets, cfg.train, class_count,
                                      channels=cfg.channels, log=log)
-    except (IncompatibleSpec, nn_core.LabelOutOfRange) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -555,16 +561,9 @@ def _fold_assignment(rows, labels, k, seed):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config, args.seed)
-    protocol = args.protocol or cfg.protocol
-    names = PROTOCOL_CLASSES.get(protocol)
-    if names is None:
-        raise ProtocolMismatch(f"unknown protocol '{protocol}'")
     spec, weights = _load_model(args.checkpoint)
-    if spec.class_count != len(names):
-        raise ProtocolMismatch(
-            f"checkpoint has {spec.class_count} classes, "
-            f"protocol '{protocol}' needs {len(names)}")
+    protocol, names = _checkpoint_classes(spec)
+    cfg = dataclasses.replace(load_config(args.config, args.seed), protocol=protocol)
     rows = load_manifest(args.manifest)
     labels = class_labels(rows, protocol)
     folds = _fold_assignment(rows, labels, args.folds, cfg.seed)
@@ -616,16 +615,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     cfg = load_config(args.config, args.seed)
     spec, weights = _load_model(args.checkpoint)
-    if args.protocol is not None:
-        names = PROTOCOL_CLASSES.get(args.protocol)
-        if names is None or len(names) != spec.class_count:
-            raise ProtocolMismatch(
-                f"protocol '{args.protocol}' does not fit a "
-                f"{spec.class_count}-class checkpoint")
-    else:
-        by_count = {len(v): v for v in PROTOCOL_CLASSES.values()}
-        names = by_count.get(spec.class_count,
-                             tuple(f"class{i}" for i in range(spec.class_count)))
+    _, names = _checkpoint_classes(spec)
 
     def work(_, path):
         volume = nifti_io.read_volume(path, source_id=_stem(path))
@@ -650,10 +640,17 @@ def _common_flags(sub, out=True):
         sub.add_argument("--out", required=True, help="output directory")
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got '{text}'")
+    return int(text)
+
+
 def _manifest_flags(sub):
     """Flags of the commands that work through a manifest's scans."""
     sub.add_argument("--manifest", required=True)
-    sub.add_argument("--jobs", type=int, default=1,
+    sub.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker threads over the scans; outputs never depend on it")
 
 
@@ -686,7 +683,6 @@ def build_parser():
     p = subs.add_parser("eval", help="cross-validated evaluation of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _manifest_flags(p)
-    p.add_argument("--protocol", choices=sorted(PROTOCOL_CLASSES), default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--masks", default=None,
                    help="reuse segment output instead of re-segmenting")
@@ -696,7 +692,6 @@ def build_parser():
     p = subs.add_parser("predict", help="classify one scan")
     p.add_argument("scan")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", choices=sorted(PROTOCOL_CLASSES), default=None)
     _common_flags(p, out=False)
     p.set_defaults(fn=cmd_predict)
     return parser
@@ -706,7 +701,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ManifestError, ConfigError, ProtocolMismatch) as exc:
+    except (ManifestError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

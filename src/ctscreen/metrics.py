@@ -18,15 +18,15 @@ import numpy as np
 from .nn_core import LabelOutOfRange
 
 
-class SingleClassInput(Exception):
+class SingleClassInput(ValueError):
     """ROC needs at least one positive and one negative sample."""
 
 
-class MissingClass(Exception):
+class MissingClass(ValueError):
     pass
 
 
-class TooFewSamples(Exception):
+class TooFewSamples(ValueError):
     pass
 
 
@@ -188,9 +188,8 @@ def evaluate_probs(probs, actual, fold_id=None):
 
 # -------------------------------------------------------------- rendering
 
-def report_csv(report: EvalReport, class_names=None):
+def report_csv(report: EvalReport, class_names):
     k = report.matrix.k
-    names = class_names or [f"class{i}" for i in range(k)]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["class", "support", "recall", "precision", "f1",
@@ -198,7 +197,7 @@ def report_csv(report: EvalReport, class_names=None):
     support = report.matrix.actual_support()
     for i in range(k):
         auc = "" if report.auc is None else repr(float(report.auc[i]))
-        w.writerow([names[i], int(support[i]), repr(float(report.recall[i])),
+        w.writerow([class_names[i], int(support[i]), repr(float(report.recall[i])),
                     repr(float(report.precision[i])), repr(float(report.f1[i])),
                     int(report.undefined_precision[i]), auc])
     macro = "" if report.macro_auc is None else repr(report.macro_auc)

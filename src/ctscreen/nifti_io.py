@@ -34,7 +34,7 @@ DATATYPES = {
 MASK_DATATYPE_CODE = 2
 
 
-class NiftiError(Exception):
+class NiftiError(ValueError):
     """Base class for NIfTI parsing/writing failures."""
 
 

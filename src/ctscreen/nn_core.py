@@ -22,15 +22,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(ValueError):
     pass
 
 
-class LabelOutOfRange(Exception):
+class LabelOutOfRange(ValueError):
     pass
 
 
-class DegenerateBatch(Exception):
+class DegenerateBatch(ValueError):
     """Batch statistics need at least two values per channel."""
 
 
@@ -774,6 +774,7 @@ def load_checkpoint(src):
     spec_text = str(cur.take(spec_len), "utf-8")
     try:
         spec = ModelSpec.from_json(spec_text)
+        model_shapes(spec)
         expected = {n: w.shape for n, w in init_weights(spec).items()}
     except (KeyError, TypeError, OverflowError, ShapeMismatch) as exc:
         raise ValueError(f"bad model spec: {exc!r}") from exc

@@ -31,7 +31,7 @@ PATCH_TABLE = {
 LEVELS = tuple(PATCH_TABLE)
 
 
-class NoLungRegion(Exception):
+class NoLungRegion(ValueError):
     """Mask has no foreground; there is nothing to anchor patches to."""
 
 

@@ -20,7 +20,7 @@ MODES = ("paper_formula", "inverse_frequency", "uniform")
 DEFAULT_MODE = "inverse_frequency"
 
 
-class ZeroClassCount(Exception):
+class ZeroClassCount(ValueError):
     """A class with zero samples cannot be weighted."""
 
 

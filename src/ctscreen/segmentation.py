@@ -19,7 +19,7 @@ from scipy import ndimage
 from .nifti_io import Volume
 
 
-class EmptySegmentation(Exception):
+class EmptySegmentation(ValueError):
     """No foreground survived the pipeline; scan is not a usable chest CT."""
 
 

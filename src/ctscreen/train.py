@@ -23,11 +23,11 @@ from .nn_core import LabelOutOfRange
 from .rebalance import class_weights, DEFAULT_MODE
 
 
-class EmptyDataset(Exception):
+class EmptyDataset(ValueError):
     pass
 
 
-class IncompatibleSpec(Exception):
+class IncompatibleSpec(ValueError):
     """Progressive enlargement cannot map the old model onto the new input."""
 
 

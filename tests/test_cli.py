@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, nifti_io, nn_core
 from ctscreen.phantoms import lung_phantom
-from ctscreen.segmentation import segment_lung
+from ctscreen.segmentation import Mask, segment_lung
 
 from synth import blob_dataset
 
@@ -88,8 +88,6 @@ def test_class_label_maps():
     multi = cli.class_labels(rows, "multiclass")
     # the two-sample critical grade folds into severe
     assert multi.tolist() == [0, 1, 2, 3, 3]
-    with pytest.raises(cli.ProtocolMismatch):
-        cli.class_labels(rows, "ternary")
 
 
 # ------------------------------------------------------------------ config
@@ -277,6 +275,39 @@ def test_patch_missing_mask_fails_loud(workspace, tmp_path, capsys):
     assert "no mask at" in capsys.readouterr().err
 
 
+def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for path in workspace["scan_paths"]:
+        name = cli.mask_name(path)
+        (masks / name).write_bytes((workspace["masks"] / name).read_bytes())
+    volume = nifti_io.read_volume(workspace["scan_paths"][1])
+    empty = Mask(np.zeros(volume.shape, dtype=bool))
+    nifti_io.write_mask(empty, volume, gzipped=True,
+                        path=str(masks / cli.mask_name(workspace["scan_paths"][1])))
+    out = tmp_path / "out"
+    rc = cli.main(["patch", "--manifest", str(workspace["manifest"]),
+                   "--config", str(workspace["config"]),
+                   "--masks", str(masks), "--level", "P1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
+    _, samples = cli.read_pack(str(out / "P1.pack"))
+    assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
+    assert len(samples) == 3 * 64
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(workspace, tmp_path, capsys, jobs):
+    out = tmp_path / "masks"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["segment", "--manifest", str(workspace["manifest"]),
+                  "--jobs", jobs, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_patch_unknown_level_exits_2(workspace, tmp_path, capsys):
     rc = cli.main(["patch", "--manifest", str(workspace["manifest"]),
                    "--masks", str(workspace["masks"]), "--level", "P9",
@@ -375,6 +406,20 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
 
+    # a P2 pack must hold P2-shaped patches
+    packs = tmp_path / "shape"
+    packs.mkdir()
+    cli.write_pack("P2", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P2"),
+                   str(packs / "P2.pack"))
+    cfg = tmp_path / "p2.cfg"
+    cfg.write_text(TRAIN_CFG.replace("T1,T2", "P2"))
+    rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {packs / 'P2.pack'} holds (16, 16, 9) patches, "
+                   f"level P2 needs (32, 32, 12)\n")
+
 
 def test_train_non_finite_loss_exits_1(tmp_path, capsys):
     packs = tmp_path / "packs"
@@ -395,15 +440,25 @@ def test_train_non_finite_loss_exits_1(tmp_path, capsys):
 
 def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for text, says in (("train.lr = 0.1\n", "train.lr"),
-                       (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically")):
+    bad_values = [("train.val_fraction", v) for v in ("0", "nan", "-0.5", "2")]
+    bad_values += [("model.channels", "0"), ("model.channels", "2,-1"),
+                   ("augment.elastic_grid", "4,4"),
+                   ("augment.elastic_grid", "4,4,2,2")]
+    cases = [("train.lr = 0.1\n", "train.lr", False),
+             (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically", True)]
+    for key, value in bad_values:
+        kept = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key)]
+        cases.append(("\n".join(kept + [f"{key} = {value}"]) + "\n",
+                      key.split(".")[1], False))
+    for i, (text, says, writes) in enumerate(cases):
         cfg.write_text(text)
+        out = tmp_path / f"o{i}"
         rc = cli.main(["train", "--config", str(cfg),
-                       "--packs", str(trained["packs"]),
-                       "--out", str(tmp_path / "o")])
+                       "--packs", str(trained["packs"]), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
+        assert out.exists() == writes
 
 
 # -------------------------------------------------------------------- eval
@@ -429,14 +484,23 @@ def test_eval_reports_and_determinism(workspace, trained, tmp_path):
     assert roc[0] == ["class", "fpr", "tpr"]
 
 
-def test_eval_protocol_mismatch_exits_2(workspace, trained, tmp_path, capsys):
-    rc = cli.main(["eval", "--checkpoint",
-                   str(trained["out"] / "checkpoint_final.ctck"),
+def test_eval_takes_the_classes_from_the_checkpoint(workspace, tmp_path):
+    spec = nn_core.base_model((1, 4, 8, 8), 4, channels=(2,))
+    ck = tmp_path / "four.ctck"
+    nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0), str(ck))
+    out = tmp_path / "e"
+    # the workspace config says binary; the checkpoint has four classes
+    rc = cli.main(["eval", "--checkpoint", str(ck),
                    "--manifest", str(workspace["manifest"]),
-                   "--protocol", "multiclass", "--folds", "2",
-                   "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "protocol" in capsys.readouterr().err
+                   "--config", str(workspace["config"]),
+                   "--masks", str(workspace["masks"]), "--folds", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    rep = list(csv.reader((out / "fold0_report.csv").open()))
+    assert [r[0] for r in rep[1:]] == ["NOR", "MiNCP", "MoNCP", "SeNCP", "weighted"]
+    # the two MiNCP scans stay MiNCP rather than folding into NCP
+    assert [int(r[1]) for r in rep[1:]] == [1, 1, 0, 0, 2]
+    assert cli.load_config(str(out / "effective.cfg")).protocol == "multiclass"
 
 
 def test_eval_partial_fold_override_rejected(workspace, trained, tmp_path,
@@ -555,8 +619,14 @@ def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):
     kernel = weights["L0.kernel"]
     weights["L0.kernel"] = kernel.reshape((1, 2) + kernel.shape[2:])
     reshaped = nn_core.save_checkpoint(spec, weights)
+    # a head of three units under a two-class spec
+    layers = spec.layers[:-2] + (nn_core.LayerSpec("dense", units=3),
+                                 nn_core.LayerSpec("softmax"))
+    wide = nn_core.ModelSpec(spec.input_shape, layers, 2)
+    wide_head = nn_core.save_checkpoint(wide, nn_core.init_weights(wide))
     junk = tmp_path / "junk.ctck"
-    for blob in (b"not a checkpoint at all", good[:7], good + b"\0\0", reshaped):
+    for blob in (b"not a checkpoint at all", good[:7], good + b"\0\0", reshaped,
+                 wide_head):
         junk.write_bytes(blob)
         rc = cli.main(["predict", workspace["scan_paths"][0],
                        "--checkpoint", str(junk)])
@@ -564,6 +634,18 @@ def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bad checkpoint") and err.count("\n") == 1
+
+
+def test_predict_checkpoint_without_a_protocol_exits_2(workspace, tmp_path,
+                                                       capsys):
+    spec = nn_core.base_model((1, 4, 8, 8), 3, channels=(2,))
+    ck = tmp_path / "three.ctck"
+    nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0), str(ck))
+    rc = cli.main(["predict", workspace["scan_paths"][0], "--checkpoint", str(ck)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: checkpoint has 3 classes; no protocol has that many\n"
 
 
 def test_non_finite_probabilities_fail_the_scan(workspace, tmp_path, capsys):
