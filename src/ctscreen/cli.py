@@ -232,17 +232,15 @@ def dump_config(cfg: RunConfig):
                    for key, kind, _, _ in CONFIG_KEYS)
 
 
-def load_config(path=None, seed=None) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+def load_config(path: str | None = None) -> RunConfig:
+    """The config file at `path`, or the defaults when there is none."""
+    if path is None:
+        return RunConfig()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ------------------------------------------------------------ patch packs
@@ -251,7 +249,7 @@ PACK_MAGIC = b"CTPK"
 PACK_VERSION = 1
 
 
-def write_pack(level, samples, path=None):
+def write_pack(level, samples):
     """Little-endian container: header, then per-sample id/label/origin/f32."""
     if not samples:
         raise ValueError("refusing to write an empty pack")
@@ -268,10 +266,7 @@ def write_pack(level, samples, path=None):
         parts.append(sid)
         parts.append(struct.pack("<BHHH", int(smp.label), *smp.origin))
         parts.append(np.ascontiguousarray(smp.tensor, dtype="<f4").tobytes())
-    blob = b"".join(parts)
-    if path is not None:
-        _atomic_write(path, blob)
-    return blob
+    return b"".join(parts)
 
 
 def read_pack(src):
@@ -417,7 +412,7 @@ def _per_scan(work, paths, jobs):
 # -------------------------------------------------------------- commands
 
 def cmd_segment(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     rows = load_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
@@ -441,7 +436,7 @@ def cmd_segment(args):
 
 
 def cmd_patch(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     rows = load_manifest(args.manifest)
     if args.level not in PATCH_TABLE:
         raise ConfigError(
@@ -464,7 +459,8 @@ def cmd_patch(args):
         return 1
     samples = [smp for patches in results if patches is not None
                for smp in patches]
-    write_pack(args.level, samples, os.path.join(args.out, f"{args.level}.pack"))
+    _atomic_write(os.path.join(args.out, f"{args.level}.pack"),
+                  write_pack(args.level, samples))
     _atomic_write(os.path.join(args.out, f"{args.level}_index.csv"),
                   pack_index_csv(samples))
     print(f"packed {len(samples)} {args.level} patches "
@@ -504,9 +500,7 @@ def _load_level_datasets(cfg, packs_dir):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    _write_effective_config(cfg, args.out)
+    cfg = load_config(args.config)
     specs, datasets = _load_level_datasets(cfg, args.packs)
     class_count = len(PROTOCOL_CLASSES[cfg.protocol])
 
@@ -525,6 +519,8 @@ def cmd_train(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    os.makedirs(args.out, exist_ok=True)
+    _write_effective_config(cfg, args.out)
     for res in results:
         blob = nn_core.save_checkpoint(res.spec, res.best_weights)
         _atomic_write(os.path.join(args.out, f"checkpoint_{res.level}.ctck"), blob)
@@ -563,7 +559,7 @@ def _fold_assignment(rows, labels, k, seed):
 def cmd_eval(args):
     spec, weights = _load_model(args.checkpoint)
     protocol, names = _checkpoint_classes(spec)
-    cfg = dataclasses.replace(load_config(args.config, args.seed), protocol=protocol)
+    cfg = dataclasses.replace(load_config(args.config), protocol=protocol)
     rows = load_manifest(args.manifest)
     labels = class_labels(rows, protocol)
     folds = _fold_assignment(rows, labels, args.folds, cfg.seed)
@@ -587,7 +583,7 @@ def cmd_eval(args):
     summaries = []
     for f in range(args.folds):
         pick = folds == f
-        report = metrics.evaluate_probs(probs[pick], labels[pick], fold_id=f)
+        report = metrics.evaluate_probs(probs[pick], labels[pick])
         _atomic_write(os.path.join(args.out, f"fold{f}_report.csv"),
                       metrics.report_csv(report, list(names)))
         if report.roc_points is not None:
@@ -613,7 +609,7 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     spec, weights = _load_model(args.checkpoint)
     _, names = _checkpoint_classes(spec)
 
@@ -634,8 +630,6 @@ def cmd_predict(args):
 
 def _common_flags(sub, out=True):
     sub.add_argument("--config", default=None, help="run configuration file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
     if out:
         sub.add_argument("--out", required=True, help="output directory")
 

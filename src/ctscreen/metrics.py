@@ -68,7 +68,6 @@ class EvalReport:
     auc: np.ndarray = None          # per-class one-vs-rest, when computable
     macro_auc: float = None
     roc_points: list = None         # per-class [(fpr, tpr), ...]
-    fold_id: int = None
 
 
 def confusion_matrix(predicted, actual, k) -> ConfusionMatrix:
@@ -168,14 +167,13 @@ def kfold_split(labels, k=5, seed=0):
     return folds
 
 
-def evaluate_probs(probs, actual, fold_id=None):
+def evaluate_probs(probs, actual):
     """Full report from probability rows: argmax labels, rates, OvR AUCs."""
     probs = np.asarray(probs, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.int64)
     k = probs.shape[1]
     predicted = probs.argmax(axis=1)
     report = precision_recall_f1(confusion_matrix(predicted, actual, k))
-    report.fold_id = fold_id
     try:
         aucs, macro = macro_auc_ovr(probs, actual, k)
     except (MissingClass, SingleClassInput):

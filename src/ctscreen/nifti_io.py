@@ -11,7 +11,6 @@ from __future__ import annotations
 import gzip
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -166,17 +165,15 @@ def _looks_gzipped(data: bytes) -> bool:
     return len(data) >= 2 and data[0] == 0x1F and data[1] == 0x8B
 
 
-def _as_bytes(src: Union[bytes, str, BinaryIO], gzipped=None) -> bytes:
+def _as_bytes(src) -> bytes:
+    """The file's bytes, from the bytes themselves or a path, gunzipped when
+    they start with the gzip magic (a NIfTI-1 header never does)."""
     if isinstance(src, (bytes, bytearray)):
         data = bytes(src)
-    elif isinstance(src, str):
+    else:
         with open(src, "rb") as fh:
             data = fh.read()
-    else:
-        data = src.read()
-    if gzipped is None:
-        gzipped = _looks_gzipped(data)
-    if gzipped:
+    if _looks_gzipped(data):
         try:
             data = gzip.decompress(data)
         except (OSError, EOFError) as exc:
@@ -184,12 +181,13 @@ def _as_bytes(src: Union[bytes, str, BinaryIO], gzipped=None) -> bytes:
     return data
 
 
-def read_raw(src, gzipped=None):
+def read_raw(src):
     """Read header plus raw (unscaled) voxel array of shape (R, C, S).
 
-    Never reads past the declared data length; trailing bytes are ignored.
+    `src` is a path or the file's bytes, plain or gzipped. Never reads past
+    the declared data length; trailing bytes are ignored.
     """
-    data = _as_bytes(src, gzipped)
+    data = _as_bytes(src)
     header = parse_header(data)
     if header.magic != MAGIC_SINGLE:
         raise InvalidHeader("paired .hdr/.img files are not supported for data reads")
@@ -213,9 +211,9 @@ def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarr
     return (raw.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
 
 
-def read_volume(src, gzipped=None, source_id: str = "") -> Volume:
+def read_volume(src, source_id: str = "") -> Volume:
     """Read a volume and convert stored values to Hounsfield units."""
-    header, raw = read_raw(src, gzipped)
+    header, raw = read_raw(src)
     hu = hu_from_raw(raw, header.scl_slope, header.scl_inter)
     if not np.all(np.isfinite(hu)):
         raise InvalidHeader("scaling produced non-finite voxel values")
@@ -237,13 +235,12 @@ def _build_header_bytes(shape, spacing, datatype_code, scl_slope, scl_inter) -> 
 
 
 def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
-                scl_inter=0.0, gzipped=False, path=None):
+                scl_inter=0.0, gzipped=False):
     """Serialize a raw (R, C, S) array as a little-endian single-file NIfTI-1.
 
     The array dtype selects the datatype code; unsupported dtypes raise
-    UnsupportedDatatype. Returns the byte string, and writes it to `path`
-    when given. Gzip output uses mtime=0 so identical inputs give identical
-    bytes.
+    UnsupportedDatatype. Returns the byte string. Gzip output uses mtime=0
+    so identical inputs give identical bytes.
     """
     if raw.ndim != 3:
         raise ShapeMismatch(f"expected 3D array, got shape {raw.shape}")
@@ -258,15 +255,10 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     le = raw.astype(raw.dtype.newbyteorder("<"), copy=False)
     buf += le.transpose(2, 1, 0).tobytes()  # restore first-index-fastest order
     out = bytes(buf)
-    if gzipped:
-        out = gzip.compress(out, mtime=0)
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(out)
-    return out
+    return gzip.compress(out, mtime=0) if gzipped else out
 
 
-def write_mask(mask, template, gzipped=False, path=None):
+def write_mask(mask, template, gzipped=False):
     """Write a binary mask as uint8 NIfTI with geometry copied from template.
 
     `template` is anything with `shape` and `spacing`, such as the scan's
@@ -277,4 +269,4 @@ def write_mask(mask, template, gzipped=False, path=None):
     if bits.shape != template.shape:
         raise ShapeMismatch(f"mask shape {bits.shape} != template {template.shape}")
     return write_nifti(bits.astype(np.uint8), spacing=template.spacing,
-                       scl_slope=1.0, scl_inter=0.0, gzipped=gzipped, path=path)
+                       scl_slope=1.0, scl_inter=0.0, gzipped=gzipped)

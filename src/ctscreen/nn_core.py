@@ -700,7 +700,7 @@ CHECKPOINT_MAGIC = b"CTCK"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(spec: ModelSpec, weights, path=None):
+def save_checkpoint(spec: ModelSpec, weights):
     """Self-describing binary: spec JSON, then named little-endian tensors."""
     spec_bytes = spec.to_json().encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(spec_bytes)),
@@ -714,11 +714,7 @@ def save_checkpoint(spec: ModelSpec, weights, path=None):
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(le.tobytes())
-    blob = b"".join(parts)
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    return blob
+    return b"".join(parts)
 
 
 class ByteCursor:

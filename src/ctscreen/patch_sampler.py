@@ -98,12 +98,19 @@ def trilinear_resample(arr, out_shape):
     return out
 
 
+def _require_lung(mask: Mask):
+    if not mask.bits.any():
+        raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
+
+
 def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE) -> Volume:
-    """Mask out non-lung tissue, clip HU, resample, rescale to [0,1]."""
+    """Mask out non-lung tissue, clip HU, resample, rescale to [0,1];
+    an all-zero mask raises NoLungRegion."""
     lo, hi = HU_CLIP
     if mask.bits.shape != volume.voxels.shape:
         raise ValueError(f"mask {mask.bits.shape} does not align with volume "
                          f"{volume.voxels.shape}")
+    _require_lung(mask)
     vox = np.where(mask.bits, volume.voxels, np.float32(lo))
     vox = np.clip(vox, lo, hi)
     vox = trilinear_resample(vox, out_shape)
@@ -116,9 +123,8 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE) -> 
 
 def _map_bbox(mask: Mask, out_shape):
     """Mask bounding box in standardized index space, rounded outward."""
+    _require_lung(mask)
     idx = np.nonzero(mask.bits)
-    if idx[0].size == 0:
-        raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
     lows, highs = [], []
     for ax in range(3):
         n_in, n_out = mask.bits.shape[ax], out_shape[ax]
@@ -149,10 +155,6 @@ def extract_patches(std: Volume, mask: Mask, spec: PatchSpec, seed: int,
     R, C, S = std.voxels.shape
     if pr > R or pc > C or ps > S:
         raise ValueError(f"patch {spec.shape} exceeds volume {std.voxels.shape}")
-
-    if spec.shape == std.voxels.shape:
-        # whole-volume level: nothing to draw
-        return [Sample(std.voxels.copy(), label, std.source_id, spec.level, (0, 0, 0))]
 
     (br, bc, _), (er, ec, _) = _map_bbox(mask, std.voxels.shape)
     ov_r = _overlap_1d(np.arange(R - pr + 1), pr, br, er)

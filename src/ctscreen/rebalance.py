@@ -12,8 +12,6 @@ satisfies sum_n W_n * N_n = N, so the weighted loss keeps the scale of the
 unweighted one.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MODES = ("paper_formula", "inverse_frequency", "uniform")
@@ -24,18 +22,8 @@ class ZeroClassCount(ValueError):
     """A class with zero samples cannot be weighted."""
 
 
-@dataclass
-class ClassWeights:
-    weights: np.ndarray  # float64, one positive weight per class
-    mode: str
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or np.any(self.weights <= 0):
-            raise ValueError("weights must be a 1D positive vector")
-
-
-def class_weights(counts, mode: str = DEFAULT_MODE) -> ClassWeights:
+def class_weights(counts, mode: str = DEFAULT_MODE) -> np.ndarray:
+    """One positive float64 weight per class, from per-class sample counts."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError("counts must be a non-empty 1D vector")
@@ -44,11 +32,9 @@ def class_weights(counts, mode: str = DEFAULT_MODE) -> ClassWeights:
     n = counts.sum()
     k = counts.size
     if mode == "paper_formula":
-        w = counts / n
-    elif mode == "inverse_frequency":
-        w = n / (k * counts)
-    elif mode == "uniform":
-        w = np.ones(k)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
-    return ClassWeights(w, mode)
+        return counts / n
+    if mode == "inverse_frequency":
+        return n / (k * counts)
+    if mode == "uniform":
+        return np.ones(k)
+    raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")

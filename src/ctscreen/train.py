@@ -173,7 +173,7 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
         return weights, []
 
     counts = np.bincount([s.label for s in train_set], minlength=spec.class_count)
-    wvec = class_weights(counts, config.weight_mode).weights
+    wvec = class_weights(counts, config.weight_mode)
     state = init_adam(weights)
     history = []
     best_weights = {n: w.copy() for n, w in weights.items()}

@@ -326,7 +326,7 @@ def test_c06_patch_count_law():
 
 def test_c07_class_weight_checks():
     with criterion(7, "class weights and uniform-mode identity", 5):
-        w = class_weights((254, 856), "paper_formula").weights
+        w = class_weights((254, 856), "paper_formula")
         assert abs(w[0] - 0.2288) < 1e-4
         assert abs(w[1] - 0.7712) < 1e-4
 
@@ -335,7 +335,7 @@ def test_c07_class_weight_checks():
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 3, size=40)
-        uniform = class_weights((10, 20, 10), "uniform").weights
+        uniform = class_weights((10, 20, 10), "uniform")
         weighted, _ = nn.weighted_cross_entropy(probs, labels, uniform)
         plain = float(np.mean(-np.log(probs[np.arange(40), labels])))
         assert abs(weighted - plain) < 1e-12
@@ -453,8 +453,8 @@ def test_c10_cli_byte_determinism(tmp_path):
                                   lung_semi_axes=(22, 26, 17),
                                   vessel_centers=vessels)
             path = scans / f"scan{i}.nii.gz"
-            write_nifti(vol.voxels.astype(np.float32), spacing=vol.spacing,
-                        gzipped=True, path=str(path))
+            path.write_bytes(write_nifti(vol.voxels.astype(np.float32),
+                                         spacing=vol.spacing, gzipped=True))
             rows.append(f"{path},{'NOR' if i < 2 else 'MiNCP'}")
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("\n".join(rows) + "\n")
@@ -483,12 +483,10 @@ def test_c10_cli_byte_determinism(tmp_path):
 
         blob_packs = tmp_path / "blobpacks"
         blob_packs.mkdir()
-        cli.write_pack("T1", blob_dataset(16, seed=1, shape=(8, 8, 4),
-                                          level="T1"),
-                       str(blob_packs / "T1.pack"))
-        cli.write_pack("T2", blob_dataset(16, seed=2, shape=(12, 12, 6),
-                                          level="T2"),
-                       str(blob_packs / "T2.pack"))
+        (blob_packs / "T1.pack").write_bytes(cli.write_pack(
+            "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
+        (blob_packs / "T2.pack").write_bytes(cli.write_pack(
+            "T2", blob_dataset(16, seed=2, shape=(12, 12, 6), level="T2")))
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text(TRAIN_CFG)
         runs = [tmp_path / f"run{i}" for i in (0, 1)]

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +41,8 @@ def workspace(tmp_path_factory):
         vol, _ = lung_phantom(shape=(64, 140, 52), lung_semi_axes=(22, 26, 17),
                               vessel_centers=vessels, source_id=f"scan{i}")
         path = scans / f"scan{i}.nii.gz"
-        nifti_io.write_nifti(vol.voxels.astype(np.float32), spacing=vol.spacing,
-                             gzipped=True, path=str(path))
+        path.write_bytes(nifti_io.write_nifti(vol.voxels.astype(np.float32),
+                                              spacing=vol.spacing, gzipped=True))
         rows.append(f"{path},{label}")
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(rows) + "\n")
@@ -98,7 +100,7 @@ def test_config_round_trip_and_reseed(tmp_path):
     assert cli.parse_config(cli.dump_config(default)) == default
     p = tmp_path / "c.cfg"
     p.write_text(CFG_TEXT)
-    cfg = cli.load_config(str(p), seed=9)
+    cfg = dataclasses.replace(cli.load_config(str(p)), seed=9)
     assert cfg.seed == 9
     assert cfg.train.seed == 9
     assert cfg.policy.seed == 9
@@ -110,6 +112,39 @@ def test_readme_config_defaults_match_dump():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"Defaults:\n\n```\n(.*?)```", readme, re.S).group(1)
     assert block == cli.dump_config(cli.load_config())
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("## Quickstart", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", quickstart, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    script = re.search(r"python3 - <<'EOF'\n(.*?)EOF\n", block, re.S).group(1)
+    exec(compile(script, "README quickstart", "exec"), {})
+    for name, text in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)EOF\n", block, re.S):
+        Path(name).write_text(text)
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").splitlines()
+                if line.startswith("ctscreen ")]
+    assert [argv[1] for argv in commands] == [
+        "segment", "patch", "patch", "train", "eval", "predict"]
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    scans = [f"scan{i}" for i in range(4)]
+    artifacts = ([f"masks/{s}_mask.nii.gz" for s in scans] + ["masks/summary.csv"]
+                 + [f"packs/{level}{suffix}" for level in ("P1", "P2")
+                    for suffix in (".pack", "_index.csv")]
+                 + [f"run/checkpoint_{level}.ctck" for level in ("P1", "P2", "final")]
+                 + ["run/history.csv"]
+                 + [f"evalout/fold{f}_{kind}.csv" for f in (0, 1)
+                    for kind in ("report", "roc")]
+                 + ["evalout/aggregate.csv"]
+                 + [f"{out}/effective.cfg" for out in ("masks", "packs", "run",
+                                                       "evalout")])
+    for name in artifacts:
+        assert (tmp_path / name).is_file(), name
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[-3:]] == ["NOR", "NCP", "label:"]
 
 
 def test_config_errors_name_line_and_key():
@@ -157,7 +192,7 @@ def test_outputs_honour_the_umask(tmp_path):
     samples = blob_dataset(2, seed=0, shape=(4, 4, 2), level="T1")
     old = os.umask(0o027)
     try:
-        cli.write_pack("T1", samples, str(tmp_path / "T1.pack"))
+        cli._atomic_write(str(tmp_path / "T1.pack"), cli.write_pack("T1", samples))
     finally:
         os.umask(old)
     assert (tmp_path / "T1.pack").stat().st_mode & 0o777 == 0o666 & ~0o027
@@ -275,26 +310,32 @@ def test_patch_missing_mask_fails_loud(workspace, tmp_path, capsys):
     assert "no mask at" in capsys.readouterr().err
 
 
-def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys):
-    masks = tmp_path / "masks"
+def _masks_with_scan1_empty(workspace, masks):
+    """The workspace masks, copied to `masks`, with scan1's all zero."""
     masks.mkdir()
     for path in workspace["scan_paths"]:
         name = cli.mask_name(path)
         (masks / name).write_bytes((workspace["masks"] / name).read_bytes())
     volume = nifti_io.read_volume(workspace["scan_paths"][1])
     empty = Mask(np.zeros(volume.shape, dtype=bool))
-    nifti_io.write_mask(empty, volume, gzipped=True,
-                        path=str(masks / cli.mask_name(workspace["scan_paths"][1])))
+    (masks / cli.mask_name(workspace["scan_paths"][1])).write_bytes(
+        nifti_io.write_mask(empty, volume, gzipped=True))
+    return masks
+
+
+@pytest.mark.parametrize("level", ["P1", "P6"])
+def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys, level):
+    masks = _masks_with_scan1_empty(workspace, tmp_path / "masks")
     out = tmp_path / "out"
     rc = cli.main(["patch", "--manifest", str(workspace["manifest"]),
                    "--config", str(workspace["config"]),
-                   "--masks", str(masks), "--level", "P1", "--out", str(out)])
+                   "--masks", str(masks), "--level", level, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
-    _, samples = cli.read_pack(str(out / "P1.pack"))
+    _, samples = cli.read_pack(str(out / f"{level}.pack"))
     assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
-    assert len(samples) == 3 * 64
+    assert len(samples) == 3 * cli.PATCH_TABLE[level][1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -305,6 +346,26 @@ def test_jobs_below_one_is_a_usage_error(workspace, tmp_path, capsys, jobs):
                   "--jobs", jobs, "--out", str(out)])
     assert exit_info.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "patch", "train", "eval",
+                                     "predict"])
+def test_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "segment": ["--manifest", "m.csv", "--out", str(out)],
+        "patch": ["--manifest", "m.csv", "--masks", "masks", "--level", "P1",
+                  "--out", str(out)],
+        "train": ["--packs", "packs", "--out", str(out)],
+        "eval": ["--checkpoint", "c.ctck", "--manifest", "m.csv",
+                 "--out", str(out)],
+        "predict": ["scan.nii.gz", "--checkpoint", "c.ctck"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *argv, "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -337,10 +398,10 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("train")
     packs = root / "packs"
     packs.mkdir()
-    cli.write_pack("T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1"),
-                   str(packs / "T1.pack"))
-    cli.write_pack("T2", blob_dataset(16, seed=2, shape=(12, 12, 6), level="T2"),
-                   str(packs / "T2.pack"))
+    (packs / "T1.pack").write_bytes(cli.write_pack(
+        "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
+    (packs / "T2.pack").write_bytes(cli.write_pack(
+        "T2", blob_dataset(16, seed=2, shape=(12, 12, 6), level="T2")))
     cfg = root / "train.cfg"
     cfg.write_text(TRAIN_CFG)
     out = root / "run"
@@ -384,6 +445,7 @@ def test_train_missing_pack_exits_2(trained, tmp_path, capsys):
                    "--packs", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "missing pack" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
@@ -405,12 +467,13 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     # a P2 pack must hold P2-shaped patches
     packs = tmp_path / "shape"
     packs.mkdir()
-    cli.write_pack("P2", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P2"),
-                   str(packs / "P2.pack"))
+    (packs / "P2.pack").write_bytes(cli.write_pack(
+        "P2", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P2")))
     cfg = tmp_path / "p2.cfg"
     cfg.write_text(TRAIN_CFG.replace("T1,T2", "P2"))
     rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
@@ -419,6 +482,7 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {packs / 'P2.pack'} holds (16, 16, 9) patches, "
                    f"level P2 needs (32, 32, 12)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_non_finite_loss_exits_1(tmp_path, capsys):
@@ -427,7 +491,7 @@ def test_train_non_finite_loss_exits_1(tmp_path, capsys):
     samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
     for smp in samples:
         smp.tensor[0, 0, 0] = np.nan
-    cli.write_pack("T1", samples, str(packs / "T1.pack"))
+    (packs / "T1.pack").write_bytes(cli.write_pack("T1", samples))
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CFG.replace("T1,T2", "T1"))
     rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
@@ -445,7 +509,7 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
                    ("augment.elastic_grid", "4,4"),
                    ("augment.elastic_grid", "4,4,2,2")]
     cases = [("train.lr = 0.1\n", "train.lr", False),
-             (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically", True)]
+             (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically", False)]
     for key, value in bad_values:
         kept = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key)]
         cases.append(("\n".join(kept + [f"{key} = {value}"]) + "\n",
@@ -484,10 +548,25 @@ def test_eval_reports_and_determinism(workspace, trained, tmp_path):
     assert roc[0] == ["class", "fpr", "tpr"]
 
 
+def test_eval_fails_a_scan_with_an_empty_mask(workspace, trained, tmp_path,
+                                             capsys):
+    masks = _masks_with_scan1_empty(workspace, tmp_path / "masks")
+    out = tmp_path / "e"
+    rc = cli.main(["eval", "--checkpoint",
+                   str(trained["out"] / "checkpoint_final.ctck"),
+                   "--manifest", str(workspace["manifest"]),
+                   "--config", str(workspace["config"]),
+                   "--masks", str(masks), "--folds", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
+    assert sorted(os.listdir(out)) == ["effective.cfg"]
+
+
 def test_eval_takes_the_classes_from_the_checkpoint(workspace, tmp_path):
     spec = nn_core.base_model((1, 4, 8, 8), 4, channels=(2,))
     ck = tmp_path / "four.ctck"
-    nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0), str(ck))
+    ck.write_bytes(nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0)))
     out = tmp_path / "e"
     # the workspace config says binary; the checkpoint has four classes
     rc = cli.main(["eval", "--checkpoint", str(ck),
@@ -592,7 +671,7 @@ def _threshold_checkpoint(workspace, path):
     b7[0] = gain * tau
     weights["L7.weight"] = w7
     weights["L7.bias"] = b7
-    nn_core.save_checkpoint(spec, weights, str(path))
+    path.write_bytes(nn_core.save_checkpoint(spec, weights))
 
 
 def test_predict_fixture_healthy_scan(workspace, tmp_path, capsys):
@@ -640,7 +719,7 @@ def test_predict_checkpoint_without_a_protocol_exits_2(workspace, tmp_path,
                                                        capsys):
     spec = nn_core.base_model((1, 4, 8, 8), 3, channels=(2,))
     ck = tmp_path / "three.ctck"
-    nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0), str(ck))
+    ck.write_bytes(nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=0)))
     rc = cli.main(["predict", workspace["scan_paths"][0], "--checkpoint", str(ck)])
     assert rc == 2
     out, err = capsys.readouterr()
@@ -652,7 +731,7 @@ def test_non_finite_probabilities_fail_the_scan(workspace, tmp_path, capsys):
     spec, weights = _small_checkpoint()
     weights["L0.kernel"][:] = np.nan
     ck = tmp_path / "nan.ctck"
-    nn_core.save_checkpoint(spec, weights, str(ck))
+    ck.write_bytes(nn_core.save_checkpoint(spec, weights))
     scan = workspace["scan_paths"][0]
     rc = cli.main(["predict", scan, "--checkpoint", str(ck),
                    "--config", str(workspace["config"])])

@@ -213,8 +213,7 @@ def test_evaluate_probs_end_to_end():
     logits = rng.random((n, k))
     logits[np.arange(n), labels] += 0.8
     probs = logits / logits.sum(axis=1, keepdims=True)
-    rep = evaluate_probs(probs, labels, fold_id=2)
-    assert rep.fold_id == 2
+    rep = evaluate_probs(probs, labels)
     assert rep.matrix.total() == n
     assert rep.auc is not None and len(rep.auc) == k
     assert abs(rep.macro_auc - rep.auc.mean()) < 1e-12

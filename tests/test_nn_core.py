@@ -775,7 +775,7 @@ def test_checkpoint_round_trip(tmp_path):
     weights = nn.init_weights(spec, seed=16)
     weights["L3.running_mean"] = np.random.default_rng(32).standard_normal(2).astype(np.float32)
     p = tmp_path / "model.ckpt"
-    nn.save_checkpoint(spec, weights, str(p))
+    p.write_bytes(nn.save_checkpoint(spec, weights))
     spec2, weights2 = nn.load_checkpoint(str(p))
     assert spec2 == spec
     assert set(weights2) == set(weights)
