@@ -725,7 +725,8 @@ class ByteCursor:
     """
 
     def __init__(self, src, what):
-        if isinstance(src, str):
+        # bytes are the container; anything else is a path to open
+        if not isinstance(src, (bytes, bytearray)):
             with open(src, "rb") as fh:
                 src = fh.read()
         self.view = memoryview(bytes(src))

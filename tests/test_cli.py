@@ -162,16 +162,19 @@ def test_config_errors_name_line_and_key():
 
 # ------------------------------------------------------------- patch packs
 
-def test_pack_round_trip_exact():
+def test_pack_round_trip_exact(tmp_path):
     samples = blob_dataset(6, seed=3, shape=(8, 8, 4), level="T1")
     blob = cli.write_pack("T1", samples)
-    level, back = cli.read_pack(blob)
-    assert level == "T1"
-    assert len(back) == 6
-    for a, b in zip(samples, back):
-        assert np.array_equal(a.tensor.astype(np.float32), b.tensor)
-        assert (a.label, a.source_id, a.level) == (b.label, b.source_id, b.level)
-        assert tuple(a.origin) == tuple(b.origin)
+    path = tmp_path / "T1.pack"
+    path.write_bytes(blob)
+    for src in (blob, path):
+        level, back = cli.read_pack(src)
+        assert level == "T1"
+        assert len(back) == 6
+        for a, b in zip(samples, back):
+            assert np.array_equal(a.tensor.astype(np.float32), b.tensor)
+            assert (a.label, a.source_id, a.level) == (b.label, b.source_id, b.level)
+            assert tuple(a.origin) == tuple(b.origin)
 
 
 def test_pack_rejects_garbage():
@@ -258,6 +261,21 @@ def test_segment_outputs_and_determinism(workspace, tmp_path):
     assert rc == 0
     for name in mask_files + ["summary.csv"]:
         assert (masks / name).read_bytes() == (again / name).read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("seg.erode_radius", "inf"),
+                                        ("seg.close_radius", "nan")])
+def test_segment_non_finite_radius_exits_2(workspace, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    kept = [line for line in CFG_TEXT.splitlines() if not line.startswith(key)]
+    cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "masks"
+    rc = cli.main(["segment", "--manifest", str(workspace["manifest"]),
+                   "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_segment_keeps_going_past_bad_file(workspace, tmp_path, capsys):

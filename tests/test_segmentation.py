@@ -1,9 +1,11 @@
 """Segmentation tests against brute-force morphology and flood-fill oracles."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ctscreen.nifti_io import Volume
 from ctscreen import segmentation as seg
@@ -62,6 +64,29 @@ def dilate_oracle(bits, radius):
 
 def close_oracle(bits, radius):
     return erode_oracle(dilate_oracle(bits, radius), radius)
+
+
+def edt_erode(bits, radius):
+    """Erosion from a Euclidean distance transform; fast enough for grids the
+    loops above cannot cover."""
+    if radius == 0:
+        return bits.copy()
+    # A voxel survives iff no background voxel lies within `radius` of it.
+    # One layer of zero padding stands in for the out-of-grid background;
+    # anything farther outside cannot be the nearest background voxel.
+    padded = np.pad(bits, 1, constant_values=False)
+    dist = ndimage.distance_transform_edt(padded)
+    return dist[1:-1, 1:-1, 1:-1] > radius
+
+
+def edt_dilate(bits, radius):
+    if radius == 0 or not bits.any():
+        return bits.copy()
+    return ndimage.distance_transform_edt(~bits) <= radius
+
+
+def edt_close(bits, radius):
+    return edt_erode(edt_dilate(bits, radius), radius)
 
 
 def neighbors(connectivity):
@@ -165,6 +190,19 @@ def test_params_validation():
         seg.SegmentationParams(erode_radius=-1)
     with pytest.raises(ValueError):
         seg.SegmentationParams(connectivity=18)
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_non_finite_radius_rejected(radius):
+    with pytest.raises(ValueError, match="finite"):
+        seg.SegmentationParams(erode_radius=radius)
+    with pytest.raises(ValueError, match="finite"):
+        seg.SegmentationParams(close_radius=radius)
+    m = seg.Mask(np.ones((4, 4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="finite"):
+        seg.morph_erode(m, radius)
+    with pytest.raises(ValueError, match="finite"):
+        seg.morph_close(m, radius)
 
 
 # ---------------------------------------------------------- border blobs
@@ -308,6 +346,56 @@ def test_close_idempotent_on_random_masks():
             once = seg.morph_close(seg.Mask(bits), radius)
             twice = seg.morph_close(once, radius)
             assert np.array_equal(once.bits, twice.bits), (trial, radius)
+
+
+# the radii where the sqrt(n) <= radius rule and a squared-length test
+# could part: sqrt(2), sqrt(3), and halves between the integers
+EDT_RADII = (1, math.sqrt(2), 1.5, math.sqrt(3), 2, 2.5, 3, 4, 4.5)
+
+
+@pytest.mark.parametrize("radius", EDT_RADII)
+def test_morphology_matches_edt_on_random_masks(radius):
+    rng = np.random.default_rng(10)
+    for _ in range(4):
+        shape = tuple(int(n) for n in rng.integers(1, 24, size=3))
+        bits = rng.random(shape) < rng.uniform(0.2, 0.9)
+        m = seg.Mask(bits)
+        assert np.array_equal(seg.morph_erode(m, radius).bits, edt_erode(bits, radius))
+        assert np.array_equal(seg.morph_close(m, radius).bits, edt_close(bits, radius))
+        # a ball that does not fit the grid empties the closing's erosion, so
+        # the dilation is checked on its own too
+        assert np.array_equal(seg._dilate_bits(bits, radius), edt_dilate(bits, radius))
+    # a full slab one voxel thick: only offsets past the grid's extent erode it
+    slab = np.ones((9, 1, 9), dtype=bool)
+    assert np.array_equal(seg.morph_erode(seg.Mask(slab), radius).bits,
+                          edt_erode(slab, radius))
+
+
+def test_morphology_matches_edt_on_phantom_at_default_radii():
+    volume, _ = lung_phantom(shape=(96, 96, 24), lung_semi_axes=(30, 18, 7))
+    p = seg.SegmentationParams()
+    m = seg.threshold_lung(volume, p)
+    m = seg.remove_border_components(m, p.connectivity)
+    m = seg.largest_components(m, p.keep_k, p.connectivity)
+    eroded = seg.morph_erode(m, p.erode_radius)
+    assert eroded.bits.any()
+    assert np.array_equal(eroded.bits, edt_erode(m.bits, p.erode_radius))
+    closed = seg.morph_close(eroded, p.close_radius)
+    assert np.array_equal(closed.bits, edt_close(eroded.bits, p.close_radius))
+
+
+def test_radius_far_beyond_the_grid_matches_edt():
+    rng = np.random.default_rng(11)
+    for density in (0.05, 0.5, 1.0):
+        bits = rng.random((8, 8, 8)) < density
+        m = seg.Mask(bits)
+        assert np.array_equal(seg.morph_erode(m, 1e6).bits, edt_erode(bits, 1e6))
+        assert np.array_equal(seg.morph_close(m, 1e6).bits, edt_close(bits, 1e6))
+        assert np.array_equal(seg._dilate_bits(bits, 1e6), edt_dilate(bits, 1e6))
+    # one voxel: its dilation clipped to a flat grid is a ball's cross-section
+    bits = np.zeros((9, 30, 3), dtype=bool)
+    bits[4, 15, 1] = True
+    assert np.array_equal(seg._dilate_bits(bits, 6.5), edt_dilate(bits, 6.5))
 
 
 # ------------------------------------------------------------- hole fill
