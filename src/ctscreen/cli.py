@@ -265,7 +265,8 @@ def write_pack(level, samples):
         parts.append(struct.pack("<H", len(sid)))
         parts.append(sid)
         parts.append(struct.pack("<BHHH", int(smp.label), *smp.origin))
-        parts.append(np.ascontiguousarray(smp.tensor, dtype="<f4").tobytes())
+        # join copies straight from the array's buffer, with no bytes copy per record
+        parts.append(memoryview(np.ascontiguousarray(smp.tensor, dtype="<f4")).cast("B"))
     return b"".join(parts)
 
 

@@ -17,6 +17,8 @@ from .segmentation import Mask
 
 STANDARD_SHAPE = (512, 512, 36)
 HU_CLIP = (-1000.0, 400.0)
+# output rows (axis 0) that standardize_volume resamples at a time
+SLAB_ROWS = 32
 
 # level -> ((rows, cols, slices), patches per scan)
 PATCH_TABLE = {
@@ -65,36 +67,42 @@ class Sample:
     origin: tuple = (0, 0, 0)
 
     def __post_init__(self):
-        if self.tensor.size and (self.tensor.min() < 0.0 or self.tensor.max() > 1.0):
+        # written so that NaN fails too
+        if self.tensor.size and not (self.tensor.min() >= 0.0 and self.tensor.max() <= 1.0):
             raise ValueError("sample tensor must lie in [0,1]")
 
 
-def _resample_axis(arr, axis, n_out):
-    """Linear resample one axis with endpoints mapped to endpoints."""
-    n_in = arr.shape[axis]
-    if n_in == n_out:
-        return arr
+def _taps(n_in, n_out):
+    """Linear map with endpoints on endpoints: each output index reads
+    input indices i0 and i1 with weights 1 - frac and frac."""
     if n_out == 1 or n_in == 1:
         pos = np.zeros(n_out)
     else:
         pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
     i0 = np.floor(pos).astype(np.int64)
     np.minimum(i0, max(n_in - 2, 0), out=i0)
-    frac = pos - i0
-    lo = np.take(arr, i0, axis=axis)
-    hi = np.take(arr, np.minimum(i0 + 1, n_in - 1), axis=axis)
+    return i0, np.minimum(i0 + 1, n_in - 1), pos - i0
+
+
+def _lerp(arr, axis, i0, i1, frac):
+    """Resample one axis of arr through taps from _taps (or a slice of them)."""
     shape = [1, 1, 1]
-    shape[axis] = n_out
+    shape[axis] = len(frac)
     frac = frac.reshape(shape)
-    return lo * (1.0 - frac) + hi * frac
+    return np.take(arr, i0, axis=axis) * (1.0 - frac) + np.take(arr, i1, axis=axis) * frac
+
+
+def _axis_order(in_shape, out_shape):
+    # most-reducing axis first keeps intermediates small
+    return sorted(range(3), key=lambda a: out_shape[a] / in_shape[a])
 
 
 def trilinear_resample(arr, out_shape):
     """Separable trilinear resample; float64 math regardless of input dtype."""
     out = np.asarray(arr, dtype=np.float64)
-    # most-reducing axis first keeps intermediates small
-    for axis in sorted(range(3), key=lambda a: out_shape[a] / arr.shape[a]):
-        out = _resample_axis(out, axis, out_shape[axis])
+    for axis in _axis_order(arr.shape, out_shape):
+        if out.shape[axis] != out_shape[axis]:
+            out = _lerp(out, axis, *_taps(out.shape[axis], out_shape[axis]))
     return out
 
 
@@ -105,20 +113,39 @@ def _require_lung(mask: Mask):
 
 def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE) -> Volume:
     """Mask out non-lung tissue, clip HU, resample, rescale to [0,1];
-    an all-zero mask raises NoLungRegion."""
+    an all-zero mask raises NoLungRegion.
+
+    The output is filled SLAB_ROWS rows of axis 0 at a time, each slab from
+    only the input rows its taps read. Every axis pass is elementwise along
+    the other two axes, so each voxel sees the same float64 operations, in
+    the same order, as a resample of the whole grid.
+    """
     lo, hi = HU_CLIP
     if mask.bits.shape != volume.voxels.shape:
         raise ValueError(f"mask {mask.bits.shape} does not align with volume "
                          f"{volume.voxels.shape}")
     _require_lung(mask)
-    vox = np.where(mask.bits, volume.voxels, np.float32(lo))
-    vox = np.clip(vox, lo, hi)
-    vox = trilinear_resample(vox, out_shape)
-    vox = (vox - lo) / (hi - lo)
+    shape_in = volume.voxels.shape
+    taps = [_taps(n_in, n_out) for n_in, n_out in zip(shape_in, out_shape)]
+    resized = [a for a in _axis_order(shape_in, out_shape) if shape_in[a] != out_shape[a]]
+    i0, i1, frac = taps[0]
+    out = np.empty(out_shape, dtype=np.float32)
+    for start in range(0, out_shape[0], SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, out_shape[0])
+        rows = slice(start, stop)
+        if 0 in resized:  # read only the rows the slab's taps use, re-based onto them
+            rows = slice(i0[start], i1[stop - 1] + 1)
+            taps[0] = (i0[start:stop] - rows.start, i1[start:stop] - rows.start,
+                       frac[start:stop])
+        vox = np.where(mask.bits[rows], volume.voxels[rows], np.float32(lo))
+        vox = np.clip(vox, lo, hi).astype(np.float64)
+        for axis in resized:
+            vox = _lerp(vox, axis, *taps[axis])
+        out[start:stop] = (vox - lo) / (hi - lo)
     new_spacing = tuple(
         sp * ((n_in - 1) / (n_out - 1)) if n_out > 1 else sp * n_in
         for sp, n_in, n_out in zip(volume.spacing, volume.voxels.shape, out_shape))
-    return Volume(vox.astype(np.float32), new_spacing, volume.source_id)
+    return Volume(out, new_spacing, volume.source_id)
 
 
 def _map_bbox(mask: Mask, out_shape):

@@ -4,6 +4,7 @@ import io
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,17 @@ def test_pack_round_trip_exact(tmp_path):
             assert np.array_equal(a.tensor.astype(np.float32), b.tensor)
             assert (a.label, a.source_id, a.level) == (b.label, b.source_id, b.level)
             assert tuple(a.origin) == tuple(b.origin)
+
+
+def test_write_pack_peak_memory_is_about_one_pack(tmp_path):
+    samples = blob_dataset(8, seed=4, shape=(64, 64, 20), level="T1")
+    tracemalloc.start()
+    try:
+        blob = cli.write_pack("T1", samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(blob)
 
 
 def test_pack_rejects_garbage():
@@ -472,9 +484,12 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
     for smp in samples[::4]:
         smp.label = 5  # enough of them to split, outside the binary protocol
+    nan_samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
+    nan_samples[3].tensor[:] = np.nan  # set after the sample checked its range
     for name, blob, says in (
             ("cut", cut, "bad pack"),
             ("text", b"plain text, not a pack\n", "bad pack"),
+            ("nan", cli.write_pack("T1", nan_samples), "bad pack"),
             ("label", cli.write_pack("T1", samples), "label 5 outside")):
         packs = tmp_path / name
         packs.mkdir()
@@ -504,19 +519,19 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
 
 
 def test_train_non_finite_loss_exits_1(tmp_path, capsys):
+    # legal input, but a step size that blows the weights up in one batch
     packs = tmp_path / "packs"
     packs.mkdir()
-    samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
-    for smp in samples:
-        smp.tensor[0, 0, 0] = np.nan
-    (packs / "T1.pack").write_bytes(cli.write_pack("T1", samples))
+    (packs / "T1.pack").write_bytes(cli.write_pack(
+        "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(TRAIN_CFG.replace("T1,T2", "T1"))
+    cfg.write_text(TRAIN_CFG.replace("T1,T2", "T1").replace(
+        "train.lr0 = 0.001", "train.lr0 = 1e30"))
     rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
                    "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: training loss is nan at epoch 0, batch 0\n"
+    assert err == "error: training loss is nan at epoch 0, batch 1\n"
     assert not (tmp_path / "run" / "history.csv").exists()
 
 

@@ -1,5 +1,7 @@
 """Tests for volume standardization and the seeded patch pyramid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,105 @@ def test_resample_preserves_constant():
     assert np.allclose(out, 3.25, atol=1e-12)
 
 
+# ------------------------------------------- whole-grid reference oracle
+# The whole-grid resample that `standardize_volume` ran before it streamed
+# row slabs, kept verbatim: the slab loop must reproduce its bytes.
+
+def resample_axis_reference(arr, axis, n_out):
+    n_in = arr.shape[axis]
+    if n_in == n_out:
+        return arr
+    if n_out == 1 or n_in == 1:
+        pos = np.zeros(n_out)
+    else:
+        pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+    i0 = np.floor(pos).astype(np.int64)
+    np.minimum(i0, max(n_in - 2, 0), out=i0)
+    frac = pos - i0
+    lo = np.take(arr, i0, axis=axis)
+    hi = np.take(arr, np.minimum(i0 + 1, n_in - 1), axis=axis)
+    shape = [1, 1, 1]
+    shape[axis] = n_out
+    frac = frac.reshape(shape)
+    return lo * (1.0 - frac) + hi * frac
+
+
+def trilinear_reference(arr, out_shape):
+    out = np.asarray(arr, dtype=np.float64)
+    for axis in sorted(range(3), key=lambda a: out_shape[a] / arr.shape[a]):
+        out = resample_axis_reference(out, axis, out_shape[axis])
+    return out
+
+
+def standardize_reference(volume, mask, out_shape=ps.STANDARD_SHAPE):
+    lo, hi = ps.HU_CLIP
+    vox = np.where(mask.bits, volume.voxels, np.float32(lo))
+    vox = np.clip(vox, lo, hi)
+    vox = trilinear_reference(vox, out_shape)
+    vox = (vox - lo) / (hi - lo)
+    return vox.astype(np.float32)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint32), b.view(np.uint32))
+
+
+SLAB = ps.SLAB_ROWS
+STANDARDIZE_CASES = [
+    # (input shape, output shape)
+    ((20, 12, 9), (20, 12, 9)),                       # nothing resized
+    ((40, 12, 9), (20, 12, 9)),                       # axis 0 shrinks
+    ((9, 12, 9), (3 * SLAB + 5, 12, 9)),              # axis 0 grows, ragged last slab
+    ((2 * SLAB + 7, 12, 9), (2 * SLAB + 7, 5, 9)),    # axis 0 kept, axis 1 shrinks
+    ((SLAB + 3, 5, 9), (SLAB + 3, 17, 4)),            # axis 1 grows, axis 2 shrinks
+    ((11, 6, 3), (11, 6, 14)),                        # axis 2 grows
+    ((1, 5, 3), (2 * SLAB - 1, 33, 5)),               # rows_in == 1
+    ((70, 8, 6), (1, 8, 6)),                          # rows_out == 1
+    ((1, 1, 1), (7, 3, 5)),
+    ((3 * SLAB + 1, 30, 20), (SLAB - 1, 31, 19)),     # axis 0 shrinks within one slab
+    ((128, 160, 40), ps.STANDARD_SHAPE),
+]
+
+
+@pytest.mark.parametrize("in_shape,out_shape", STANDARDIZE_CASES)
+def test_standardize_matches_whole_grid_reference(in_shape, out_shape):
+    rng = np.random.default_rng(sum(in_shape) * 31 + sum(out_shape))
+    arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
+    bits = rng.random(in_shape) < 0.6
+    bits.flat[0] = True
+    vol, mask = Volume(arr, (1, 1, 1), "a"), Mask(bits)
+    got = ps.standardize_volume(vol, mask, out_shape=out_shape).voxels
+    assert same_bytes(got, standardize_reference(vol, mask, out_shape))
+
+
+def test_trilinear_resample_matches_reference_chain():
+    rng = np.random.default_rng(14)
+    for in_shape, out_shape in [((7, 9, 5), (13, 4, 8)), ((1, 6, 9), (5, 6, 2)),
+                                ((12, 1, 3), (1, 7, 3)), ((4, 4, 4), (4, 4, 4))]:
+        arr = rng.standard_normal(in_shape)
+        got = ps.trilinear_resample(arr, out_shape)
+        want = trilinear_reference(arr, out_shape)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_standardize_peak_memory_is_one_output_plus_slab():
+    # the whole-grid float64 resample peaked near 320 MB on this input
+    rng = np.random.default_rng(15)
+    shape = (128, 160, 40)
+    vol = Volume(rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32),
+                 (1, 1, 1), "a")
+    mask = full_mask(shape)
+    tracemalloc.start()
+    try:
+        ps.standardize_volume(vol, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
+
+
 # ------------------------------------------------------------ patch spec
 
 def test_patch_table_pinned():
@@ -119,8 +220,11 @@ def test_patch_spec_allows_custom_level():
 
 
 def test_sample_rejects_out_of_range_tensor():
-    with pytest.raises(ValueError):
-        ps.Sample(np.array([[[1.5]]], dtype=np.float32), 0, "x", "P1")
+    for bad in (1.5, -0.25, np.nan):
+        tensor = np.full((2, 2, 2), 0.5, dtype=np.float32)
+        tensor[1, 0, 1] = bad
+        with pytest.raises(ValueError):
+            ps.Sample(tensor, 0, "x", "P1")
 
 
 # --------------------------------------------------------------- extract
