@@ -137,8 +137,9 @@ def roc_auc(scores, labels):
     return roc_curve(scores, labels)[1]
 
 
-def macro_auc_ovr(probs, labels, k):
-    """Unweighted mean of one-vs-rest AUCs; every class must appear."""
+def _ovr_roc_curves(probs, labels, k):
+    """One-vs-rest ROC points and AUCs, one roc_curve per class; every class
+    must appear."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or probs.shape[1] != k:
@@ -147,7 +148,13 @@ def macro_auc_ovr(probs, labels, k):
     if len(present) < k or present.min() < 0 or present.max() >= k:
         missing = sorted(set(range(k)) - set(present.tolist()))
         raise MissingClass(f"classes {missing} absent from labels")
-    aucs = np.array([roc_auc(probs[:, c], labels == c) for c in range(k)])
+    curves = [roc_curve(probs[:, c], labels == c) for c in range(k)]
+    return [points for points, _ in curves], np.array([auc for _, auc in curves])
+
+
+def macro_auc_ovr(probs, labels, k):
+    """Unweighted mean of one-vs-rest AUCs; every class must appear."""
+    _, aucs = _ovr_roc_curves(probs, labels, k)
     return aucs, float(aucs.mean())
 
 
@@ -175,12 +182,10 @@ def evaluate_probs(probs, actual):
     predicted = probs.argmax(axis=1)
     report = precision_recall_f1(confusion_matrix(predicted, actual, k))
     try:
-        aucs, macro = macro_auc_ovr(probs, actual, k)
+        report.roc_points, report.auc = _ovr_roc_curves(probs, actual, k)
     except (MissingClass, SingleClassInput):
         return report
-    report.auc = aucs
-    report.macro_auc = macro
-    report.roc_points = [roc_curve(probs[:, c], actual == c)[0] for c in range(k)]
+    report.macro_auc = float(report.auc.mean())
     return report
 
 

@@ -9,7 +9,9 @@ matrices are not applied; data is used exactly as stored.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +148,8 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise InvalidHeader("multi-frame 4D volumes are not supported")
     if min(dim[1:4]) < 1:
         raise InvalidHeader(f"non-positive spatial dims {dim[1:4]}")
+    if not all(0 < p < math.inf for p in pixdim[1:4]):
+        raise InvalidHeader(f"voxel spacing {pixdim[1:4]} is not finite and positive")
 
     return NiftiHeader(
         sizeof_hdr=HEADER_SIZE,
@@ -176,7 +180,7 @@ def _as_bytes(src) -> bytes:
     if _looks_gzipped(data):
         try:
             data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise DecompressError(str(exc)) from exc
     return data
 

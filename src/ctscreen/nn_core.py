@@ -7,6 +7,11 @@ dropout, softmax. Models are a flat list of LayerSpec applied in order,
 with global average pooling bridging the convolutional stack to the dense
 classifier head.
 
+Each layer kind is dispatched once, in `_layer`: the forward pass can record,
+per layer, the function that inverts it, and `loss_and_grads` runs those in
+reverse. `param_shapes` is the one table of tensor names and shapes that
+`init_weights` fills and `load_checkpoint` checks files against.
+
 Everything is dtype-polymorphic: float32 for training, float64 when the
 finite-difference tests need headroom.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,6 +52,16 @@ def _triple(v):
 
 # ------------------------------------------------------------------ layers
 
+def _conv_extents(extents, kernel, stride, padding):
+    """Output extents floor((n + 2p - k)/s) + 1 of a window sliding over
+    zero-padded extents: a conv3d, or a maxpool3d with p = 0."""
+    for n, k, p in zip(extents, kernel, padding):
+        if n + 2 * p < k:
+            raise ShapeMismatch(f"window {k} exceeds padded extent {n + 2 * p}")
+    return tuple((n + 2 * p - k) // s + 1
+                 for n, k, s, p in zip(extents, kernel, stride, padding))
+
+
 def _conv_geometry(x, kernel, stride, padding):
     """Checked (stride, padding, output extents) of one conv3d call."""
     if x.ndim != 5 or kernel.ndim != 5:
@@ -55,12 +70,7 @@ def _conv_geometry(x, kernel, stride, padding):
         raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects "
                             f"{kernel.shape[1]}")
     stride, padding = _triple(stride), _triple(padding)
-    dims = []
-    for n, k, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding):
-        if n + 2 * p < k:
-            raise ShapeMismatch(f"kernel {k} exceeds padded extent {n + 2 * p}")
-        dims.append((n + 2 * p - k) // s + 1)
-    return stride, padding, tuple(dims)
+    return stride, padding, _conv_extents(x.shape[2:], kernel.shape[2:], stride, padding)
 
 
 def _offsets(kernel, stride, dims):
@@ -200,45 +210,36 @@ def batchnorm3d_forward(x, gamma, beta, mode, running_mean, running_var,
     running stats toward them; infer mode uses the running stats untouched.
     Returns (out, cache, new_running_mean, new_running_var).
     """
-    shape = (1, -1, 1, 1, 1)
+    shape, axes = (1, -1, 1, 1, 1), (0, 2, 3, 4)
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         if n < 2:
             raise DegenerateBatch("need at least 2 values per channel to normalize")
-        mean = x.mean(axis=(0, 2, 3, 4))
-        var = x.var(axis=(0, 2, 3, 4))
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
-        out = gamma.reshape(shape) * xhat + beta.reshape(shape)
-        new_rm = (1 - momentum) * running_mean + momentum * mean
-        new_rv = (1 - momentum) * running_var + momentum * var
-        return out, ("train", xhat, inv, gamma), new_rm, new_rv
-    if mode == "infer":
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x - running_mean.reshape(shape)) * inv.reshape(shape)
-        out = gamma.reshape(shape) * xhat + beta.reshape(shape)
-        return out, ("infer", xhat, inv, gamma), running_mean, running_var
-    raise ValueError(f"mode must be train or infer, got {mode!r}")
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var
+    elif mode == "infer":
+        mean, var = running_mean, running_var
+    else:
+        raise ValueError(f"mode must be train or infer, got {mode!r}")
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    return out, (mode, xhat, inv, gamma), running_mean, running_var
 
 
 def batchnorm3d_backward(grad_out, cache):
-    shape = (1, -1, 1, 1, 1)
-    if cache[0] == "train":
-        _, xhat, inv, gamma = cache
-        axes = (0, 2, 3, 4)
-        grad_gamma = (grad_out * xhat).sum(axis=axes)
-        grad_beta = grad_out.sum(axis=axes)
+    mode, xhat, inv, gamma = cache
+    shape, axes = (1, -1, 1, 1, 1), (0, 2, 3, 4)
+    grad_gamma = (grad_out * xhat).sum(axis=axes)
+    grad_beta = grad_out.sum(axis=axes)
+    if mode == "train":
         n = grad_out.size // grad_out.shape[1]
         # d/dx of ((x - mean)/std): both stats depend on every batch element
-        grad_x = (gamma * inv).reshape(shape) * (
-            grad_out - (grad_beta / n).reshape(shape)
-            - xhat * (grad_gamma / n).reshape(shape))
-        return grad_x, grad_gamma, grad_beta
-    _, xhat, inv, gamma = cache
-    # running stats are constants here, so only the affine part carries grads
-    grad_x = grad_out * (gamma * inv).reshape(shape)
-    return grad_x, (grad_out * xhat).sum(axis=(0, 2, 3, 4)), \
-        grad_out.sum(axis=(0, 2, 3, 4))
+        grad_out = (grad_out - (grad_beta / n).reshape(shape)
+                    - xhat * (grad_gamma / n).reshape(shape))
+    # in infer mode the running stats are constants: only the affine part
+    return (gamma * inv).reshape(shape) * grad_out, grad_gamma, grad_beta
 
 
 def gap_forward(x):
@@ -343,18 +344,6 @@ class LayerSpec:
         if self.kind == "dropout" and not 0.0 <= self.rate < 1.0:
             raise ValueError("dropout rate must be in [0,1)")
 
-    def to_dict(self):
-        d = {k: v for k, v in asdict(self).items() if v is not None}
-        for k in ("kernel", "stride", "padding", "window"):
-            if k in d:
-                d[k] = list(d[k])
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        return LayerSpec(**d)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     input_shape: tuple          # (channels, depth, height, width)
@@ -386,69 +375,43 @@ class ModelSpec:
         return json.dumps({
             "input_shape": list(self.input_shape),
             "class_count": self.class_count,
-            "layers": [l.to_dict() for l in self.layers],
+            "layers": [{k: v for k, v in asdict(l).items() if v is not None}
+                       for l in self.layers],
         }, sort_keys=True)
 
     @staticmethod
     def from_json(text):
         d = json.loads(text)
         return ModelSpec(tuple(d["input_shape"]),
-                         tuple(LayerSpec.from_dict(l) for l in d["layers"]),
+                         tuple(LayerSpec(**l) for l in d["layers"]),
                          d["class_count"])
 
 
 def _pool_geometry(extent, layer):
+    """(window, stride) of a maxpool3d layer over the given extents."""
     window = layer.window
     if layer.clamp_window:
         window = tuple(min(w, n) for w, n in zip(window, extent))
-    else:
-        for w, n in zip(window, extent):
-            if w > n:
-                raise ShapeMismatch(f"pool window {layer.window} exceeds extent {extent}")
     stride = layer.stride if layer.stride is not None else window
     return window, stride
 
 
 def layer_output_shape(in_shape, layer: LayerSpec):
-    """Shape algebra for one layer; raises ShapeMismatch when impossible."""
+    """Shape algebra for one layer of a ModelSpec; raises ShapeMismatch when
+    impossible."""
     k = layer.kind
-    if k in ("relu", "dropout"):
-        return tuple(in_shape)
     if k == "conv3d":
-        if len(in_shape) != 4:
-            raise ShapeMismatch("conv3d needs (C,D,H,W) input")
-        stride = layer.stride or (1, 1, 1)
-        padding = layer.padding or (0, 0, 0)
-        dims = []
-        for n, kk, s, p in zip(in_shape[1:], layer.kernel, stride, padding):
-            o = (n + 2 * p - kk) // s + 1
-            if n + 2 * p < kk or o < 1:
-                raise ShapeMismatch(f"conv kernel {layer.kernel} too large for {in_shape}")
-            dims.append(o)
-        return (layer.out_channels, *dims)
+        return (layer.out_channels,) + _conv_extents(
+            in_shape[1:], layer.kernel, layer.stride or (1, 1, 1),
+            layer.padding or (0, 0, 0))
     if k == "maxpool3d":
-        if len(in_shape) != 4:
-            raise ShapeMismatch("maxpool3d needs (C,D,H,W) input")
         window, stride = _pool_geometry(in_shape[1:], layer)
-        return (in_shape[0],) + tuple(
-            (n - w) // s + 1 for n, w, s in zip(in_shape[1:], window, stride))
-    if k == "batchnorm3d":
-        if len(in_shape) != 4:
-            raise ShapeMismatch("batchnorm3d needs (C,D,H,W) input")
-        return tuple(in_shape)
+        return (in_shape[0],) + _conv_extents(in_shape[1:], window, stride, (0, 0, 0))
     if k == "gap":
-        if len(in_shape) != 4:
-            raise ShapeMismatch("gap needs (C,D,H,W) input")
         return (in_shape[0],)
     if k == "dense":
-        if len(in_shape) != 1:
-            raise ShapeMismatch("dense expects a flat feature vector (after gap)")
         return (layer.units,)
-    if k == "softmax":
-        if len(in_shape) != 1:
-            raise ShapeMismatch("softmax expects a flat vector")
-        return tuple(in_shape)
-    raise ValueError(k)
+    return tuple(in_shape)  # relu, batchnorm3d, dropout, softmax
 
 
 def model_shapes(spec: ModelSpec):
@@ -465,32 +428,45 @@ def model_shapes(spec: ModelSpec):
 
 # ----------------------------------------------------------------- weights
 
-def init_weights(spec: ModelSpec, seed=0, dtype=np.float32):
-    """Xavier-normal conv/dense kernels, unit batchnorm, zero biases."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
-    weights = {}
+def param_shapes(spec: ModelSpec):
+    """{tensor name: shape} for every tensor the spec's layers own.
+
+    Names are L<layer index>.<role>. The class count is not checked here,
+    so a model whose head has the wrong width still gets its tensors.
+    """
+    shapes = {}
     cur = spec.input_shape
     for i, layer in enumerate(spec.layers):
-        out = layer_output_shape(cur, layer)
         if layer.kind == "conv3d":
-            kd, kh, kw = layer.kernel
-            ci, co = cur[0], layer.out_channels
-            fan_in, fan_out = ci * kd * kh * kw, co * kd * kh * kw
-            std = np.sqrt(2.0 / (fan_in + fan_out))
-            weights[f"L{i}.kernel"] = rng.normal(0, std, (co, ci, kd, kh, kw)).astype(dtype)
-            weights[f"L{i}.bias"] = np.zeros(co, dtype=dtype)
+            shapes[f"L{i}.kernel"] = (layer.out_channels, cur[0]) + layer.kernel
+            shapes[f"L{i}.bias"] = (layer.out_channels,)
         elif layer.kind == "batchnorm3d":
-            c = cur[0]
-            weights[f"L{i}.gamma"] = np.ones(c, dtype=dtype)
-            weights[f"L{i}.beta"] = np.zeros(c, dtype=dtype)
-            weights[f"L{i}.running_mean"] = np.zeros(c, dtype=dtype)
-            weights[f"L{i}.running_var"] = np.ones(c, dtype=dtype)
+            for role in ("gamma", "beta", "running_mean", "running_var"):
+                shapes[f"L{i}.{role}"] = (cur[0],)
         elif layer.kind == "dense":
-            fan_in, fan_out = cur[0], layer.units
-            std = np.sqrt(2.0 / (fan_in + fan_out))
-            weights[f"L{i}.weight"] = rng.normal(0, std, (fan_in, layer.units)).astype(dtype)
-            weights[f"L{i}.bias"] = np.zeros(layer.units, dtype=dtype)
-        cur = out
+            shapes[f"L{i}.weight"] = (cur[0], layer.units)
+            shapes[f"L{i}.bias"] = (layer.units,)
+        cur = layer_output_shape(cur, layer)
+    return shapes
+
+
+def init_weights(spec: ModelSpec, seed=0, dtype=np.float32):
+    """Xavier-normal conv/dense kernels, unit batchnorm, zero biases.
+
+    A kernel shaped (fan_out, fan_in, *taps) or a dense weight shaped
+    (fan_in, fan_out) gets std sqrt(2 / ((fan_in + fan_out) * taps)).
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    weights = {}
+    for name, shape in param_shapes(spec).items():
+        role = name.split(".")[1]
+        if role in ("kernel", "weight"):
+            std = np.sqrt(2.0 / (sum(shape[:2]) * math.prod(shape[2:])))
+            weights[name] = rng.normal(0, std, shape).astype(dtype)
+        elif role in ("gamma", "running_var"):
+            weights[name] = np.ones(shape, dtype=dtype)
+        else:
+            weights[name] = np.zeros(shape, dtype=dtype)
     return weights
 
 
@@ -503,95 +479,76 @@ def trainable_names(weights):
 
 # ----------------------------------------------------------------- forward
 
-def _forward(spec, weights, x, mode, seed, caches=None):
-    """Run all layers; caches list is filled when a list is passed in.
+def _layer(i, layer, weights, x, mode, seed):
+    """Layer i's output for input x, and the function grad_out -> (grad_in,
+    {tensor name: grad}) that inverts it.
 
     Train mode commits batchnorm running stats back into `weights`.
     """
+    name = f"L{i}."
+    k = layer.kind
+    if k == "conv3d":
+        kernel = weights[name + "kernel"]
+        stride, padding = layer.stride or (1, 1, 1), layer.padding or (0, 0, 0)
+
+        def back(g):
+            g, gk, gb = conv3d_backward(x, kernel, g, stride, padding)
+            return g, {name + "kernel": gk, name + "bias": gb}
+        return conv3d_forward(x, kernel, weights[name + "bias"], stride, padding), back
+    if k == "relu":
+        out, mask = relu_forward(x)
+        return out, lambda g: (relu_backward(g, mask), {})
+    if k == "maxpool3d":
+        out, cache = maxpool3d_forward(x, *_pool_geometry(x.shape[2:], layer))
+        return out, lambda g: (maxpool3d_backward(g, cache), {})
+    if k == "batchnorm3d":
+        out, cache, rm, rv = batchnorm3d_forward(
+            x, weights[name + "gamma"], weights[name + "beta"], mode,
+            weights[name + "running_mean"], weights[name + "running_var"],
+            layer.momentum, layer.eps)
+        if mode == "train":
+            dt = weights[name + "running_mean"].dtype
+            weights[name + "running_mean"] = rm.astype(dt)
+            weights[name + "running_var"] = rv.astype(dt)
+
+        def back(g):
+            g, gg, gb = batchnorm3d_backward(g, cache)
+            return g, {name + "gamma": gg, name + "beta": gb}
+        return out, back
+    if k == "gap":
+        out, x_shape = gap_forward(x)
+        return out, lambda g: (gap_backward(g, x_shape), {})
+    if k == "dense":
+        weight = weights[name + "weight"]
+        out, x_in = dense_forward(x, weight, weights[name + "bias"])
+
+        def back(g):
+            g, gw, gb = dense_backward(g, weight, x_in)
+            return g, {name + "weight": gw, name + "bias": gb}
+        return out, back
+    if k == "dropout":
+        out, mask = dropout_forward(x, layer.rate, mode, [int(seed), i])
+        return out, lambda g: (dropout_backward(g, mask), {})
+    out, p = softmax_forward(x)
+    return out, lambda g: (softmax_backward(g, p), {})
+
+
+def _forward(spec, weights, x, mode, seed, backward=None):
+    """Run all layers; when `backward` is a list, each layer appends to it
+    the function that inverts it (see `_layer`)."""
     if x.ndim != 5 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeMismatch(f"batch shape {x.shape[1:]} != model input "
                             f"{spec.input_shape}")
-    cur = x
     for i, layer in enumerate(spec.layers):
-        k = layer.kind
-        if k == "conv3d":
-            stride = layer.stride or (1, 1, 1)
-            padding = layer.padding or (0, 0, 0)
-            out = conv3d_forward(cur, weights[f"L{i}.kernel"], weights[f"L{i}.bias"],
-                                 stride, padding)
-            ctx = (cur,)
-        elif k == "relu":
-            out, m = relu_forward(cur)
-            ctx = (m,)
-        elif k == "maxpool3d":
-            window, stride = _pool_geometry(cur.shape[2:], layer)
-            out, pc = maxpool3d_forward(cur, window, stride)
-            ctx = (pc,)
-        elif k == "batchnorm3d":
-            out, bc, rm, rv = batchnorm3d_forward(
-                cur, weights[f"L{i}.gamma"], weights[f"L{i}.beta"], mode,
-                weights[f"L{i}.running_mean"], weights[f"L{i}.running_var"],
-                layer.momentum, layer.eps)
-            if mode == "train":
-                dt = weights[f"L{i}.running_mean"].dtype
-                weights[f"L{i}.running_mean"] = rm.astype(dt)
-                weights[f"L{i}.running_var"] = rv.astype(dt)
-            ctx = (bc,)
-        elif k == "gap":
-            out, xs = gap_forward(cur)
-            ctx = (xs,)
-        elif k == "dense":
-            out, xin = dense_forward(cur, weights[f"L{i}.weight"], weights[f"L{i}.bias"])
-            ctx = (xin,)
-        elif k == "dropout":
-            out, m = dropout_forward(cur, layer.rate, mode, [int(seed), i])
-            ctx = (m,)
-        elif k == "softmax":
-            out, p = softmax_forward(cur)
-            ctx = (p,)
-        else:
-            raise ValueError(k)
-        if caches is not None:
-            caches.append(ctx)
-        cur = out
-    return cur
+        x, back = _layer(i, layer, weights, x, mode, seed)
+        if backward is not None:
+            backward.append(back)
+    return x
 
 
 def model_forward(spec, weights, x, mode="infer", seed=0):
     """Class probabilities for a batch; rows sum to 1."""
     return _forward(spec, weights, x, mode, seed)
-
-
-def _backward_from(spec, weights, caches, grad, start):
-    """Backpropagate from layer `start` down to the input; returns grads."""
-    grads = {}
-    for i in range(start, -1, -1):
-        layer = spec.layers[i]
-        k = layer.kind
-        ctx = caches[i]
-        if k == "conv3d":
-            stride = layer.stride or (1, 1, 1)
-            padding = layer.padding or (0, 0, 0)
-            grad, gk, gb = conv3d_backward(ctx[0], weights[f"L{i}.kernel"], grad,
-                                           stride, padding)
-            grads[f"L{i}.kernel"], grads[f"L{i}.bias"] = gk, gb
-        elif k == "relu":
-            grad = relu_backward(grad, ctx[0])
-        elif k == "maxpool3d":
-            grad = maxpool3d_backward(grad, ctx[0])
-        elif k == "batchnorm3d":
-            grad, gg, gb = batchnorm3d_backward(grad, ctx[0])
-            grads[f"L{i}.gamma"], grads[f"L{i}.beta"] = gg, gb
-        elif k == "gap":
-            grad = gap_backward(grad, ctx[0])
-        elif k == "dense":
-            grad, gw, gb = dense_backward(grad, weights[f"L{i}.weight"], ctx[0])
-            grads[f"L{i}.weight"], grads[f"L{i}.bias"] = gw, gb
-        elif k == "dropout":
-            grad = dropout_backward(grad, ctx[0])
-        elif k == "softmax":
-            grad = softmax_backward(grad, ctx[0])
-    return grads, grad
 
 
 LOG_FLOOR = 1e-12  # probabilities are clamped here before the log
@@ -627,11 +584,13 @@ def loss_and_grads(spec, weights, x, labels, class_weight_vec=None,
         class_weight_vec = np.ones(spec.class_count)
     if np.shape(class_weight_vec) != (spec.class_count,):
         raise ShapeMismatch("class weight vector length must equal class_count")
-    caches = []
-    probs = _forward(spec, weights, x, mode, seed, caches)
+    backward = []
+    probs = _forward(spec, weights, x, mode, seed, backward)
     loss, grad_logits = weighted_cross_entropy(probs, labels, class_weight_vec)
-    grads, _ = _backward_from(spec, weights, caches, grad_logits.astype(x.dtype),
-                              len(spec.layers) - 2)
+    grad, grads = grad_logits.astype(x.dtype), {}
+    for back in reversed(backward[:-1]):
+        grad, layer_grads = back(grad)
+        grads.update(layer_grads)
     return loss, grads, probs
 
 
@@ -772,7 +731,7 @@ def load_checkpoint(src):
     try:
         spec = ModelSpec.from_json(spec_text)
         model_shapes(spec)
-        expected = {n: w.shape for n, w in init_weights(spec).items()}
+        expected = param_shapes(spec)
     except (KeyError, TypeError, OverflowError, ShapeMismatch) as exc:
         raise ValueError(f"bad model spec: {exc!r}") from exc
     count, = cur.unpack("I")

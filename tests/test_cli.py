@@ -305,6 +305,26 @@ def test_segment_keeps_going_past_bad_file(workspace, tmp_path, capsys):
     assert len(rows) == 2  # header plus the one scan that worked
 
 
+def test_segment_fails_only_the_scan_with_a_corrupt_deflate_stream(workspace, tmp_path,
+                                                                   capsys):
+    good, second = workspace["scan_paths"][:2]
+    blob = bytearray(Path(second).read_bytes())
+    blob[10] ^= 0xFF  # the first deflate bytes, just past the 10-byte gzip header
+    blob[11] ^= 0xFF
+    bad = tmp_path / "corrupt.nii.gz"
+    bad.write_bytes(bytes(blob))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"{good},NOR\n{bad},MiNCP\n")
+    out = tmp_path / "masks"
+    rc = cli.main(["segment", "--manifest", str(manifest),
+                   "--config", str(workspace["config"]), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err
+    rows = list(csv.reader((out / "summary.csv").open()))
+    assert [r[0] for r in rows] == ["source_id", "scan0"]
+
+
 # ------------------------------------------------------------------- patch
 
 def test_patch_count_law_and_determinism(workspace, tmp_path):

@@ -56,6 +56,15 @@ def test_parse_header_big_endian_detected():
     assert h.dtype == np.dtype(">i2")
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.5, float("inf"), float("nan")])
+def test_parse_header_rejects_spacing_not_finite_and_positive(bad):
+    for axis in range(3):
+        spacing = [0.8, 0.8, 2.0]
+        spacing[axis] = bad
+        with pytest.raises(nio.InvalidHeader, match="spacing"):
+            nio.parse_header(pack_header(spacing=tuple(spacing)))
+
+
 def test_parse_header_rejects_bad_magic():
     buf = bytearray(pack_header())
     buf[344:348] = b"XXXX"

@@ -706,6 +706,219 @@ def test_loss_gradients_match_finite_differences():
         assert max_rel_err(got, want) < 1e-5, name
 
 
+# ------------------------------------------- the per-kind dispatch, kept
+
+# The engine before `_layer`: a forward that fills one context tuple per
+# layer, a backward that dispatches on kind again to read it, an
+# init_weights that walks the layers itself, and the two-branch batchnorm.
+# The engine must reproduce their bytes.
+
+def legacy_batchnorm3d_forward(x, gamma, beta, mode, running_mean, running_var,
+                               momentum=0.1, eps=1e-5):
+    shape = (1, -1, 1, 1, 1)
+    if mode == "train":
+        n = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
+        if n < 2:
+            raise nn.DegenerateBatch("need at least 2 values per channel to normalize")
+        mean = x.mean(axis=(0, 2, 3, 4))
+        var = x.var(axis=(0, 2, 3, 4))
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+        out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        new_rm = (1 - momentum) * running_mean + momentum * mean
+        new_rv = (1 - momentum) * running_var + momentum * var
+        return out, ("train", xhat, inv, gamma), new_rm, new_rv
+    inv = 1.0 / np.sqrt(running_var + eps)
+    xhat = (x - running_mean.reshape(shape)) * inv.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    return out, ("infer", xhat, inv, gamma), running_mean, running_var
+
+
+def legacy_batchnorm3d_backward(grad_out, cache):
+    shape = (1, -1, 1, 1, 1)
+    if cache[0] == "train":
+        _, xhat, inv, gamma = cache
+        axes = (0, 2, 3, 4)
+        grad_gamma = (grad_out * xhat).sum(axis=axes)
+        grad_beta = grad_out.sum(axis=axes)
+        n = grad_out.size // grad_out.shape[1]
+        grad_x = (gamma * inv).reshape(shape) * (
+            grad_out - (grad_beta / n).reshape(shape)
+            - xhat * (grad_gamma / n).reshape(shape))
+        return grad_x, grad_gamma, grad_beta
+    _, xhat, inv, gamma = cache
+    grad_x = grad_out * (gamma * inv).reshape(shape)
+    return grad_x, (grad_out * xhat).sum(axis=(0, 2, 3, 4)), \
+        grad_out.sum(axis=(0, 2, 3, 4))
+
+
+def legacy_forward(spec, weights, x, mode, seed, caches=None):
+    cur = x
+    for i, layer in enumerate(spec.layers):
+        k = layer.kind
+        if k == "conv3d":
+            stride = layer.stride or (1, 1, 1)
+            padding = layer.padding or (0, 0, 0)
+            out = nn.conv3d_forward(cur, weights[f"L{i}.kernel"], weights[f"L{i}.bias"],
+                                    stride, padding)
+            ctx = (cur,)
+        elif k == "relu":
+            out, m = nn.relu_forward(cur)
+            ctx = (m,)
+        elif k == "maxpool3d":
+            window, stride = nn._pool_geometry(cur.shape[2:], layer)
+            out, pc = nn.maxpool3d_forward(cur, window, stride)
+            ctx = (pc,)
+        elif k == "batchnorm3d":
+            out, bc, rm, rv = legacy_batchnorm3d_forward(
+                cur, weights[f"L{i}.gamma"], weights[f"L{i}.beta"], mode,
+                weights[f"L{i}.running_mean"], weights[f"L{i}.running_var"],
+                layer.momentum, layer.eps)
+            if mode == "train":
+                dt = weights[f"L{i}.running_mean"].dtype
+                weights[f"L{i}.running_mean"] = rm.astype(dt)
+                weights[f"L{i}.running_var"] = rv.astype(dt)
+            ctx = (bc,)
+        elif k == "gap":
+            out, xs = nn.gap_forward(cur)
+            ctx = (xs,)
+        elif k == "dense":
+            out, xin = nn.dense_forward(cur, weights[f"L{i}.weight"], weights[f"L{i}.bias"])
+            ctx = (xin,)
+        elif k == "dropout":
+            out, m = nn.dropout_forward(cur, layer.rate, mode, [int(seed), i])
+            ctx = (m,)
+        else:
+            out, p = nn.softmax_forward(cur)
+            ctx = (p,)
+        if caches is not None:
+            caches.append(ctx)
+        cur = out
+    return cur
+
+
+def legacy_backward_from(spec, weights, caches, grad, start):
+    grads = {}
+    for i in range(start, -1, -1):
+        layer = spec.layers[i]
+        k = layer.kind
+        ctx = caches[i]
+        if k == "conv3d":
+            stride = layer.stride or (1, 1, 1)
+            padding = layer.padding or (0, 0, 0)
+            grad, gk, gb = nn.conv3d_backward(ctx[0], weights[f"L{i}.kernel"], grad,
+                                              stride, padding)
+            grads[f"L{i}.kernel"], grads[f"L{i}.bias"] = gk, gb
+        elif k == "relu":
+            grad = nn.relu_backward(grad, ctx[0])
+        elif k == "maxpool3d":
+            grad = nn.maxpool3d_backward(grad, ctx[0])
+        elif k == "batchnorm3d":
+            grad, gg, gb = legacy_batchnorm3d_backward(grad, ctx[0])
+            grads[f"L{i}.gamma"], grads[f"L{i}.beta"] = gg, gb
+        elif k == "gap":
+            grad = nn.gap_backward(grad, ctx[0])
+        elif k == "dense":
+            grad, gw, gb = nn.dense_backward(grad, weights[f"L{i}.weight"], ctx[0])
+            grads[f"L{i}.weight"], grads[f"L{i}.bias"] = gw, gb
+        elif k == "dropout":
+            grad = nn.dropout_backward(grad, ctx[0])
+        elif k == "softmax":
+            grad = nn.softmax_backward(grad, ctx[0])
+    return grads, grad
+
+
+def legacy_loss_and_grads(spec, weights, x, labels, class_weight_vec, mode, seed):
+    caches = []
+    probs = legacy_forward(spec, weights, x, mode, seed, caches)
+    loss, grad_logits = nn.weighted_cross_entropy(probs, labels, class_weight_vec)
+    grads, _ = legacy_backward_from(spec, weights, caches, grad_logits.astype(x.dtype),
+                                    len(spec.layers) - 2)
+    return loss, grads, probs
+
+
+def legacy_init_weights(spec, seed=0, dtype=np.float32):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    weights = {}
+    cur = spec.input_shape
+    for i, layer in enumerate(spec.layers):
+        out = nn.layer_output_shape(cur, layer)
+        if layer.kind == "conv3d":
+            kd, kh, kw = layer.kernel
+            ci, co = cur[0], layer.out_channels
+            fan_in, fan_out = ci * kd * kh * kw, co * kd * kh * kw
+            std = np.sqrt(2.0 / (fan_in + fan_out))
+            weights[f"L{i}.kernel"] = rng.normal(0, std, (co, ci, kd, kh, kw)).astype(dtype)
+            weights[f"L{i}.bias"] = np.zeros(co, dtype=dtype)
+        elif layer.kind == "batchnorm3d":
+            c = cur[0]
+            weights[f"L{i}.gamma"] = np.ones(c, dtype=dtype)
+            weights[f"L{i}.beta"] = np.zeros(c, dtype=dtype)
+            weights[f"L{i}.running_mean"] = np.zeros(c, dtype=dtype)
+            weights[f"L{i}.running_var"] = np.ones(c, dtype=dtype)
+        elif layer.kind == "dense":
+            fan_in, fan_out = cur[0], layer.units
+            std = np.sqrt(2.0 / (fan_in + fan_out))
+            weights[f"L{i}.weight"] = rng.normal(0, std, (fan_in, layer.units)).astype(dtype)
+            weights[f"L{i}.bias"] = np.zeros(layer.units, dtype=dtype)
+        cur = out
+    return weights
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.reshape(-1).view(np.uint8), b.reshape(-1).view(np.uint8)))
+
+
+def test_dispatch_reproduces_legacy_bytes_on_a_progressive_model():
+    # a 1->1 stem in front of a base model whose first conv is 1->16, with
+    # the dropout head: every layer kind and both conv lowerings, float32
+    small = nn.base_model((1, 4, 8, 8), 3, channels=(16, 8))
+    spec, weights = nn.build_progressive(small, nn.init_weights(small, seed=40), seed=41)
+    rng = np.random.default_rng(42)
+    for n in list(weights):  # batchnorm with non-trivial affine and stats
+        if n.split(".")[1] in ("gamma", "beta", "running_mean"):
+            weights[n] = rng.uniform(-1.0, 1.0, weights[n].shape).astype(np.float32)
+    x = rng.standard_normal((4,) + spec.input_shape).astype(np.float32)
+    labels, wvec = [0, 2, 1, 2], np.array([0.5, 1.25, 2.0])
+
+    new_w = {n: w.copy() for n, w in weights.items()}
+    old_w = {n: w.copy() for n, w in weights.items()}
+    loss, grads, probs = nn.loss_and_grads(spec, new_w, x, labels, wvec,
+                                           mode="train", seed=7)
+    want_loss, want_grads, want_probs = legacy_loss_and_grads(
+        spec, old_w, x, labels, wvec, "train", 7)
+    assert same_bytes(loss, want_loss)
+    assert same_bytes(probs, want_probs)
+    assert list(grads) == list(want_grads)
+    assert sorted(grads) == nn.trainable_names(weights)
+    for name in grads:
+        assert same_bytes(grads[name], want_grads[name]), name
+    for name in weights:  # running stats blended the same way
+        assert same_bytes(new_w[name], old_w[name]), name
+
+    got = nn.model_forward(spec, weights, x, mode="infer")
+    assert same_bytes(got, legacy_forward(spec, weights, x, "infer", 0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_weights_reproduces_legacy_bytes(dtype):
+    specs = [tiny_spec(), tiny_spec(class_count=4, dropout=True),
+             nn.base_model((1, 6, 16, 16), 2),
+             nn.base_model((2, 27, 16, 16), 3, channels=(2, 3, 4, 5, 6)),
+             nn.build_progressive(nn.base_model((1, 4, 8, 8), 2),
+                                  nn.init_weights(nn.base_model((1, 4, 8, 8), 2)))[0]]
+    for spec in specs:
+        for seed in (0, 1, 123):
+            got = nn.init_weights(spec, seed=seed, dtype=dtype)
+            want = legacy_init_weights(spec, seed=seed, dtype=dtype)
+            assert list(got) == list(want)
+            assert list(nn.param_shapes(spec)) == list(want)
+            for name in want:
+                assert same_bytes(got[name], want[name]), (spec, seed, name)
+
+
 # ------------------------------------------------- progressive & reference
 
 def test_base_model_structure():
