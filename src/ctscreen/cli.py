@@ -64,32 +64,28 @@ class ManifestRow:
 def load_manifest(path):
     """Headerless CSV rows of path,label[,fold]; paths unique, labels known."""
     rows, seen = [], set()
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ManifestError(str(exc)) from exc
-    with fh:
-        for ln, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) not in (2, 3):
-                raise ManifestError(f"{path} line {ln}: expected path,label[,fold]")
-            scan, label = rec[0].strip(), rec[1].strip()
-            if label not in LABELS:
+    text = _read_text(path, ManifestError)
+    for ln, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not rec or (len(rec) == 1 and not rec[0].strip()):
+            continue
+        if len(rec) not in (2, 3):
+            raise ManifestError(f"{path} line {ln}: expected path,label[,fold]")
+        scan, label = rec[0].strip(), rec[1].strip()
+        if label not in LABELS:
+            raise ManifestError(
+                f"{path} line {ln}: unknown label '{label}' "
+                f"(expected one of {', '.join(LABELS)})")
+        if scan in seen:
+            raise ManifestError(f"{path} line {ln}: duplicate path '{scan}'")
+        seen.add(scan)
+        fold = None
+        if len(rec) == 3 and rec[2].strip():
+            try:
+                fold = int(rec[2])
+            except ValueError:
                 raise ManifestError(
-                    f"{path} line {ln}: unknown label '{label}' "
-                    f"(expected one of {', '.join(LABELS)})")
-            if scan in seen:
-                raise ManifestError(f"{path} line {ln}: duplicate path '{scan}'")
-            seen.add(scan)
-            fold = None
-            if len(rec) == 3 and rec[2].strip():
-                try:
-                    fold = int(rec[2])
-                except ValueError:
-                    raise ManifestError(
-                        f"{path} line {ln}: fold must be an integer") from None
-            rows.append(ManifestRow(scan, label, fold))
+                    f"{path} line {ln}: fold must be an integer") from None
+        rows.append(ManifestRow(scan, label, fold))
     if not rows:
         raise ManifestError(f"{path}: empty manifest")
     return rows
@@ -236,11 +232,7 @@ def load_config(path: str | None = None) -> RunConfig:
     """The config file at `path`, or the defaults when there is none."""
     if path is None:
         return RunConfig()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
+    return parse_config(_read_text(path, ConfigError))
 
 
 # ------------------------------------------------------------ patch packs
@@ -270,9 +262,9 @@ def write_pack(level, samples):
     return b"".join(parts)
 
 
-def read_pack(src):
-    """Inverse of write_pack; returns (level name, list of samples)."""
-    cur = nn_core.ByteCursor(src, "patch pack")
+def read_pack(data):
+    """Inverse of write_pack, from the file's bytes: (level name, samples)."""
+    cur = nn_core.ByteCursor(data, "patch pack")
     if cur.take(4) != PACK_MAGIC:
         raise ValueError("not a patch pack")
     version, = cur.unpack("H")
@@ -316,6 +308,22 @@ def mask_name(scan_path):
     return _stem(scan_path) + "_mask.nii.gz"
 
 
+def _read_bytes(path):
+    """The whole file at `path`; every file a command reads comes through here."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_text(path, error):
+    """The file's UTF-8 text; a read or decode failure raises `error`."""
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except OSError as exc:
+        raise error(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _atomic_write(path, data):
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -341,7 +349,7 @@ def _write_effective_config(cfg, out_dir):
 def _read_mask(path, want_shape):
     if not os.path.exists(path):
         raise ValueError(f"no mask at {path}")
-    _, raw = nifti_io.read_raw(path)
+    _, raw = nifti_io.read_raw(_read_bytes(path))
     if raw.shape != want_shape:
         raise ValueError(f"mask shape {raw.shape} != scan shape {want_shape}")
     return Mask(raw > 0)
@@ -349,7 +357,7 @@ def _read_mask(path, want_shape):
 
 def _load_model(path):
     try:
-        return nn_core.load_checkpoint(path)
+        return nn_core.load_checkpoint(_read_bytes(path))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
 
@@ -419,7 +427,7 @@ def cmd_segment(args):
     _write_effective_config(cfg, args.out)
 
     def work(_, path):
-        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         mask = segment_lung(volume, cfg.seg)
         blob = nifti_io.write_mask(mask, volume, gzipped=True)
         _atomic_write(os.path.join(args.out, mask_name(path)), blob)
@@ -448,7 +456,7 @@ def cmd_patch(args):
     _write_effective_config(cfg, args.out)
 
     def work(index, path):
-        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
         std = standardize_volume(volume, mask)
         scan_seed = int(np.random.SeedSequence(
@@ -478,7 +486,7 @@ def _load_level_datasets(cfg, packs_dir):
         if not os.path.exists(path):
             raise ConfigError(f"missing pack for level {name}: {path}")
         try:
-            level, samples = read_pack(path)
+            level, samples = read_pack(_read_bytes(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad pack {path}: {exc}") from exc
         if level != name:
@@ -568,7 +576,7 @@ def cmd_eval(args):
     _write_effective_config(cfg, args.out)
 
     def work(_, path):
-        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         if args.masks is not None:
             mask = _read_mask(os.path.join(args.masks, mask_name(path)),
                               volume.shape)
@@ -615,7 +623,7 @@ def cmd_predict(args):
     _, names = _checkpoint_classes(spec)
 
     def work(_, path):
-        volume = nifti_io.read_volume(path, source_id=_stem(path))
+        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         return _scan_probs(spec, weights, volume, segment_lung(volume, cfg.seg))
 
     (probs,), failed = _per_scan(work, [args.scan], 1)

@@ -9,6 +9,7 @@ matrices are not applied; data is used exactly as stored.
 from __future__ import annotations
 
 import gzip
+import io
 import math
 import struct
 import zlib
@@ -150,6 +151,8 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise InvalidHeader(f"non-positive spatial dims {dim[1:4]}")
     if not all(0 < p < math.inf for p in pixdim[1:4]):
         raise InvalidHeader(f"voxel spacing {pixdim[1:4]} is not finite and positive")
+    if not math.isfinite(vox_offset):
+        raise InvalidHeader(f"vox_offset {vox_offset} is not finite")
 
     return NiftiHeader(
         sizeof_hdr=HEADER_SIZE,
@@ -165,33 +168,34 @@ def parse_header(buf: bytes) -> NiftiHeader:
     )
 
 
-def _looks_gzipped(data: bytes) -> bool:
-    return len(data) >= 2 and data[0] == 0x1F and data[1] == 0x8B
+def _gunzipped(data):
+    """`data`, gunzipped when it starts with the gzip magic (a NIfTI-1 header
+    never does). Only the bytes the header declares are kept; the rest is
+    inflated 1 MiB at a time and dropped, so a small file cannot inflate
+    without bound and every member's CRC and length are still checked."""
+    if memoryview(data)[:2] != b"\x1f\x8b":
+        return data
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
+            parts = [fh.read(HEADER_SIZE)]
+            header = parse_header(parts[0])
+            room = (max(header.vox_offset, MIN_VOX_OFFSET) + header.data_length()
+                    - HEADER_SIZE)
+            while chunk := fh.read(1 << 20):
+                parts.append(chunk[:max(room, 0)])
+                room -= len(chunk)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise DecompressError(str(exc)) from exc
+    return b"".join(parts)
 
 
-def _as_bytes(src) -> bytes:
-    """The file's bytes, from the bytes themselves or a path, gunzipped when
-    they start with the gzip magic (a NIfTI-1 header never does)."""
-    if isinstance(src, (bytes, bytearray)):
-        data = bytes(src)
-    else:
-        with open(src, "rb") as fh:
-            data = fh.read()
-    if _looks_gzipped(data):
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise DecompressError(str(exc)) from exc
-    return data
-
-
-def read_raw(src):
+def read_raw(data):
     """Read header plus raw (unscaled) voxel array of shape (R, C, S).
 
-    `src` is a path or the file's bytes, plain or gzipped. Never reads past
-    the declared data length; trailing bytes are ignored.
+    `data` is the file's bytes, plain or gzipped. Never reads past the
+    declared data length; trailing bytes are ignored.
     """
-    data = _as_bytes(src)
+    data = _gunzipped(data)
     header = parse_header(data)
     if header.magic != MAGIC_SINGLE:
         raise InvalidHeader("paired .hdr/.img files are not supported for data reads")
@@ -215,9 +219,9 @@ def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarr
     return (raw.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
 
 
-def read_volume(src, source_id: str = "") -> Volume:
-    """Read a volume and convert stored values to Hounsfield units."""
-    header, raw = read_raw(src)
+def read_volume(data, source_id: str = "") -> Volume:
+    """Read a volume from the file's bytes; stored values become Hounsfield units."""
+    header, raw = read_raw(data)
     hu = hu_from_raw(raw, header.scl_slope, header.scl_inter)
     if not np.all(np.isfinite(hu)):
         raise InvalidHeader("scaling produced non-finite voxel values")

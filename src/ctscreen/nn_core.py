@@ -677,18 +677,14 @@ def save_checkpoint(spec: ModelSpec, weights):
 
 
 class ByteCursor:
-    """Bounds-checked little-endian reader over one binary container.
+    """Bounds-checked little-endian reader over one binary container's bytes.
 
     A read past the end raises ValueError, never struct.error, and `end`
     rejects trailing bytes; `.pack` and `.ctck` files are both read with it.
     """
 
-    def __init__(self, src, what):
-        # bytes are the container; anything else is a path to open
-        if not isinstance(src, (bytes, bytearray)):
-            with open(src, "rb") as fh:
-                src = fh.read()
-        self.view = memoryview(bytes(src))
+    def __init__(self, data, what):
+        self.view = memoryview(data)
         self.what = what
         self.off = 0
 
@@ -717,11 +713,11 @@ class ByteCursor:
                              f"after the {self.what}")
 
 
-def load_checkpoint(src):
-    """Inverse of save_checkpoint; checks magic, version and exact byte
-    length, and that the tensors are exactly the ones the spec's layers own,
-    with their shapes."""
-    cur = ByteCursor(src, "checkpoint")
+def load_checkpoint(data):
+    """Inverse of save_checkpoint, from the file's bytes; checks magic,
+    version and exact byte length, and that the tensors are exactly the ones
+    the spec's layers own, with their shapes."""
+    cur = ByteCursor(data, "checkpoint")
     if cur.take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file")
     version, spec_len = cur.unpack("HI")

@@ -98,12 +98,12 @@ def _axis_order(in_shape, out_shape):
 
 
 def trilinear_resample(arr, out_shape):
-    """Separable trilinear resample; float64 math regardless of input dtype."""
-    out = np.asarray(arr, dtype=np.float64)
+    """Separable trilinear resample; float64 math on every resized axis
+    (the first promotes exactly), and `arr` itself when none is resized."""
     for axis in _axis_order(arr.shape, out_shape):
-        if out.shape[axis] != out_shape[axis]:
-            out = _lerp(out, axis, *_taps(out.shape[axis], out_shape[axis]))
-    return out
+        if arr.shape[axis] != out_shape[axis]:
+            arr = _lerp(arr, axis, *_taps(arr.shape[axis], out_shape[axis]))
+    return arr
 
 
 def _require_lung(mask: Mask):

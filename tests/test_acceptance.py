@@ -478,7 +478,7 @@ def test_c10_cli_byte_determinism(tmp_path):
                              "--out", str(out)]) == 0
         assert (packs[0] / "P2.pack").read_bytes() == \
             (packs[1] / "P2.pack").read_bytes()
-        _, samples = cli.read_pack(str(packs[0] / "P2.pack"))
+        _, samples = cli.read_pack((packs[0] / "P2.pack").read_bytes())
         assert len(samples) == 4 * 32
 
         blob_packs = tmp_path / "blobpacks"

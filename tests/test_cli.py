@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import gzip
 import io
 import os
 import re
 import shlex
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, nifti_io, nn_core
+from ctscreen.nifti_io import Volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
 
@@ -82,6 +85,21 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
     p.write_text("")
     with pytest.raises(cli.ManifestError, match="empty"):
         cli.load_manifest(str(p))
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--config"])
+def test_segment_file_not_utf8_exits_2(workspace, tmp_path, capsys, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"# caf\xe9\n")
+    manifest = bad if flag == "--manifest" else workspace["manifest"]
+    config = bad if flag == "--config" else workspace["config"]
+    out = tmp_path / "masks"
+    rc = cli.main(["segment", "--manifest", str(manifest), "--config", str(config),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8")
+    assert not out.exists()
 
 
 def test_class_label_maps():
@@ -163,19 +181,15 @@ def test_config_errors_name_line_and_key():
 
 # ------------------------------------------------------------- patch packs
 
-def test_pack_round_trip_exact(tmp_path):
+def test_pack_round_trip_exact():
     samples = blob_dataset(6, seed=3, shape=(8, 8, 4), level="T1")
-    blob = cli.write_pack("T1", samples)
-    path = tmp_path / "T1.pack"
-    path.write_bytes(blob)
-    for src in (blob, path):
-        level, back = cli.read_pack(src)
-        assert level == "T1"
-        assert len(back) == 6
-        for a, b in zip(samples, back):
-            assert np.array_equal(a.tensor.astype(np.float32), b.tensor)
-            assert (a.label, a.source_id, a.level) == (b.label, b.source_id, b.level)
-            assert tuple(a.origin) == tuple(b.origin)
+    level, back = cli.read_pack(cli.write_pack("T1", samples))
+    assert level == "T1"
+    assert len(back) == 6
+    for a, b in zip(samples, back):
+        assert np.array_equal(a.tensor.astype(np.float32), b.tensor)
+        assert (a.label, a.source_id, a.level) == (b.label, b.source_id, b.level)
+        assert tuple(a.origin) == tuple(b.origin)
 
 
 def test_write_pack_peak_memory_is_about_one_pack(tmp_path):
@@ -222,8 +236,15 @@ def _containers():
     ckpt = nn_core.save_checkpoint(*_small_checkpoint())
     pack = cli.write_pack("T1", blob_dataset(2, seed=0, shape=(4, 4, 2),
                                              level="T1"))
+    raw = np.random.default_rng(0).integers(-1024, 400, size=(3, 4, 5),
+                                            dtype=np.int16)
     return {"pack": (pack, cli.read_pack),
-            "checkpoint": (ckpt, nn_core.load_checkpoint)}
+            "checkpoint": (ckpt, nn_core.load_checkpoint),
+            "nifti": (nifti_io.write_nifti(raw, spacing=(0.8, 0.8, 2.5)),
+                      nifti_io.read_volume),
+            "nifti_gz": (nifti_io.write_nifti(raw, spacing=(0.8, 0.8, 2.5),
+                                              gzipped=True),
+                         nifti_io.read_volume)}
 
 
 CONTAINERS = _containers()
@@ -251,6 +272,16 @@ def test_container_flipped_bytes_load_or_raise_value_error(fmt, flips):
         read(bytes(bad))
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("read", [cli.read_pack, nn_core.load_checkpoint,
+                                  nifti_io.read_raw, nifti_io.read_volume])
+def test_decoders_take_bytes_not_paths(read, tmp_path):
+    path = tmp_path / "file"
+    path.write_bytes(CONTAINERS["nifti"][0])
+    for src in (path, str(path)):
+        with pytest.raises(TypeError):
+            read(src)
 
 
 # ----------------------------------------------------------------- segment
@@ -325,6 +356,26 @@ def test_segment_fails_only_the_scan_with_a_corrupt_deflate_stream(workspace, tm
     assert [r[0] for r in rows] == ["source_id", "scan0"]
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_segment_fails_only_the_scan_with_a_vox_offset_not_finite(workspace, tmp_path,
+                                                                   capsys, bad):
+    good, second = workspace["scan_paths"][:2]
+    blob = bytearray(gzip.decompress(Path(second).read_bytes()))
+    struct.pack_into("<f", blob, 108, bad)
+    scan = tmp_path / "offset.nii"
+    scan.write_bytes(bytes(blob))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"{good},NOR\n{scan},MiNCP\n")
+    out = tmp_path / "masks"
+    rc = cli.main(["segment", "--manifest", str(manifest),
+                   "--config", str(workspace["config"]), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(scan) in err and "vox_offset" in err
+    rows = list(csv.reader((out / "summary.csv").open()))
+    assert [r[0] for r in rows] == ["source_id", "scan0"]
+
+
 # ------------------------------------------------------------------- patch
 
 def test_patch_count_law_and_determinism(workspace, tmp_path):
@@ -366,7 +417,7 @@ def _masks_with_scan1_empty(workspace, masks):
     for path in workspace["scan_paths"]:
         name = cli.mask_name(path)
         (masks / name).write_bytes((workspace["masks"] / name).read_bytes())
-    volume = nifti_io.read_volume(workspace["scan_paths"][1])
+    volume = nifti_io.read_volume(Path(workspace["scan_paths"][1]).read_bytes())
     empty = Mask(np.zeros(volume.shape, dtype=bool))
     (masks / cli.mask_name(workspace["scan_paths"][1])).write_bytes(
         nifti_io.write_mask(empty, volume, gzipped=True))
@@ -383,7 +434,7 @@ def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys, level):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
-    _, samples = cli.read_pack(str(out / f"{level}.pack"))
+    _, samples = cli.read_pack((out / f"{level}.pack").read_bytes())
     assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
     assert len(samples) == 3 * cli.PATCH_TABLE[level][1]
 
@@ -473,9 +524,9 @@ def test_train_artifacts(trained, capsys):
     assert rows[0][:2] == ["level", "epoch"]
     assert [r[0] for r in rows[1:]] == ["T1", "T1", "T2", "T2"]
     # checkpoints load back and declare the ladder input shapes
-    spec, _ = nn_core.load_checkpoint(str(out / "checkpoint_T1.ctck"))
+    spec, _ = nn_core.load_checkpoint((out / "checkpoint_T1.ctck").read_bytes())
     assert spec.input_shape == (1, 4, 8, 8)
-    spec, _ = nn_core.load_checkpoint(str(out / "checkpoint_final.ctck"))
+    spec, _ = nn_core.load_checkpoint((out / "checkpoint_final.ctck").read_bytes())
     assert spec.input_shape == (1, 6, 12, 12)
     cfg = cli.load_config(str(out / "effective.cfg"))
     assert cfg.levels == ("T1", "T2")
@@ -703,7 +754,7 @@ def _threshold_checkpoint(workspace, path):
 
     # probe the brightness feature of the healthy scan through the real path
     cfg = cli.load_config(str(workspace["config"]))
-    vol = nifti_io.read_volume(workspace["scan_paths"][0])
+    vol = nifti_io.read_volume(Path(workspace["scan_paths"][0]).read_bytes())
     std = cli.standardize_volume(vol, segment_lung(vol, cfg.seg))
     probe = dict(weights)
     w7 = np.zeros_like(weights["L7.weight"])
@@ -725,6 +776,21 @@ def _threshold_checkpoint(workspace, path):
     weights["L7.weight"] = w7
     weights["L7.bias"] = b7
     path.write_bytes(nn_core.save_checkpoint(spec, weights))
+
+
+def test_model_input_at_the_standard_grid_makes_no_float64_copy():
+    # a float64 copy of the 512x512x36 grid alone is 75 MB
+    voxels = np.random.default_rng(5).random((512, 512, 36), dtype=np.float32)
+    spec = nn_core.base_model((1, 36, 512, 512), 2, channels=(2,))
+    tracemalloc.start()
+    try:
+        tensor = cli._model_input(Volume(voxels, (1.0, 1.0, 1.0), "a"), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor.dtype == np.float32
+    assert np.array_equal(tensor[0, 0], voxels.transpose(2, 0, 1))
+    assert peak < 60e6
 
 
 def test_predict_fixture_healthy_scan(workspace, tmp_path, capsys):

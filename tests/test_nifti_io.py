@@ -6,6 +6,7 @@ against the byte layout, not against the writer.
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ def test_parse_header_rejects_spacing_not_finite_and_positive(bad):
         spacing[axis] = bad
         with pytest.raises(nio.InvalidHeader, match="spacing"):
             nio.parse_header(pack_header(spacing=tuple(spacing)))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_parse_header_rejects_vox_offset_not_finite(bad):
+    with pytest.raises(nio.InvalidHeader, match="vox_offset"):
+        nio.parse_header(pack_header(vox_offset=bad))
 
 
 def test_parse_header_rejects_bad_magic():
@@ -148,6 +155,45 @@ def test_bad_gzip_stream():
         nio.read_raw(b"\x1f\x8b" + b"garbage not a gzip stream")
 
 
+def test_gzip_bomb_inflates_only_the_declared_bytes():
+    # 64 MiB of zeros after a 4x4x4 volume gzip to about 65 KB
+    raw = np.arange(64, dtype=np.int16).reshape(4, 4, 4)
+    bomb = gzip.compress(nio.write_nifti(raw) + bytes(64 << 20), mtime=0)
+    tracemalloc.start()
+    try:
+        _, back = nio.read_raw(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, raw)
+    assert peak < 16e6
+
+
+def test_gzip_crc_is_checked_past_the_declared_bytes():
+    raw = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    blob = bytearray(gzip.compress(nio.write_nifti(raw) + bytes(4096), mtime=0))
+    blob[-8] ^= 0x01  # the first byte of the CRC-32 trailer
+    with pytest.raises(nio.DecompressError):
+        nio.read_raw(bytes(blob))
+
+
+def test_gzip_truncated_stream():
+    blob = nio.write_nifti(np.arange(24, dtype=np.int16).reshape(2, 3, 4),
+                           gzipped=True)
+    for cut in (len(blob) // 2, len(blob) - 4):
+        with pytest.raises(nio.DecompressError):
+            nio.read_raw(blob[:cut])
+
+
+def test_gzip_two_members_load():
+    raw = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    plain = nio.write_nifti(raw)
+    # the first member ends inside the header
+    blob = gzip.compress(plain[:100], mtime=0) + gzip.compress(plain[100:], mtime=0)
+    _, back = nio.read_raw(blob)
+    assert np.array_equal(back, raw)
+
+
 def test_hu_affine_applied():
     raw = np.array([[[0, 1000], [2000, 3000]]], dtype=np.uint16).reshape(1, 2, 2)
     blob = pack_file(raw, datatype=512, bitpix=16, slope=1.0, inter=-1024.0)
@@ -201,7 +247,7 @@ def test_write_mask_uint8_and_geometry(tmp_path):
     bits[1:3, 2:4, :] = True
     p = tmp_path / "mask.nii.gz"
     p.write_bytes(nio.write_mask(bits, hdr, gzipped=True))
-    h2, back = nio.read_raw(str(p))
+    h2, back = nio.read_raw(p.read_bytes())
     assert h2.datatype_code == nio.MASK_DATATYPE_CODE
     assert np.allclose(h2.spacing, hdr.spacing)
     assert np.array_equal(back.astype(bool), bits)
@@ -211,14 +257,6 @@ def test_write_mask_shape_mismatch():
     hdr, _ = nio.read_raw(pack_file(np.zeros((4, 5, 6), dtype=np.int16)))
     with pytest.raises(nio.ShapeMismatch):
         nio.write_mask(np.zeros((4, 5, 7), dtype=bool), hdr)
-
-
-def test_read_from_path_and_filelike(tmp_path):
-    raw = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
-    p = tmp_path / "v.nii"
-    p.write_bytes(nio.write_nifti(raw))
-    _, a = nio.read_raw(str(p))
-    assert np.array_equal(a, raw)
 
 
 def test_big_endian_round_trip_values():

@@ -983,19 +983,16 @@ def test_deep_clamped_ladder_stays_legal():
 
 # ------------------------------------------------------------- checkpoint
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip():
     spec = tiny_spec(dropout=True)
     weights = nn.init_weights(spec, seed=16)
     weights["L3.running_mean"] = np.random.default_rng(32).standard_normal(2).astype(np.float32)
-    p = tmp_path / "model.ckpt"
-    p.write_bytes(nn.save_checkpoint(spec, weights))
-    for src in (str(p), p):
-        spec2, weights2 = nn.load_checkpoint(src)
-        assert spec2 == spec
-        assert set(weights2) == set(weights)
-        for n in weights:
-            assert np.array_equal(weights2[n], weights[n]), n
-            assert weights2[n].dtype == weights[n].dtype
+    spec2, weights2 = nn.load_checkpoint(nn.save_checkpoint(spec, weights))
+    assert spec2 == spec
+    assert set(weights2) == set(weights)
+    for n in weights:
+        assert np.array_equal(weights2[n], weights[n]), n
+        assert weights2[n].dtype == weights[n].dtype
 
 
 def test_checkpoint_bytes_deterministic():
