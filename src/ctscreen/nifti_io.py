@@ -9,7 +9,6 @@ matrices are not applied; data is used exactly as stored.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import struct
 import zlib
@@ -168,23 +167,42 @@ def parse_header(buf: bytes) -> NiftiHeader:
     )
 
 
+GUNZIP_PIECE = 1 << 20  # most bytes one inflate call may return
+
+
+def _inflated(data):
+    """The inflated bytes of every gzip member in `data`, in pieces of at
+    most GUNZIP_PIECE bytes; zlib checks each member's CRC and length."""
+    pending = data
+    while pending:
+        inflate = zlib.decompressobj(wbits=31)
+        while not inflate.eof:
+            piece = inflate.decompress(pending, GUNZIP_PIECE)
+            pending = inflate.unconsumed_tail
+            if not (piece or pending or inflate.eof):
+                raise DecompressError("compressed stream ended early")
+            yield piece
+        # gzip lets zero bytes pad the space after a member
+        pending = inflate.unused_data.lstrip(b"\0")
+
+
 def _gunzipped(data):
     """`data`, gunzipped when it starts with the gzip magic (a NIfTI-1 header
     never does). Only the bytes the header declares are kept; the rest is
-    inflated 1 MiB at a time and dropped, so a small file cannot inflate
+    inflated a piece at a time and dropped, so a small file cannot inflate
     without bound and every member's CRC and length are still checked."""
     if memoryview(data)[:2] != b"\x1f\x8b":
         return data
+    parts, kept, keep = [], 0, None
     try:
-        with gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
-            parts = [fh.read(HEADER_SIZE)]
-            header = parse_header(parts[0])
-            room = (max(header.vox_offset, MIN_VOX_OFFSET) + header.data_length()
-                    - HEADER_SIZE)
-            while chunk := fh.read(1 << 20):
-                parts.append(chunk[:max(room, 0)])
-                room -= len(chunk)
-    except (OSError, EOFError, zlib.error) as exc:
+        for piece in _inflated(data):
+            if keep is None and kept + len(piece) >= HEADER_SIZE:
+                header = parse_header(b"".join(parts) + piece[:HEADER_SIZE])
+                keep = max(header.vox_offset, MIN_VOX_OFFSET) + header.data_length()
+            if keep is None or kept < keep:
+                parts.append(piece if keep is None else piece[:keep - kept])
+                kept += len(parts[-1])
+    except zlib.error as exc:
         raise DecompressError(str(exc)) from exc
     return b"".join(parts)
 

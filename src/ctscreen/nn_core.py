@@ -91,6 +91,11 @@ def _pad_channels_last(x, padding):
                   ((0, 0),) + tuple((p, p) for p in padding) + ((0, 0),))
 
 
+# outputs per slab of the ci == 1 forward: a float32 slab and its product
+# buffer take 1 MiB, which stays in a 2 MiB L2 cache
+SLAB_ELEMENTS = 1 << 17
+
+
 def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     """Cross-correlation; output extent = floor((n + 2p - k)/s) + 1.
 
@@ -100,7 +105,9 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     - ci > 1: channels-last, one BLAS GEMM per offset,
       acc(N, co) += window(N, ci) @ W[i,j,k](ci, co);
     - ci == 1 (the progressive stems and the first base conv): a per-offset
-      multiply-add in the channel-first layout. These layers are
+      multiply-add in the channel-first layout, one cache-sized slab of
+      output at a time (see SLAB_ELEMENTS); each output still sums its
+      offsets in the same order, so the slabs change no bits. These layers are
       memory-bound, a GEMM/GEMV there is slower for co == 1, a full im2col
       of a 36x512x512 scan would need about 1 GB, and their float32 bits
       are kept as they were: the ladder-beats-baseline acceptance test
@@ -113,11 +120,20 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     if ci == 1:
         xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
         out = np.zeros((b, co) + dims, dtype=x.dtype)
-        term = np.empty(out.shape, dtype=np.result_type(x, kernel))
-        for off, view in _offsets(kernel, stride, dims):
-            np.multiply(xp[(Ellipsis,) + view],
-                        kernel[(slice(None), 0) + off].reshape(1, co, 1, 1, 1), out=term)
-            out += term
+        # slabs of about SLAB_ELEMENTS outputs: a run of axis-0 rows of one
+        # sample, or whole samples when one sample is smaller than that
+        rows = min(max(SLAB_ELEMENTS // (co * dims[1] * dims[2]), 1), dims[0])
+        samples = min(max(SLAB_ELEMENTS // (co * math.prod(dims)), 1), b)
+        term = np.empty((samples, co, rows) + dims[1:], dtype=np.result_type(x, kernel))
+        for b0 in range(0, b, samples):
+            for d0 in range(0, dims[0], rows):
+                slab = out[b0:b0 + samples, :, d0:d0 + rows]
+                t = term[:slab.shape[0], :, :slab.shape[2]]
+                src = xp[b0:b0 + samples, :, stride[0] * d0:]
+                for off, view in _offsets(kernel, stride, slab.shape[2:]):
+                    np.multiply(src[(Ellipsis,) + view],
+                                kernel[(slice(None), 0) + off].reshape(1, co, 1, 1, 1), out=t)
+                    slab += t
     else:
         xp = _pad_channels_last(x, padding)
         w = np.ascontiguousarray(kernel.transpose(2, 3, 4, 1, 0))  # (kd, kh, kw, ci, co)
@@ -134,9 +150,11 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     return out
 
 
-def conv3d_backward(x, kernel, grad_out, stride=1, padding=0):
+def conv3d_backward(x, kernel, grad_out, stride=1, padding=0, input_grad=True):
     """Gradients of conv3d_forward w.r.t. (input, kernel, bias), with the
-    same lowering by input channel count."""
+    same lowering by input channel count. With `input_grad` false the input
+    gradient is not computed and comes back as None; the kernel gradient
+    never reads it, so the other two are the same."""
     stride, padding, dims = _conv_geometry(x, kernel, stride, padding)
     b, (co, ci) = x.shape[0], kernel.shape[:2]
     if grad_out.shape != (b, co) + dims:
@@ -145,28 +163,32 @@ def conv3d_backward(x, kernel, grad_out, stride=1, padding=0):
     grad_k = np.zeros_like(kernel)
     if ci == 1:
         xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-        grad_xp = np.zeros_like(xp)
+        grad_xp = np.zeros_like(xp) if input_grad else None
         for off, view in _offsets(kernel, stride, dims):
             sub = (Ellipsis,) + view
             grad_k[(Ellipsis,) + off] = np.einsum("bcdhw,bodhw->oc", xp[sub], grad_out)
-            grad_xp[sub] += np.einsum("bodhw,oc->bcdhw", grad_out,
-                                      kernel[(Ellipsis,) + off])
-        grad_x = grad_xp[(Ellipsis,) + _interior(x.shape, padding)]
+            if input_grad:
+                grad_xp[sub] += np.einsum("bodhw,oc->bcdhw", grad_out,
+                                          kernel[(Ellipsis,) + off])
+        grad_x = grad_xp[(Ellipsis,) + _interior(x.shape, padding)] if input_grad else None
     else:
         xp = _pad_channels_last(x, padding)
         w = np.ascontiguousarray(kernel.transpose(2, 3, 4, 1, 0))
         g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 4, 1)).reshape(-1, co)
-        grad_xp = np.zeros_like(xp)
+        grad_xp = np.zeros_like(xp) if input_grad else None
         window = np.empty((b,) + dims + (ci,), dtype=x.dtype)
         rows = window.reshape(-1, ci)
         for off, view in _offsets(kernel, stride, dims):
             sub = (slice(None),) + view
             np.copyto(window, xp[sub])
             grad_k[(Ellipsis,) + off] = g.T @ rows
-            grad_xp[sub] += (g @ w[off].T).reshape(window.shape)
+            if input_grad:
+                grad_xp[sub] += (g @ w[off].T).reshape(window.shape)
         grad_x = grad_xp[(slice(None),) + _interior(x.shape, padding)].transpose(
-            0, 4, 1, 2, 3)
-    return np.ascontiguousarray(grad_x), grad_k, grad_out.sum(axis=(0, 2, 3, 4))
+            0, 4, 1, 2, 3) if input_grad else None
+    if input_grad:
+        grad_x = np.ascontiguousarray(grad_x)
+    return grad_x, grad_k, grad_out.sum(axis=(0, 2, 3, 4))
 
 
 def maxpool3d_forward(x, window, stride=None):
@@ -492,7 +514,8 @@ def _layer(i, layer, weights, x, mode, seed):
         stride, padding = layer.stride or (1, 1, 1), layer.padding or (0, 0, 0)
 
         def back(g):
-            g, gk, gb = conv3d_backward(x, kernel, g, stride, padding)
+            # nothing reads the gradient of the model's input
+            g, gk, gb = conv3d_backward(x, kernel, g, stride, padding, input_grad=i > 0)
             return g, {name + "kernel": gk, name + "bias": gb}
         return conv3d_forward(x, kernel, weights[name + "bias"], stride, padding), back
     if k == "relu":

@@ -85,11 +85,18 @@ def _taps(n_in, n_out):
 
 
 def _lerp(arr, axis, i0, i1, frac):
-    """Resample one axis of arr through taps from _taps (or a slice of them)."""
+    """Resample one axis of arr through taps from _taps (or a slice of them),
+    in float64. The products and sum run in place: each large temporary
+    would be fresh memory, paid for in page faults."""
     shape = [1, 1, 1]
     shape[axis] = len(frac)
     frac = frac.reshape(shape)
-    return np.take(arr, i0, axis=axis) * (1.0 - frac) + np.take(arr, i1, axis=axis) * frac
+    out = np.take(arr, i0, axis=axis).astype(np.float64, copy=False)
+    out *= 1.0 - frac
+    far = np.take(arr, i1, axis=axis).astype(np.float64, copy=False)
+    far *= frac
+    out += far
+    return out
 
 
 def _axis_order(in_shape, out_shape):
@@ -138,10 +145,12 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE) -> 
             taps[0] = (i0[start:stop] - rows.start, i1[start:stop] - rows.start,
                        frac[start:stop])
         vox = np.where(mask.bits[rows], volume.voxels[rows], np.float32(lo))
-        vox = np.clip(vox, lo, hi).astype(np.float64)
+        vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
         for axis in resized:
             vox = _lerp(vox, axis, *taps[axis])
-        out[start:stop] = (vox - lo) / (hi - lo)
+        vox -= lo
+        vox /= hi - lo
+        out[start:stop] = vox
     new_spacing = tuple(
         sp * ((n_in - 1) / (n_out - 1)) if n_out > 1 else sp * n_in
         for sp, n_in, n_out in zip(volume.spacing, volume.voxels.shape, out_shape))

@@ -18,6 +18,21 @@ shifted by (j, k), for each chord. The masks `d > h` are grown one step of
 h at a time, so erosion is one AND of a shifted boolean view per chord (49
 at radius 4) and no distance map is stored. Dilation is the erosion of the
 complement with out-of-grid voxels counted as set.
+
+`segment_lung` runs the stages after border removal on the lung box: the
+smallest box that holds every voxel left after border removal, grown by
+max(ceil(close_radius), 1) and clipped to the grid. The result is the one
+the same stages give on the full grid:
+
+- every set voxel lies in the box, and no stage sets a voxel outside it:
+  erosion never grows the mask, and the closing's dilation reaches
+  floor(close_radius) <= ceil(close_radius) voxels, so a voxel it would set
+  past the box is past the grid too, where the grid clips it as the box does;
+- all background outside the box reaches a grid face, so a background
+  component reaches a grid face exactly when it reaches the box's face, and
+  hole filling fills the same voxels;
+- components are the same inside the box, and translation keeps C-order
+  scan order, so the k-largest tie rule picks the same components.
 """
 
 from __future__ import annotations
@@ -88,11 +103,13 @@ def _structure(connectivity: int):
 
 def _border_connected(bits, connectivity):
     """Voxels of `bits` whose component touches any of the six grid faces."""
-    labels, _ = ndimage.label(bits, structure=_structure(connectivity))
-    faces = [labels[0], labels[-1], labels[:, 0], labels[:, -1],
-             labels[:, :, 0], labels[:, :, -1]]
-    border = np.unique(np.concatenate([f.ravel() for f in faces]))
-    return np.isin(labels, border[border != 0])
+    labels, n = ndimage.label(bits, structure=_structure(connectivity))
+    border = np.zeros(n + 1, dtype=bool)
+    for face in (labels[0], labels[-1], labels[:, 0], labels[:, -1],
+                 labels[:, :, 0], labels[:, :, -1]):
+        border[face] = True
+    border[0] = False
+    return border[labels]
 
 
 def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
@@ -119,15 +136,32 @@ def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
     labels, n = ndimage.label(mask.bits, structure=_structure(connectivity))
     if n <= k:
         return Mask(mask.bits.copy(), mask.source_id)
-    # scan order comes from each label's minimum linear voxel index, not from
-    # whatever ids the labeling backend happens to assign
-    ids, first = np.unique(labels, return_index=True)
-    fg = ids != 0
-    scan_ids = ids[fg][np.argsort(first[fg])].tolist()
-    sizes = np.bincount(labels.ravel())
-    # a stable sort keeps scan order among equal sizes
-    keep = sorted(scan_ids, key=lambda lab: -int(sizes[lab]))[:k]
-    return Mask(np.isin(labels, keep), mask.source_id)
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)
+    sizes[0] = 0
+    keep = np.argsort(-sizes, kind="stable")[:k]
+    cut = sizes[keep[-1]]
+    tied = np.flatnonzero(sizes == cut)
+    if tied.size > np.count_nonzero(sizes[keep] == cut):
+        # the k-th place is shared, so scan order picks among the tied labels,
+        # not whatever ids the labeling backend happens to assign
+        keep = np.concatenate([np.flatnonzero(sizes > cut),
+                               _in_scan_order(labels, tied)])[:k]
+    lut = np.zeros(n + 1, dtype=bool)
+    lut[keep] = True
+    return Mask(lut[labels], mask.source_id)
+
+
+def _in_scan_order(labels, ids):
+    """`ids` sorted by each label's first voxel in C order, which lies in the
+    first plane of the label's bounding box."""
+    boxes = ndimage.find_objects(labels)
+
+    def first(lab):
+        rows, cols, slices = boxes[lab - 1]
+        plane = labels[rows.start, cols, slices] == lab
+        j, k = np.unravel_index(np.argmax(plane), plane.shape)
+        return rows.start, cols.start + j, slices.start + k
+    return sorted(ids.tolist(), key=first)
 
 
 def _in_ball(n, radius):
@@ -211,26 +245,46 @@ def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
     return Mask(~_border_connected(~mask.bits, bg_conn), mask.source_id)
 
 
+def _grown_box(bits, margin):
+    """Slices of the smallest box holding every set voxel, grown by `margin`
+    on each side and clipped to the grid; None when no voxel is set."""
+    plane = bits.any(axis=2)
+    box = []
+    for present, n in zip((plane.any(axis=1), plane.any(axis=0),
+                           bits.any(axis=(0, 1))), bits.shape):
+        where = np.flatnonzero(present)
+        if where.size == 0:
+            return None
+        box.append(slice(max(where[0] - margin, 0), min(where[-1] + 1 + margin, n)))
+    return tuple(box)
+
+
 def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:
     """Full pipeline; raises EmptySegmentation when nothing survives.
 
     Erosion can split a lung, so the k-largest filter runs again after
     closing to restore the at-most-keep_k guarantee before holes are filled
-    (filling can only merge components, never create them).
+    (filling can only merge components, never create them). Every stage
+    after border removal runs on the lung box (see the module docstring).
     """
     if params is None:
         params = SegmentationParams()
     conn = params.connectivity
     m = threshold_lung(volume, params)
     m = remove_border_components(m, conn)
-    m = largest_components(m, params.keep_k, conn)
-    m = morph_erode(m, params.erode_radius)
-    m = morph_close(m, params.close_radius)
-    m = largest_components(m, params.keep_k, conn)
-    m = fill_holes(m, conn)
-    if not m.bits.any():
+    box = _grown_box(m.bits, max(math.ceil(params.close_radius), 1))
+    if box is not None:
+        m = Mask(m.bits[box], m.source_id)
+        m = largest_components(m, params.keep_k, conn)
+        m = morph_erode(m, params.erode_radius)
+        m = morph_close(m, params.close_radius)
+        m = largest_components(m, params.keep_k, conn)
+        m = fill_holes(m, conn)
+    if box is None or not m.bits.any():
         raise EmptySegmentation(f"no lung voxels found in {volume.source_id or 'volume'}")
-    return m
+    bits = np.zeros(volume.shape, dtype=bool)
+    bits[box] = m.bits
+    return Mask(bits, m.source_id)
 
 
 def component_count(mask: Mask, connectivity: int = 26) -> int:

@@ -194,6 +194,16 @@ def test_gzip_two_members_load():
     assert np.array_equal(back, raw)
 
 
+def test_gzip_zero_padding_after_a_member_loads():
+    raw = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    plain = nio.write_nifti(raw)
+    # gzip readers skip zero bytes between and after members
+    blob = (gzip.compress(plain[:200], mtime=0) + bytes(5)
+            + gzip.compress(plain[200:], mtime=0) + bytes(3))
+    _, back = nio.read_raw(blob)
+    assert np.array_equal(back, raw)
+
+
 def test_hu_affine_applied():
     raw = np.array([[[0, 1000], [2000, 3000]]], dtype=np.uint16).reshape(1, 2, 2)
     blob = pack_file(raw, datatype=512, bitpix=16, slope=1.0, inter=-1024.0)

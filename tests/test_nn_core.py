@@ -221,6 +221,70 @@ def test_conv_forward_rejects_bias_of_wrong_length():
             nn.conv3d_forward(x, k, bias, 1, 1)
 
 
+def unblocked_one_channel_forward(x, kernel, bias, stride, padding):
+    """The ci == 1 forward as it was before slabs, kept as a byte oracle: one
+    multiply-add per kernel offset over the whole batch."""
+    stride, padding = nn._triple(stride), nn._triple(padding)
+    dims = nn._conv_extents(x.shape[2:], kernel.shape[2:], stride, padding)
+    co = kernel.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    out = np.zeros((x.shape[0], co) + dims, dtype=x.dtype)
+    term = np.empty(out.shape, dtype=np.result_type(x, kernel))
+    for off, view in nn._offsets(kernel, stride, dims):
+        np.multiply(xp[(Ellipsis,) + view],
+                    kernel[(slice(None), 0) + off].reshape(1, co, 1, 1, 1), out=term)
+        out += term
+    out += bias.reshape(1, -1, 1, 1, 1)
+    return out
+
+
+# slab sizes that cut one row, two rows (so 7 rows end on a short slab),
+# whole samples one at a time, two samples at a time (so 3 samples end on a
+# short slab), and the module's own
+@pytest.mark.parametrize("slab", [1, 150, 700, 1100, nn.SLAB_ELEMENTS])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slabbed_one_channel_forward_is_byte_equal_to_the_unblocked_loop(
+        slab, dtype, monkeypatch):
+    monkeypatch.setattr(nn, "SLAB_ELEMENTS", slab)
+    rng = np.random.default_rng(50)
+    for b in (1, 3):
+        for co in (1, 16):
+            for stride, padding in [(1, 1), (2, 1), ((2, 1, 2), (0, 1, 1))]:
+                x = rng.standard_normal((b, 1, 7, 9, 8)).astype(dtype)
+                k = rng.standard_normal((co, 1, 3, 3, 3)).astype(dtype)
+                bias = rng.standard_normal(co).astype(dtype)
+                got = nn.conv3d_forward(x, k, bias, stride, padding)
+                want = unblocked_one_channel_forward(x, k, bias, stride, padding)
+                assert same_bytes(got, want), (b, co, stride)
+
+
+@pytest.mark.parametrize("ci", [1, 3])
+def test_conv_backward_can_skip_the_input_gradient(ci):
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((2, ci, 5, 6, 6)).astype(np.float32)
+    k = rng.standard_normal((4, ci, 3, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32)
+    gx, gk, gb = nn.conv3d_backward(x, k, g, 2, 1)
+    none, gk_only, gb_only = nn.conv3d_backward(x, k, g, 2, 1, input_grad=False)
+    assert gx.shape == x.shape and none is None
+    assert same_bytes(gk_only, gk) and same_bytes(gb_only, gb)
+
+
+def test_loss_and_grads_skips_only_the_model_input_gradient(monkeypatch):
+    small = nn.base_model((1, 4, 8, 8), 2, channels=(4, 8))
+    spec, weights = nn.build_progressive(small, nn.init_weights(small))
+    asked = []
+    backward = nn.conv3d_backward
+
+    def recording(*args, input_grad=True):
+        asked.append(input_grad)
+        return backward(*args, input_grad=input_grad)
+    monkeypatch.setattr(nn, "conv3d_backward", recording)
+    x = np.random.default_rng(52).standard_normal((2,) + spec.input_shape).astype(np.float32)
+    nn.loss_and_grads(spec, weights, x, [0, 1])
+    assert asked == [True, True, False]
+
+
 CONV_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np

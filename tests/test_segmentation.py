@@ -1,6 +1,7 @@
 """Segmentation tests against brute-force morphology and flood-fill oracles."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -475,3 +476,177 @@ def test_segment_avoids_axial_faces():
     out = seg.segment_lung(volume, SMALL_PARAMS)
     assert not out.bits[0].any() and not out.bits[-1].any()
     assert not out.bits[:, 0].any() and not out.bits[:, -1].any()
+
+
+# --------------------------------------- the lung box against the full grid
+#
+# `segment_lung` runs every stage after border removal on the lung box, and
+# `largest_components` takes scan order only when sizes tie at the k-th
+# place. The full-grid pipeline and the np.unique scan order they replaced
+# are kept here as byte oracles.
+
+def full_grid_largest_components(mask, k, connectivity=26):
+    labels, n = ndimage.label(mask.bits, structure=seg._structure(connectivity))
+    if n <= k:
+        return seg.Mask(mask.bits.copy(), mask.source_id)
+    ids, first = np.unique(labels, return_index=True)
+    fg = ids != 0
+    scan_ids = ids[fg][np.argsort(first[fg])].tolist()
+    sizes = np.bincount(labels.ravel())
+    keep = sorted(scan_ids, key=lambda lab: -int(sizes[lab]))[:k]
+    return seg.Mask(np.isin(labels, keep), mask.source_id)
+
+
+def full_grid_segment_lung(volume, params):
+    conn = params.connectivity
+    m = seg.threshold_lung(volume, params)
+    m = seg.remove_border_components(m, conn)
+    m = full_grid_largest_components(m, params.keep_k, conn)
+    m = seg.morph_erode(m, params.erode_radius)
+    m = seg.morph_close(m, params.close_radius)
+    m = full_grid_largest_components(m, params.keep_k, conn)
+    m = seg.fill_holes(m, conn)
+    return m.bits
+
+
+def assert_staged_equals_full_grid(bits, **params):
+    """Lung HU where `bits` is set, body HU elsewhere; the staged pipeline
+    gives the oracle's mask bit for bit, or both find nothing."""
+    p = seg.SegmentationParams(**params)
+    volume = vol(np.where(bits, -800.0, 40.0))
+    want = full_grid_segment_lung(volume, p)
+    if not want.any():
+        with pytest.raises(seg.EmptySegmentation):
+            seg.segment_lung(volume, p)
+        return
+    got = seg.segment_lung(volume, p)
+    assert got.bits.shape == bits.shape
+    assert np.array_equal(got.bits, want), params
+
+
+def blobs(rng, shape, density):
+    """Blobby random mask: smoothed noise above a quantile."""
+    field = ndimage.uniform_filter(rng.random(shape), size=3, mode="constant")
+    return field > np.quantile(field, 1 - density)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_largest_matches_full_grid_oracle_on_ties(connectivity):
+    rng = np.random.default_rng(20)
+    for trial in range(6):
+        # sparse single voxels and pairs: nearly every size is tied
+        bits = rng.random((9, 11, 10)) < rng.uniform(0.02, 0.2)
+        # equal cubes, in an order the labeler may not number by scan order
+        for r in rng.permutation(4)[:3]:
+            bits[2 * r:2 * r + 2, 8:10, 7:9] = True
+        for k in (1, 2, 3, 5, 40):
+            m = seg.Mask(bits)
+            want = full_grid_largest_components(m, k, connectivity).bits
+            got = seg.largest_components(m, k, connectivity).bits
+            assert np.array_equal(got, want), (trial, k)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@pytest.mark.parametrize("keep_k", [1, 2, 3])
+def test_staged_segmentation_matches_full_grid_on_random_masks(keep_k, connectivity):
+    rng = np.random.default_rng(30 + keep_k)
+    for trial in range(5):
+        shape = tuple(int(n) for n in rng.integers(10, 22, size=3))
+        bits = blobs(rng, shape, rng.uniform(0.15, 0.5))
+        for erode, close in [(0.0, 0.0), (0.0, 1.5), (1.0, 1.5), (1.0, 2.0), (0.0, 8.0)]:
+            assert_staged_equals_full_grid(bits, keep_k=keep_k, erode_radius=erode,
+                                           close_radius=close, connectivity=connectivity)
+
+
+@pytest.mark.parametrize("keep_k", [1, 2, 3])
+def test_staged_segmentation_breaks_ties_like_full_grid(keep_k):
+    # five equal cubes: the k-th place is tied at every keep_k, and the
+    # survivors of the second k-largest tie again after the closing
+    bits = np.zeros((14, 20, 16), dtype=bool)
+    for r, c in [(8, 13), (2, 2), (8, 2), (2, 13), (5, 8)]:
+        bits[r:r + 3, c:c + 3, 5:8] = True
+    for conn in (6, 26):
+        for close in (0.0, 1.5):
+            assert_staged_equals_full_grid(bits, keep_k=keep_k, erode_radius=0.0,
+                                           close_radius=close, connectivity=conn)
+
+
+def test_staged_segmentation_drops_components_touching_each_face():
+    bits = np.zeros((16, 18, 14), dtype=bool)
+    bits[5:11, 5:12, 4:10] = True   # the lung: kept
+    bits[0:3, 8:10, 6:8] = True     # one blob on each of the six faces
+    bits[13:16, 8:10, 6:8] = True
+    bits[7:9, 0:3, 6:8] = True
+    bits[7:9, 15:18, 6:8] = True
+    bits[7:9, 8:10, 0:2] = True
+    bits[7:9, 8:10, 12:14] = True
+    for close in (0.0, 1.5, 8.0):
+        assert_staged_equals_full_grid(bits, erode_radius=0.0, close_radius=close)
+        assert_staged_equals_full_grid(bits, erode_radius=1.0, close_radius=close,
+                                       connectivity=6)
+
+
+def test_staged_segmentation_where_the_grid_clips_the_box():
+    # the lung comes within one voxel of every face, so the box grown by
+    # the margin is clipped on all six sides; the notch is a hole only the
+    # closing can seal, and it opens toward a face
+    bits = np.zeros((12, 13, 11), dtype=bool)
+    bits[1:11, 1:12, 1:10] = True
+    bits[1:11, 5:8, 4:6] = False
+    for erode, close in [(0.0, 0.0), (0.0, 1.5), (1.0, 2.0), (0.0, 8.0)]:
+        for conn in (6, 26):
+            assert_staged_equals_full_grid(bits, erode_radius=erode, close_radius=close,
+                                           connectivity=conn)
+
+
+@pytest.mark.parametrize("close", [2.0, 2.5, 3.0])
+def test_staged_segmentation_with_the_dilation_at_the_box_edge(close):
+    # two bars along the box's edges, floor(close) apart from the box face
+    # the margin opens: the closing's dilation reaches that face exactly,
+    # and it bridges the bars only through voxels next to it
+    margin = max(math.ceil(close), 1)
+    bits = np.zeros((30, 30, 30), dtype=bool)
+    lo = 10
+    bits[lo:lo + 8, lo, lo:lo + 8] = True
+    bits[lo:lo + 8, lo + 2 * int(close), lo:lo + 8] = True
+    bits[lo, lo:lo + 2 * int(close) + 1, lo:lo + 8] = True
+    box = seg._grown_box(bits, margin)
+    assert box[1].start == lo - margin
+    for erode in (0.0, 1.0):
+        for conn in (6, 26):
+            assert_staged_equals_full_grid(bits, erode_radius=erode, close_radius=close,
+                                           connectivity=conn)
+
+
+@pytest.mark.parametrize("close", [0.0, 1.5, 8.0])
+def test_staged_segmentation_matches_full_grid_on_phantoms(close):
+    R, C, S = PHANTOM_KW["shape"]
+    centers = [(R // 2, C // 2 - 29, S // 2), (R // 2 + 5, C // 2 + 29, S // 2 - 3)]
+    volume, _ = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
+    noisy = Volume(volume.voxels + np.random.default_rng(40).normal(
+        0, 150, volume.shape).astype(np.float32), volume.spacing, "noisy")
+    for v in (volume, noisy):
+        for k in (1, 2, 3):
+            for erode in (0.0, 1.0):
+                for conn in (6, 26):
+                    p = seg.SegmentationParams(keep_k=k, erode_radius=erode,
+                                               close_radius=close, connectivity=conn)
+                    got = seg.segment_lung(v, p)
+                    assert np.array_equal(got.bits, full_grid_segment_lung(v, p)), \
+                        (v.source_id, k, erode, conn)
+
+
+def test_segment_lung_peak_memory_on_a_512_grid():
+    # a 512x512x40 phantom with noisy lungs: the full-grid pipeline peaked
+    # at 241 MB here (np.isin and np.unique over the full-grid labels); the
+    # lung box and lookup-table masks keep it near 63 MB
+    volume, _ = lung_phantom(shape=(512, 512, 40), lung_semi_axes=(150, 95, 12))
+    volume.voxels += np.random.default_rng(13).normal(0, 60, volume.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        mask = seg.segment_lung(volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.bits.any()
+    assert peak < 100e6
