@@ -458,10 +458,9 @@ def cmd_patch(args):
     def work(index, path):
         volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
-        std = standardize_volume(volume, mask)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
-        return extract_patches(std, mask, spec, scan_seed, label=int(labels[index]))
+        return extract_patches(volume, mask, spec, scan_seed, label=int(labels[index]))
 
     results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
     if failed == len(rows):

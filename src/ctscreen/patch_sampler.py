@@ -3,7 +3,9 @@
 Scans are normalized to a fixed 512x512x36 grid in [0,1], then each pyramid
 level cuts a fixed number of fixed-size 3D patches whose in-plane window
 covers at least half of the lung bounding box footprint. Placement is
-seeded, so a (scan, seed) pair always yields the same patches.
+seeded, so a (scan, seed) pair always yields the same patches. The origins
+come from the mask alone, and each patch is standardized from only its own
+window of the grid, with the same bytes as that window of the whole grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nifti_io import Volume
-from .segmentation import Mask
+from .segmentation import Mask, grown_box
 
 STANDARD_SHAPE = (512, 512, 36)
 HU_CLIP = (-1000.0, 400.0)
@@ -113,60 +115,78 @@ def trilinear_resample(arr, out_shape):
     return arr
 
 
-def _require_lung(mask: Mask):
-    if not mask.bits.any():
-        raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
+def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
+                       box=None) -> Volume:
+    """Mask out non-lung tissue, clip HU, resample to `out_shape`, rescale to
+    [0,1], and return the sub-box `box` of that grid (three slices), by
+    default the whole grid.
 
+    For the whole grid an all-zero mask raises NoLungRegion. A smaller box
+    may hold no lung, so a caller that asks for boxes checks the mask once
+    per scan itself, as extract_patches does.
 
-def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE) -> Volume:
-    """Mask out non-lung tissue, clip HU, resample, rescale to [0,1];
-    an all-zero mask raises NoLungRegion.
-
-    The output is filled SLAB_ROWS rows of axis 0 at a time, each slab from
-    only the input rows its taps read. Every axis pass is elementwise along
-    the other two axes, so each voxel sees the same float64 operations, in
-    the same order, as a resample of the whole grid.
+    Every axis pass is elementwise along the other two axes, so each output
+    voxel sees the same float64 operations, in the same order, whatever box
+    it is computed in: the axis order comes from the whole grid, and each
+    axis reads only the input range its taps over the box use. The box is
+    filled SLAB_ROWS rows of axis 0 at a time, which bounds the float64
+    temporaries when it is the whole grid.
     """
     lo, hi = HU_CLIP
-    if mask.bits.shape != volume.voxels.shape:
-        raise ValueError(f"mask {mask.bits.shape} does not align with volume "
-                         f"{volume.voxels.shape}")
-    _require_lung(mask)
     shape_in = volume.voxels.shape
-    taps = [_taps(n_in, n_out) for n_in, n_out in zip(shape_in, out_shape)]
+    if mask.bits.shape != shape_in:
+        raise ValueError(f"mask {mask.bits.shape} does not align with volume {shape_in}")
+    if box is None:
+        if not mask.bits.any():
+            raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
+        box = tuple(slice(0, n) for n in out_shape)
+    if len(box) != 3 or not all(0 <= s.start < s.stop <= n and s.step in (None, 1)
+                                for s, n in zip(box, out_shape)):
+        raise ValueError(f"{box} is not a box of the {out_shape} grid")
     resized = [a for a in _axis_order(shape_in, out_shape) if shape_in[a] != out_shape[a]]
-    i0, i1, frac = taps[0]
-    out = np.empty(out_shape, dtype=np.float32)
-    for start in range(0, out_shape[0], SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, out_shape[0])
-        rows = slice(start, stop)
-        if 0 in resized:  # read only the rows the slab's taps use, re-based onto them
-            rows = slice(i0[start], i1[stop - 1] + 1)
-            taps[0] = (i0[start:stop] - rows.start, i1[start:stop] - rows.start,
-                       frac[start:stop])
-        vox = np.where(mask.bits[rows], volume.voxels[rows], np.float32(lo))
+    taps = {a: _taps(shape_in[a], out_shape[a]) for a in resized}
+
+    def span(axis, start, stop):
+        """Input range that outputs [start, stop) of `axis` read, and their
+        taps re-based onto it."""
+        if axis not in taps:
+            return slice(start, stop), None
+        i0, i1, frac = (t[start:stop] for t in taps[axis])
+        return slice(i0[0], i1[-1] + 1), (i0 - i0[0], i1 - i0[0], frac)
+
+    reads, box_taps = map(list, zip(*(span(a, s.start, s.stop) for a, s in enumerate(box))))
+    rows = box[0]
+    out = np.empty([s.stop - s.start for s in box], dtype=np.float32)
+    for start in range(rows.start, rows.stop, SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, rows.stop)
+        reads[0], box_taps[0] = span(0, start, stop)
+        read = tuple(reads)
+        vox = np.where(mask.bits[read], volume.voxels[read], np.float32(lo))
         vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
         for axis in resized:
-            vox = _lerp(vox, axis, *taps[axis])
+            vox = _lerp(vox, axis, *box_taps[axis])
         vox -= lo
         vox /= hi - lo
-        out[start:stop] = vox
+        # a blend of two equal clip values can round one ulp past them
+        np.clip(vox, 0.0, 1.0, out=vox)
+        out[start - rows.start:stop - rows.start] = vox
     new_spacing = tuple(
         sp * ((n_in - 1) / (n_out - 1)) if n_out > 1 else sp * n_in
-        for sp, n_in, n_out in zip(volume.spacing, volume.voxels.shape, out_shape))
+        for sp, n_in, n_out in zip(volume.spacing, shape_in, out_shape))
     return Volume(out, new_spacing, volume.source_id)
 
 
 def _map_bbox(mask: Mask, out_shape):
-    """Mask bounding box in standardized index space, rounded outward."""
-    _require_lung(mask)
-    idx = np.nonzero(mask.bits)
+    """Mask bounding box in standardized index space, rounded outward; an
+    all-zero mask raises NoLungRegion."""
+    box = grown_box(mask.bits, 0)
+    if box is None:
+        raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
     lows, highs = [], []
-    for ax in range(3):
-        n_in, n_out = mask.bits.shape[ax], out_shape[ax]
+    for span, n_in, n_out in zip(box, mask.bits.shape, out_shape):
         scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0
-        lows.append(int(np.floor(idx[ax].min() * scale)))
-        highs.append(int(np.ceil(idx[ax].max() * scale)) + 1)  # exclusive
+        lows.append(int(np.floor(span.start * scale)))
+        highs.append(int(np.ceil((span.stop - 1) * scale)) + 1)  # exclusive
     return tuple(lows), tuple(highs)
 
 
@@ -177,22 +197,25 @@ def _overlap_1d(starts, extent, lo, hi):
     return np.maximum(right - left, 0)
 
 
-def extract_patches(std: Volume, mask: Mask, spec: PatchSpec, seed: int,
+def extract_patches(volume: Volume, mask: Mask, spec: PatchSpec, seed: int,
                     label: int = 0) -> list:
-    """Cut spec.per_scan_count seeded patches from a standardized volume.
+    """Cut spec.per_scan_count seeded patches from the scan's standardized
+    STANDARD_SHAPE grid, standardizing only the windows it cuts.
 
-    Eligible origins are those whose (R,C) window covers >= 50% of its own
-    footprint with the lung bounding box; when the box is too small for any
-    origin to reach 50%, the best achievable overlap is used instead so the
-    draw never stalls. Draws are uniform with replacement, and the output is
-    sorted by origin so the ordering is canonical.
+    Origins come from the mask alone. Eligible origins are those whose (R,C)
+    window covers >= 50% of its own footprint with the lung bounding box;
+    when the box is too small for any origin to reach 50%, the best
+    achievable overlap is used instead so the draw never stalls. Draws are
+    uniform with replacement, and the output is sorted by origin so the
+    ordering is canonical. Each tensor is standardize_volume over its window
+    alone: the same bytes as that window of the whole standardized grid.
     """
     pr, pc, ps = spec.shape
-    R, C, S = std.voxels.shape
+    R, C, S = STANDARD_SHAPE
     if pr > R or pc > C or ps > S:
-        raise ValueError(f"patch {spec.shape} exceeds volume {std.voxels.shape}")
+        raise ValueError(f"patch {spec.shape} exceeds the standard grid {STANDARD_SHAPE}")
 
-    (br, bc, _), (er, ec, _) = _map_bbox(mask, std.voxels.shape)
+    (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE)
     ov_r = _overlap_1d(np.arange(R - pr + 1), pr, br, er)
     ov_c = _overlap_1d(np.arange(C - pc + 1), pc, bc, ec)
     area = ov_r[:, None] * ov_c[None, :]
@@ -206,6 +229,7 @@ def extract_patches(std: Volume, mask: Mask, spec: PatchSpec, seed: int,
     s0 = rng.integers(0, S - ps + 1, size=spec.per_scan_count)
     origins = sorted((int(eligible[i][0]), int(eligible[i][1]), int(z))
                      for i, z in zip(pick, s0))
-    return [Sample(np.ascontiguousarray(std.voxels[r:r + pr, c:c + pc, s:s + ps]),
-                   label, std.source_id, spec.level, (r, c, s))
+    return [Sample(standardize_volume(volume, mask, box=(
+                       slice(r, r + pr), slice(c, c + pc), slice(s, s + ps))).voxels,
+                   label, volume.source_id, spec.level, (r, c, s))
             for (r, c, s) in origins]

@@ -245,7 +245,7 @@ def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
     return Mask(~_border_connected(~mask.bits, bg_conn), mask.source_id)
 
 
-def _grown_box(bits, margin):
+def grown_box(bits, margin):
     """Slices of the smallest box holding every set voxel, grown by `margin`
     on each side and clipped to the grid; None when no voxel is set."""
     plane = bits.any(axis=2)
@@ -272,7 +272,7 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:
     conn = params.connectivity
     m = threshold_lung(volume, params)
     m = remove_border_components(m, conn)
-    box = _grown_box(m.bits, max(math.ceil(params.close_radius), 1))
+    box = grown_box(m.bits, max(math.ceil(params.close_radius), 1))
     if box is not None:
         m = Mask(m.bits[box], m.source_id)
         m = largest_components(m, params.keep_k, conn)

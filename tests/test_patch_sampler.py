@@ -103,6 +103,8 @@ def test_resample_preserves_constant():
 # ------------------------------------------- whole-grid reference oracle
 # The whole-grid resample that `standardize_volume` ran before it streamed
 # row slabs, kept verbatim: the slab loop must reproduce its bytes.
+# `standardize_volume` also clips to [0, 1] a voxel that rounds past it;
+# the cases below have none at their own output shapes.
 
 def resample_axis_reference(arr, axis, n_out):
     n_in = arr.shape[axis]
@@ -172,6 +174,67 @@ def test_standardize_matches_whole_grid_reference(in_shape, out_shape):
     assert same_bytes(got, standardize_reference(vol, mask, out_shape))
 
 
+def random_box(rng, shape):
+    spans = []
+    for n in shape:
+        start = int(rng.integers(0, n))
+        spans.append(slice(start, int(rng.integers(start + 1, n + 1))))
+    return tuple(spans)
+
+
+def face_boxes(rng, shape):
+    """A random box flush with each of the grid's six faces."""
+    boxes = []
+    for axis, n in enumerate(shape):
+        for flush_low in (True, False):
+            box = list(random_box(rng, shape))
+            size = int(rng.integers(1, n + 1))
+            box[axis] = slice(0, size) if flush_low else slice(n - size, n)
+            boxes.append(tuple(box))
+    return boxes
+
+
+@pytest.mark.parametrize("in_shape,out_shape", STANDARDIZE_CASES)
+def test_standardize_box_matches_whole_grid(in_shape, out_shape):
+    rng = np.random.default_rng(sum(in_shape) * 17 + sum(out_shape))
+    arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
+    bits = rng.random(in_shape) < 0.6
+    bits.flat[0] = True
+    vol, mask = Volume(arr, (1, 1, 1), "a"), Mask(bits)
+    whole = ps.standardize_volume(vol, mask, out_shape=out_shape)
+    row = int(rng.integers(0, out_shape[0]))
+    boxes = face_boxes(rng, out_shape) + [
+        (slice(row, row + 1), slice(0, out_shape[1]), slice(0, out_shape[2])),
+        tuple(slice(0, n) for n in out_shape),
+    ] + [random_box(rng, out_shape) for _ in range(8)]
+    for box in boxes:
+        got = ps.standardize_volume(vol, mask, out_shape=out_shape, box=box)
+        assert same_bytes(got.voxels, whole.voxels[box]), box
+        assert got.spacing == whole.spacing
+
+
+def test_standardize_box_without_lung_is_air():
+    bits = np.zeros((40, 30, 20), dtype=bool)
+    bits[0, 0, 0] = True
+    vol = Volume(np.full(bits.shape, 100.0, dtype=np.float32), (1, 1, 1), "a")
+    box = (slice(200, 216), slice(300, 316), slice(20, 29))
+    out = ps.standardize_volume(vol, Mask(bits), box=box)
+    assert out.voxels.shape == (16, 16, 9) and not out.voxels.any()
+
+
+@pytest.mark.parametrize("box", [
+    (slice(0, 4), slice(0, 4)),
+    (slice(0, 4), slice(0, 4), slice(3, 3)),
+    (slice(0, 4), slice(0, 4), slice(0, 10)),
+    (slice(-1, 4), slice(0, 4), slice(0, 4)),
+    (slice(0, 4, 2), slice(0, 4), slice(0, 4)),
+])
+def test_standardize_rejects_a_box_off_the_grid(box):
+    vol = Volume(np.zeros((6, 6, 6), dtype=np.float32), (1, 1, 1), "a")
+    with pytest.raises(ValueError):
+        ps.standardize_volume(vol, full_mask((6, 6, 6)), out_shape=(8, 8, 9), box=box)
+
+
 def test_trilinear_resample_matches_reference_chain():
     rng = np.random.default_rng(14)
     for in_shape, out_shape in [((7, 9, 5), (13, 4, 8)), ((1, 6, 9), (5, 6, 2)),
@@ -230,8 +293,10 @@ def test_sample_rejects_out_of_range_tensor():
 # --------------------------------------------------------------- extract
 
 def std_volume(seed=0, shape=ps.STANDARD_SHAPE):
+    """A scan on the standard grid, so a mask's box maps onto itself."""
     rng = np.random.default_rng(seed)
-    return Volume(rng.random(shape, dtype=np.float32), (1, 1, 1), f"scan{seed}")
+    return Volume(rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32),
+                  (1, 1, 1), f"scan{seed}")
 
 
 def center_mask(shape, frac=0.5):
@@ -241,12 +306,87 @@ def center_mask(shape, frac=0.5):
     return Mask(bits)
 
 
-def test_whole_volume_level_returns_input():
-    v = std_volume(1)
-    out = ps.extract_patches(v, center_mask(v.shape), ps.level_spec("P6"), seed=3)
+def window(sample):
+    return tuple(slice(o, o + n) for o, n in zip(sample.origin, sample.tensor.shape))
+
+
+def test_whole_volume_level_returns_standardized_grid():
+    v = std_volume(1, shape=(128, 160, 40))
+    m = center_mask(v.shape)
+    out = ps.extract_patches(v, m, ps.level_spec("P6"), seed=3)
     assert len(out) == 1
-    assert np.array_equal(out[0].tensor, v.voxels)
+    assert same_bytes(out[0].tensor, ps.standardize_volume(v, m).voxels)
     assert out[0].origin == (0, 0, 0)
+
+
+@pytest.mark.parametrize("in_shape", sorted({c[0] for c in STANDARDIZE_CASES}))
+def test_every_level_matches_whole_grid_windows(in_shape):
+    rng = np.random.default_rng(sum(in_shape) * 7)
+    v = Volume(rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32),
+               (1, 1, 1), "a")
+    bits = rng.random(in_shape) < 0.6
+    bits.flat[0] = True
+    m = Mask(bits)
+    whole = ps.standardize_volume(v, m).voxels
+    assert whole.min() >= 0.0 and whole.max() <= 1.0
+    for level in ps.LEVELS:
+        for s in ps.extract_patches(v, m, ps.level_spec(level), seed=29):
+            assert same_bytes(s.tensor, whole[window(s)]), (level, s.origin)
+
+
+def test_p1_extract_peak_memory_is_far_below_one_grid():
+    # a whole standardized float32 grid is 37.7 MB; one P1 draw on this
+    # scan peaked at 4.3 MB, most of it the origin overlap table
+    v = std_volume(16)
+    m = center_mask(v.shape)
+    tracemalloc.start()
+    try:
+        out = ps.extract_patches(v, m, ps.level_spec("P1"), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 64
+    assert peak < 8e6
+
+
+def map_bbox_reference(mask, out_shape):
+    """The lung box from np.nonzero, as _map_bbox took it before it read
+    per-axis projections."""
+    idx = np.nonzero(mask.bits)
+    lows, highs = [], []
+    for ax in range(3):
+        n_in, n_out = mask.bits.shape[ax], out_shape[ax]
+        scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0
+        lows.append(int(np.floor(idx[ax].min() * scale)))
+        highs.append(int(np.ceil(idx[ax].max() * scale)) + 1)
+    return tuple(lows), tuple(highs)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 5), (9, 1, 4), (13, 11, 6),
+                                   (40, 30, 20)])
+def test_map_bbox_matches_nonzero_box(shape):
+    rng = np.random.default_rng(sum(shape) * 41)
+    masks = []
+    for density in (0.002, 0.05, 0.5):
+        bits = rng.random(shape) < density
+        bits.flat[rng.integers(bits.size)] = True
+        masks.append(bits)
+    for flat in (0, int(np.prod(shape)) - 1, *rng.integers(np.prod(shape), size=3)):
+        bits = np.zeros(shape, dtype=bool)  # one voxel
+        bits.flat[flat] = True
+        masks.append(bits)
+    for axis, n in enumerate(shape):
+        for face in (0, n - 1):  # one voxel inside, one on a face
+            bits = np.zeros(shape, dtype=bool)
+            bits[tuple(k // 2 for k in shape)] = True
+            at = [int(rng.integers(m)) for m in shape]
+            at[axis] = face
+            bits[tuple(at)] = True
+            masks.append(bits)
+    for bits in masks:
+        for out_shape in (ps.STANDARD_SHAPE, (7, 3, 50)):
+            assert ps._map_bbox(Mask(bits), out_shape) == \
+                map_bbox_reference(Mask(bits), out_shape)
 
 
 def test_per_scan_counts_and_shapes_all_levels():
@@ -262,15 +402,18 @@ def test_per_scan_counts_and_shapes_all_levels():
 
 
 def test_patches_lie_inside_volume_and_match_slices():
-    v = std_volume(3)
-    out = ps.extract_patches(v, center_mask(v.shape), ps.level_spec("P3"), seed=5)
+    v = std_volume(3, shape=(100, 90, 30))
+    m = center_mask(v.shape)
+    whole = ps.standardize_volume(v, m).voxels
+    out = ps.extract_patches(v, m, ps.level_spec("P3"), seed=5)
     pr, pc, psz = ps.level_spec("P3").shape
+    R, C, S = ps.STANDARD_SHAPE
     for s in out:
         r, c, z = s.origin
-        assert 0 <= r <= v.shape[0] - pr
-        assert 0 <= c <= v.shape[1] - pc
-        assert 0 <= z <= v.shape[2] - psz
-        assert np.array_equal(s.tensor, v.voxels[r:r + pr, c:c + pc, z:z + psz])
+        assert 0 <= r <= R - pr
+        assert 0 <= c <= C - pc
+        assert 0 <= z <= S - psz
+        assert same_bytes(s.tensor, whole[r:r + pr, c:c + pc, z:z + psz])
 
 
 def test_same_seed_same_origins():
@@ -329,10 +472,10 @@ def test_small_box_falls_back_to_best_overlap():
 
 
 def test_mask_in_native_grid_is_mapped():
-    # Mask given at scan resolution; its box is mapped into the 512x512x36
-    # frame before the overlap test.
-    v = std_volume(9)
-    native = np.zeros((64, 64, 20), dtype=bool)
+    # Scan and mask given at scan resolution; the mask's box is mapped into
+    # the 512x512x36 frame before the overlap test.
+    v = std_volume(9, shape=(64, 64, 20))
+    native = np.zeros(v.shape, dtype=bool)
     native[16:48, 16:48, 5:15] = True
     out = ps.extract_patches(v, Mask(native), ps.level_spec("P4"), seed=19)
     lo = int(np.floor(16 * 511 / 63))
@@ -353,10 +496,15 @@ def test_empty_mask_raises():
 
 
 def test_patch_larger_than_volume_rejected():
+    # a patch is cut from the standard grid, whatever the scan's own shape
     v = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1, 1, 1), "s")
     with pytest.raises(ValueError):
         ps.extract_patches(v, full_mask((8, 8, 8)),
-                           ps.PatchSpec("big", (16, 4, 4), 1), seed=0)
+                           ps.PatchSpec("big", (16, 4, ps.STANDARD_SHAPE[2] + 1), 1),
+                           seed=0)
+    out = ps.extract_patches(v, full_mask((8, 8, 8)),
+                             ps.PatchSpec("big", (16, 4, 4), 1), seed=0)
+    assert out[0].tensor.shape == (16, 4, 4)
 
 
 def test_label_propagates_to_all_samples():

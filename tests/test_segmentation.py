@@ -610,7 +610,7 @@ def test_staged_segmentation_with_the_dilation_at_the_box_edge(close):
     bits[lo:lo + 8, lo, lo:lo + 8] = True
     bits[lo:lo + 8, lo + 2 * int(close), lo:lo + 8] = True
     bits[lo, lo:lo + 2 * int(close) + 1, lo:lo + 8] = True
-    box = seg._grown_box(bits, margin)
+    box = seg.grown_box(bits, margin)
     assert box[1].start == lo - margin
     for erode in (0.0, 1.0):
         for conn in (6, 26):
