@@ -29,10 +29,15 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rotation_angles", "shift_fraction", "gammas", "noise_sigma",
+                     "elastic_sigma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.shift_fraction < 1.0:
             raise ValueError("shift_fraction must be in [0,1)")
-        if self.noise_sigma < 0 or self.elastic_sigma < 0:
-            raise ValueError("noise/elastic sigma must be non-negative")
+        for name in ("noise_sigma", "elastic_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if any(g <= 0 for g in self.gammas):
             raise ValueError("gammas must be positive")
         if len(self.elastic_grid) != 3:

@@ -58,18 +58,17 @@ class ConfigError(Exception):
 class ManifestRow:
     path: str
     label: str
-    fold: int = None
 
 
 def load_manifest(path):
-    """Headerless CSV rows of path,label[,fold]; paths unique, labels known."""
+    """Headerless CSV rows of path,label; paths unique, labels known."""
     rows, seen = [], set()
     text = _read_text(path, ManifestError)
     for ln, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not rec or (len(rec) == 1 and not rec[0].strip()):
             continue
-        if len(rec) not in (2, 3):
-            raise ManifestError(f"{path} line {ln}: expected path,label[,fold]")
+        if len(rec) != 2:
+            raise ManifestError(f"{path} line {ln}: expected path,label")
         scan, label = rec[0].strip(), rec[1].strip()
         if label not in LABELS:
             raise ManifestError(
@@ -78,14 +77,7 @@ def load_manifest(path):
         if scan in seen:
             raise ManifestError(f"{path} line {ln}: duplicate path '{scan}'")
         seen.add(scan)
-        fold = None
-        if len(rec) == 3 and rec[2].strip():
-            try:
-                fold = int(rec[2])
-            except ValueError:
-                raise ManifestError(
-                    f"{path} line {ln}: fold must be an integer") from None
-        rows.append(ManifestRow(scan, label, fold))
+        rows.append(ManifestRow(scan, label))
     if not rows:
         raise ManifestError(f"{path}: empty manifest")
     return rows
@@ -121,6 +113,8 @@ class RunConfig:
             raise ValueError(f"protocol must be one of {sorted(PROTOCOL_CLASSES)}")
         if self.train.weight_mode not in MODES:
             raise ValueError(f"rebalance.mode must be one of {sorted(MODES)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"train.val_fraction must lie in (0,1), "
                              f"got {self.val_fraction}")
@@ -342,6 +336,14 @@ def _atomic_write(path, data):
         raise
 
 
+def _make_out(path):
+    """Make the output directory; a path that cannot be one is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out {path}: {exc.strerror}") from exc
+
+
 def _write_effective_config(cfg, out_dir):
     _atomic_write(os.path.join(out_dir, "effective.cfg"), dump_config(cfg))
 
@@ -389,6 +391,19 @@ def _scan_probs(spec, weights, volume, mask):
     return probs
 
 
+def _scoring_work(spec, weights, seg, masks):
+    """work(index, path) giving a scan's class probabilities: its mask read
+    from the `masks` directory or, when that is None, segmented with `seg`."""
+    def work(_, path):
+        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
+        if masks is None:
+            mask = segment_lung(volume, seg)
+        else:
+            mask = _read_mask(os.path.join(masks, mask_name(path)), volume.shape)
+        return _scan_probs(spec, weights, volume, mask)
+    return work
+
+
 _FILE_ERRORS = (OSError, ValueError)
 
 
@@ -423,7 +438,7 @@ def _per_scan(work, paths, jobs):
 def cmd_segment(args):
     cfg = load_config(args.config)
     rows = load_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     _write_effective_config(cfg, args.out)
 
     def work(_, path):
@@ -452,7 +467,7 @@ def cmd_patch(args):
             f"unknown level '{args.level}' (expected one of {', '.join(PATCH_TABLE)})")
     spec = level_spec(args.level)
     labels = class_labels(rows, cfg.protocol)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     _write_effective_config(cfg, args.out)
 
     def work(index, path):
@@ -507,8 +522,18 @@ def _load_level_datasets(cfg, packs_dir):
     return specs, datasets
 
 
+def _check_out(path):
+    """Reject an --out whose nearest existing path is not a directory."""
+    found = os.path.abspath(path)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"cannot make --out {path}: {found} is not a directory")
+
+
 def cmd_train(args):
     cfg = load_config(args.config)
+    _check_out(args.out)
     specs, datasets = _load_level_datasets(cfg, args.packs)
     class_count = len(PROTOCOL_CLASSES[cfg.protocol])
 
@@ -527,7 +552,7 @@ def cmd_train(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     _write_effective_config(cfg, args.out)
     for res in results:
         blob = nn_core.save_checkpoint(res.spec, res.best_weights)
@@ -539,80 +564,31 @@ def cmd_train(args):
     return 0
 
 
-def _fold_assignment(rows, labels, k, seed):
-    """Fold id per scan: the manifest's fold column, else a stratified k-fold.
-
-    Every one of the k folds must hold at least one scan.
-    """
-    if k < 2:
-        raise ConfigError(f"--folds must be at least 2, got {k}")
-    overrides = [r.fold for r in rows]
-    given = [f for f in overrides if f is not None]
-    if given and len(given) != len(rows):
-        raise ManifestError("either every row sets a fold or none do")
-    if not given:
-        try:
-            return metrics.kfold_split(labels, k=k, seed=seed)
-        except metrics.TooFewSamples as exc:
-            raise ManifestError(f"--folds {k}: {exc}") from exc
-    folds = np.array(overrides, dtype=np.int64)
-    if folds.min() < 0 or folds.max() >= k:
-        raise ManifestError(f"fold overrides outside [0,{k})")
-    empty = np.flatnonzero(np.bincount(folds, minlength=k) == 0)
-    if empty.size:
-        raise ManifestError(f"fold overrides leave fold {empty[0]} with no scans")
-    return folds
-
-
 def cmd_eval(args):
     spec, weights = _load_model(args.checkpoint)
     protocol, names = _checkpoint_classes(spec)
     cfg = dataclasses.replace(load_config(args.config), protocol=protocol)
     rows = load_manifest(args.manifest)
     labels = class_labels(rows, protocol)
-    folds = _fold_assignment(rows, labels, args.folds, cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     _write_effective_config(cfg, args.out)
 
-    def work(_, path):
-        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
-        if args.masks is not None:
-            mask = _read_mask(os.path.join(args.masks, mask_name(path)),
-                              volume.shape)
-        else:
-            mask = segment_lung(volume, cfg.seg)
-        return _scan_probs(spec, weights, volume, mask)
-
+    work = _scoring_work(spec, weights, cfg.seg, args.masks)
     results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
     if failed:
         return 1
-    probs = np.stack(results)
-
-    summaries = []
-    for f in range(args.folds):
-        pick = folds == f
-        report = metrics.evaluate_probs(probs[pick], labels[pick])
-        _atomic_write(os.path.join(args.out, f"fold{f}_report.csv"),
-                      metrics.report_csv(report, list(names)))
-        if report.roc_points is not None:
-            roc = metrics.roc_points_csv(dict(zip(names, report.roc_points)))
-            _atomic_write(os.path.join(args.out, f"fold{f}_roc.csv"), roc)
-        summaries.append(report)
-
-    rates = {
-        "accuracy": [r.weighted_recall for r in summaries],
-        "weighted_precision": [r.weighted_precision for r in summaries],
-        "weighted_f1": [r.weighted_f1 for r in summaries],
-    }
-    if all(r.macro_auc is not None for r in summaries):
-        rates["macro_auc"] = [r.macro_auc for r in summaries]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["metric", "mean", "std"])
-    for name, vals in rates.items():
-        w.writerow([name, repr(float(np.mean(vals))), repr(float(np.std(vals)))])
-        print(f"{name}: {np.mean(vals):.4f} +/- {np.std(vals):.4f}")
-    _atomic_write(os.path.join(args.out, "aggregate.csv"), buf.getvalue())
+    report = metrics.evaluate_probs(np.stack(results), labels)
+    _atomic_write(os.path.join(args.out, "report.csv"),
+                  metrics.report_csv(report, list(names)))
+    if report.roc_points is not None:
+        roc = metrics.roc_points_csv(dict(zip(names, report.roc_points)))
+        _atomic_write(os.path.join(args.out, "roc.csv"), roc)
+    for name, value in (("accuracy", report.weighted_recall),
+                        ("weighted_precision", report.weighted_precision),
+                        ("weighted_f1", report.weighted_f1),
+                        ("macro_auc", report.macro_auc)):
+        if value is not None:
+            print(f"{name}: {value:.4f}")
     return 0
 
 
@@ -620,11 +596,7 @@ def cmd_predict(args):
     cfg = load_config(args.config)
     spec, weights = _load_model(args.checkpoint)
     _, names = _checkpoint_classes(spec)
-
-    def work(_, path):
-        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
-        return _scan_probs(spec, weights, volume, segment_lung(volume, cfg.seg))
-
+    work = _scoring_work(spec, weights, cfg.seg, None)
     (probs,), failed = _per_scan(work, [args.scan], 1)
     if failed:
         return 1
@@ -682,10 +654,9 @@ def build_parser():
     _common_flags(p)
     p.set_defaults(fn=cmd_train)
 
-    p = subs.add_parser("eval", help="cross-validated evaluation of a checkpoint")
+    p = subs.add_parser("eval", help="score a checkpoint on every scan of a manifest")
     p.add_argument("--checkpoint", required=True)
     _manifest_flags(p)
-    p.add_argument("--folds", type=int, default=5)
     p.add_argument("--masks", default=None,
                    help="reuse segment output instead of re-segmenting")
     _common_flags(p)

@@ -51,10 +51,16 @@ class TrainConfig:
     augment: AugmentPolicy = None   # None disables augmentation
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        for name in ("lr0", "epsilon"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0,1)")
+        if not 0 < self.decay_rate <= 1:
+            raise ValueError("decay_rate must lie in (0,1]")
+        for name in ("max_epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
         if self.max_epochs > 0 and not self.patience < self.max_epochs:
             raise ValueError("patience must be below max_epochs")
         if self.batch_size < 1:

@@ -501,9 +501,10 @@ def test_c10_cli_byte_determinism(tmp_path):
                              str(runs[0] / "checkpoint_final.ctck"),
                              "--manifest", str(manifest),
                              "--config", str(seg_cfg),
-                             "--masks", str(masks[0]), "--folds", "2",
-                             "--out", str(out)]) == 0
-        for name in sorted(p.name for p in evals[0].iterdir()):
+                             "--masks", str(masks[0]), "--out", str(out)]) == 0
+        names = sorted(p.name for p in evals[0].iterdir())
+        assert names == ["effective.cfg", "report.csv", "roc.csv"]
+        for name in names:
             assert (evals[0] / name).read_bytes() == \
                 (evals[1] / name).read_bytes(), name
 

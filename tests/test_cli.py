@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctscreen import cli, nifti_io, nn_core
+from ctscreen import cli, metrics, nifti_io, nn_core
 from ctscreen.nifti_io import Volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
@@ -65,10 +65,9 @@ def workspace(tmp_path_factory):
 
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "m.csv"
-    p.write_text("a.nii,NOR\nb.nii,CrNCP,3\n\n")
+    p.write_text("a.nii,NOR\nb.nii,CrNCP\n\n")
     rows = cli.load_manifest(str(p))
-    assert [(r.path, r.label, r.fold) for r in rows] == [
-        ("a.nii", "NOR", None), ("b.nii", "CrNCP", 3)]
+    assert [(r.path, r.label) for r in rows] == [("a.nii", "NOR"), ("b.nii", "CrNCP")]
 
 
 def test_manifest_errors_carry_line_numbers(tmp_path):
@@ -79,9 +78,11 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
     p.write_text("a.nii,NOR\na.nii,MiNCP\n")
     with pytest.raises(cli.ManifestError, match="duplicate"):
         cli.load_manifest(str(p))
-    p.write_text("a.nii,NOR,x\n")
-    with pytest.raises(cli.ManifestError, match="fold"):
-        cli.load_manifest(str(p))
+    # a third column is an error: ignoring it would hide a fold someone meant to pin
+    for row in ("b.nii,NOR,0", "b.nii,NOR,x", "b.nii,NOR,", "b.nii"):
+        p.write_text(f"a.nii,NOR\n{row}\n")
+        with pytest.raises(cli.ManifestError, match="line 2: expected path,label$"):
+            cli.load_manifest(str(p))
     p.write_text("")
     with pytest.raises(cli.ManifestError, match="empty"):
         cli.load_manifest(str(p))
@@ -155,15 +156,34 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
                     for suffix in (".pack", "_index.csv")]
                  + [f"run/checkpoint_{level}.ctck" for level in ("P1", "P2", "final")]
                  + ["run/history.csv"]
-                 + [f"evalout/fold{f}_{kind}.csv" for f in (0, 1)
-                    for kind in ("report", "roc")]
-                 + ["evalout/aggregate.csv"]
+                 + ["evalout/report.csv", "evalout/roc.csv"]
                  + [f"{out}/effective.cfg" for out in ("masks", "packs", "run",
                                                        "evalout")])
     for name in artifacts:
         assert (tmp_path / name).is_file(), name
+    assert sorted(os.listdir(tmp_path / "evalout")) == [
+        "effective.cfg", "report.csv", "roc.csv"]
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[-3:]] == ["NOR", "NCP", "label:"]
+    assert [line.split()[0] for line in lines[-7:]] == [
+        "accuracy:", "weighted_precision:", "weighted_f1:", "macro_auc:",
+        "NOR", "NCP", "label:"]
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"\| command +\| flags +\|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      readme).group(1)
+    documented = {}
+    for line in table.splitlines():
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[command.strip("`")] = sorted(re.findall(r"`(--[a-z-]+)`", flags))
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, cli.argparse._SubParsersAction))
+    registered = {command: sorted(opt for action in parser._actions
+                                  for opt in action.option_strings
+                                  if opt not in ("-h", "--help"))
+                  for command, parser in subs.choices.items()}
+    assert documented == registered
 
 
 def test_config_errors_name_line_and_key():
@@ -589,6 +609,7 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_non_finite_loss_exits_1(tmp_path, capsys):
     # legal input, but a step size that blows the weights up in one batch
     packs = tmp_path / "packs"
@@ -611,13 +632,21 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
     bad_values = [("train.val_fraction", v) for v in ("0", "nan", "-0.5", "2")]
     bad_values += [("model.channels", "0"), ("model.channels", "2,-1"),
                    ("augment.elastic_grid", "4,4"),
-                   ("augment.elastic_grid", "4,4,2,2")]
+                   ("augment.elastic_grid", "4,4,2,2"),
+                   ("train.max_epochs", "-1"), ("train.patience", "-3"),
+                   ("train.decay_rate", "-1"), ("train.decay_rate", "0"),
+                   ("train.decay_rate", "1.5"), ("train.epsilon", "-1"),
+                   ("train.epsilon", "nan"), ("train.lr0", "nan"),
+                   ("train.lr0", "inf"), ("augment.noise_sigma", "nan"),
+                   ("augment.elastic_sigma", "nan"), ("augment.elastic_sigma", "inf"),
+                   ("augment.gammas", "0.7,nan"), ("augment.rotation_angles", "nan"),
+                   ("augment.shift_fraction", "nan"), ("seed", "-1")]
     cases = [("train.lr = 0.1\n", "train.lr", False),
              (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically", False)]
     for key, value in bad_values:
         kept = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key)]
         cases.append(("\n".join(kept + [f"{key} = {value}"]) + "\n",
-                      key.split(".")[1], False))
+                      key.split(".")[-1], False))
     for i, (text, says, writes) in enumerate(cases):
         cfg.write_text(text)
         out = tmp_path / f"o{i}"
@@ -631,25 +660,65 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
 
 # -------------------------------------------------------------------- eval
 
-def test_eval_reports_and_determinism(workspace, trained, tmp_path):
+def test_eval_reports_and_determinism(workspace, trained, tmp_path, capsys):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     base = ["eval", "--checkpoint", str(trained["out"] / "checkpoint_final.ctck"),
             "--manifest", str(workspace["manifest"]),
             "--config", str(workspace["config"]),
-            "--masks", str(workspace["masks"]), "--folds", "2"]
+            "--masks", str(workspace["masks"])]
     assert cli.main(base + ["--out", str(out1)]) == 0
+    stdout1 = capsys.readouterr().out
     assert cli.main(base + ["--out", str(out2), "--jobs", "2"]) == 0
-    names = ["fold0_report.csv", "fold0_roc.csv", "fold1_report.csv",
-             "fold1_roc.csv", "aggregate.csv"]
+    assert capsys.readouterr().out == stdout1
+    names = ["effective.cfg", "report.csv", "roc.csv"]
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2)) == names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    agg = {r[0]: r for r in csv.reader((out1 / "aggregate.csv").open())}
-    assert "accuracy" in agg and "macro_auc" in agg
-    rep = list(csv.reader((out1 / "fold0_report.csv").open()))
+    rep = list(csv.reader((out1 / "report.csv").open()))
     assert rep[0][0] == "class"
-    assert {r[0] for r in rep[1:]} == {"NOR", "NCP", "weighted"}
-    roc = list(csv.reader((out1 / "fold0_roc.csv").open()))
+    assert [r[0] for r in rep[1:]] == ["NOR", "NCP", "weighted"]
+    weighted = rep[-1]
+    assert weighted[1] == "4"  # every manifest scan is scored, in one set
+    # stdout is the weighted row: recall (accuracy), precision, F1, macro AUC
+    assert stdout1.splitlines() == [
+        f"{name}: {float(value):.4f}" for name, value in
+        zip(["accuracy", "weighted_precision", "weighted_f1", "macro_auc"],
+            weighted[2:5] + weighted[6:])]
+    roc = list(csv.reader((out1 / "roc.csv").open()))
     assert roc[0] == ["class", "fpr", "tpr"]
+
+
+def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
+    ck = trained["out"] / "checkpoint_final.ctck"
+    out = tmp_path / "e"
+    assert cli.main(["eval", "--checkpoint", str(ck),
+                     "--manifest", str(workspace["manifest"]),
+                     "--config", str(workspace["config"]),
+                     "--masks", str(workspace["masks"]), "--out", str(out)]) == 0
+    spec, weights = nn_core.load_checkpoint(ck.read_bytes())
+    probs = []
+    for path in workspace["scan_paths"]:
+        volume = nifti_io.read_volume(Path(path).read_bytes())
+        _, raw = nifti_io.read_raw(
+            (workspace["masks"] / cli.mask_name(path)).read_bytes())
+        probs.append(cli._scan_probs(spec, weights, volume, Mask(raw > 0)))
+    labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
+    report = metrics.evaluate_probs(np.stack(probs), labels)
+    assert (out / "report.csv").read_bytes() == metrics.report_csv(
+        report, ["NOR", "NCP"]).encode()
+    assert (out / "roc.csv").read_bytes() == metrics.roc_points_csv(
+        dict(zip(["NOR", "NCP"], report.roc_points))).encode()
+
+
+def test_eval_folds_flag_is_a_usage_error(workspace, trained, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["eval", "--checkpoint", str(trained["out"] / "checkpoint_final.ctck"),
+                  "--manifest", str(workspace["manifest"]), "--folds", "2",
+                  "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --folds 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_fails_a_scan_with_an_empty_mask(workspace, trained, tmp_path,
@@ -660,7 +729,7 @@ def test_eval_fails_a_scan_with_an_empty_mask(workspace, trained, tmp_path,
                    str(trained["out"] / "checkpoint_final.ctck"),
                    "--manifest", str(workspace["manifest"]),
                    "--config", str(workspace["config"]),
-                   "--masks", str(masks), "--folds", "2", "--out", str(out)])
+                   "--masks", str(masks), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
@@ -676,64 +745,38 @@ def test_eval_takes_the_classes_from_the_checkpoint(workspace, tmp_path):
     rc = cli.main(["eval", "--checkpoint", str(ck),
                    "--manifest", str(workspace["manifest"]),
                    "--config", str(workspace["config"]),
-                   "--masks", str(workspace["masks"]), "--folds", "2",
-                   "--out", str(out)])
+                   "--masks", str(workspace["masks"]), "--out", str(out)])
     assert rc == 0
-    rep = list(csv.reader((out / "fold0_report.csv").open()))
+    rep = list(csv.reader((out / "report.csv").open()))
     assert [r[0] for r in rep[1:]] == ["NOR", "MiNCP", "MoNCP", "SeNCP", "weighted"]
     # the two MiNCP scans stay MiNCP rather than folding into NCP
-    assert [int(r[1]) for r in rep[1:]] == [1, 1, 0, 0, 2]
+    assert [int(r[1]) for r in rep[1:]] == [2, 2, 0, 0, 4]
     assert cli.load_config(str(out / "effective.cfg")).protocol == "multiclass"
 
 
-def test_eval_partial_fold_override_rejected(workspace, trained, tmp_path,
-                                             capsys):
-    manifest = tmp_path / "m.csv"
-    paths = workspace["scan_paths"]
-    manifest.write_text(f"{paths[0]},NOR,0\n{paths[2]},MiNCP\n")
-    rc = cli.main(["eval", "--checkpoint",
-                   str(trained["out"] / "checkpoint_final.ctck"),
-                   "--manifest", str(manifest), "--folds", "2",
-                   "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file_sub"])
+@pytest.mark.parametrize("command", ["segment", "patch", "train", "eval"])
+def test_out_that_cannot_be_a_directory_exits_2(workspace, trained, tmp_path, capsys,
+                                                command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    out = afile / below if below else afile
+    argv = {
+        "segment": ["--manifest", str(workspace["manifest"])],
+        "patch": ["--manifest", str(workspace["manifest"]),
+                  "--masks", str(workspace["masks"]), "--level", "P1"],
+        "train": ["--packs", str(trained["packs"]), "--config", str(trained["cfg"])],
+        "eval": ["--checkpoint", str(trained["out"] / "checkpoint_final.ctck"),
+                 "--manifest", str(workspace["manifest"]),
+                 "--masks", str(workspace["masks"])],
+    }[command]
+    rc = cli.main([command, *argv, "--out", str(out)])
     assert rc == 2
-    assert "fold" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("folds, says", [("5", "class 0 has 2 samples for 5 folds"),
-                                         ("1", "--folds must be at least 2")],
-                         ids=["folds5", "folds1"])
-def test_eval_bad_fold_count_exits_2(workspace, trained, tmp_path, capsys,
-                                     folds, says):
-    # two scans per class: five folds cannot all hold each class
-    out = tmp_path / "o"
-    rc = cli.main(["eval", "--checkpoint",
-                   str(trained["out"] / "checkpoint_final.ctck"),
-                   "--manifest", str(workspace["manifest"]),
-                   "--config", str(workspace["config"]),
-                   "--masks", str(workspace["masks"]), "--folds", folds,
-                   "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert says in err and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_eval_empty_override_fold_exits_2(workspace, trained, tmp_path, capsys):
-    manifest = tmp_path / "m.csv"
-    labels = ["NOR", "NOR", "MiNCP", "MiNCP"]
-    manifest.write_text("".join(f"{path},{label},{i % 2}\n" for i, (path, label)
-                                in enumerate(zip(workspace["scan_paths"], labels))))
-    out = tmp_path / "o"
-    rc = cli.main(["eval", "--checkpoint",
-                   str(trained["out"] / "checkpoint_final.ctck"),
-                   "--manifest", str(manifest),
-                   "--config", str(workspace["config"]),
-                   "--masks", str(workspace["masks"]), "--folds", "3",
-                   "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "fold 2 with no scans" in err and err.count("\n") == 1
-    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    # train finds out before it trains
+    assert stdout == ""
+    assert err.startswith(f"error: cannot make --out {out}: ") and err.count("\n") == 1
+    assert afile.read_text() == "keep me\n"
 
 
 # ----------------------------------------------------------------- predict
@@ -862,8 +905,7 @@ def test_non_finite_probabilities_fail_the_scan(workspace, tmp_path, capsys):
     rc = cli.main(["eval", "--checkpoint", str(ck),
                    "--manifest", str(workspace["manifest"]),
                    "--config", str(workspace["config"]),
-                   "--masks", str(workspace["masks"]), "--folds", "2",
-                   "--out", str(tmp_path / "e")])
+                   "--masks", str(workspace["masks"]), "--out", str(tmp_path / "e")])
     assert rc == 1
     err = capsys.readouterr().err
     for path in workspace["scan_paths"]:
