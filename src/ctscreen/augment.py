@@ -121,7 +121,7 @@ def gamma_correct(tensor, gamma):
 def add_gaussian_noise(tensor, sigma, seed):
     if sigma == 0:
         return tensor.copy()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    rng = np.random.default_rng(seed)
     noisy = tensor + rng.normal(0.0, sigma, size=tensor.shape)
     return np.clip(noisy, 0.0, 1.0).astype(tensor.dtype)
 
@@ -133,7 +133,7 @@ def elastic_field(shape, grid, sigma, seed):
     tensor grid. The through-plane component is attenuated by the depth/row
     extent ratio since patches are much thinner than they are wide.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    rng = np.random.default_rng(seed)
     control = rng.normal(0.0, sigma, size=(3,) + tuple(grid))
     field = np.stack([trilinear_resample(control[a], shape) for a in range(3)])
     field[2] *= shape[2] / shape[0]
@@ -179,7 +179,6 @@ def augment_sample(sample: Sample, policy: AugmentPolicy, epoch_seed: int,
                    index: int = 0) -> Sample:
     """Apply one uniformly drawn transform; label and metadata unchanged."""
     menu = transform_menu(policy)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(policy.seed), int(epoch_seed), int(index)])))
+    rng = np.random.default_rng([int(policy.seed), int(epoch_seed), int(index)])
     _, fn = menu[int(rng.integers(len(menu)))]
     return replace(sample, tensor=fn(sample.tensor, rng))

@@ -24,9 +24,8 @@ import numpy as np
 from . import metrics, nifti_io, nn_core
 from .augment import AugmentPolicy
 from .nifti_io import Volume
-from .patch_sampler import (PATCH_TABLE, PatchSpec, extract_patches,
-                            level_spec, Sample, standardize_volume,
-                            trilinear_resample)
+from .patch_sampler import (PATCH_TABLE, extract_patches, Sample,
+                            standardize_volume, trilinear_resample)
 from .rebalance import MODES
 from .segmentation import (Mask, SegmentationParams, component_count,
                            segment_lung)
@@ -61,8 +60,9 @@ class ManifestRow:
 
 
 def load_manifest(path):
-    """Headerless CSV rows of path,label; paths unique, labels known."""
-    rows, seen = [], set()
+    """Headerless CSV rows of path,label; labels known, and no two paths
+    with one stem, the source_id that names a scan's outputs."""
+    rows, seen = [], {}
     text = _read_text(path, ManifestError)
     for ln, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not rec or (len(rec) == 1 and not rec[0].strip()):
@@ -74,9 +74,11 @@ def load_manifest(path):
             raise ManifestError(
                 f"{path} line {ln}: unknown label '{label}' "
                 f"(expected one of {', '.join(LABELS)})")
-        if scan in seen:
-            raise ManifestError(f"{path} line {ln}: duplicate path '{scan}'")
-        seen.add(scan)
+        stem = _stem(scan)
+        if stem in seen:
+            raise ManifestError(f"{path} line {ln}: duplicate source_id '{stem}' "
+                                f"of '{scan}', first at line {seen[stem]}")
+        seen[stem] = ln
         rows.append(ManifestRow(scan, label))
     if not rows:
         raise ManifestError(f"{path}: empty manifest")
@@ -89,6 +91,16 @@ def class_labels(rows, protocol):
 
 
 # ---------------------------------------------------------------- config
+
+def _check_levels(levels):
+    """Raise ValueError unless `levels` are distinct PATCH_TABLE levels."""
+    for i, level in enumerate(levels):
+        if level not in PATCH_TABLE:
+            raise ValueError(f"unknown level '{level}' "
+                             f"(expected one of {', '.join(PATCH_TABLE)})")
+        if level in levels[:i]:
+            raise ValueError(f"level '{level}' is listed twice")
+
 
 @dataclass
 class RunConfig:
@@ -120,6 +132,7 @@ class RunConfig:
                              f"got {self.val_fraction}")
         if min(self.channels, default=0) < 1:
             raise ValueError(f"model.channels must be positive, got {self.channels}")
+        _check_levels(self.levels)
         self.policy = dataclasses.replace(self.policy, seed=self.seed)
         self.train = dataclasses.replace(
             self.train, seed=self.seed,
@@ -462,10 +475,10 @@ def cmd_segment(args):
 def cmd_patch(args):
     cfg = load_config(args.config)
     rows = load_manifest(args.manifest)
-    if args.level not in PATCH_TABLE:
-        raise ConfigError(
-            f"unknown level '{args.level}' (expected one of {', '.join(PATCH_TABLE)})")
-    spec = level_spec(args.level)
+    try:
+        _check_levels([args.level])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     labels = class_labels(rows, cfg.protocol)
     _make_out(args.out)
     _write_effective_config(cfg, args.out)
@@ -475,7 +488,8 @@ def cmd_patch(args):
         mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
-        return extract_patches(volume, mask, spec, scan_seed, label=int(labels[index]))
+        return extract_patches(volume, mask, args.level, scan_seed,
+                               label=int(labels[index]))
 
     results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
     if failed == len(rows):
@@ -494,7 +508,7 @@ def cmd_patch(args):
 def _load_level_datasets(cfg, packs_dir):
     """Read one pack per configured level; deterministic stratified split."""
     k = max(2, int(round(1.0 / cfg.val_fraction)))
-    specs, datasets = [], {}
+    datasets = {}
     for name in cfg.levels:
         path = os.path.join(packs_dir, f"{name}.pack")
         if not os.path.exists(path):
@@ -506,11 +520,10 @@ def _load_level_datasets(cfg, packs_dir):
         if level != name:
             raise ConfigError(f"{path} holds level {level}, expected {name}")
         shape = samples[0].tensor.shape
-        want, count = PATCH_TABLE.get(name, (shape, 1))
+        want = PATCH_TABLE[name][0]
         if shape != want:
             raise ConfigError(
                 f"{path} holds {shape} patches, level {name} needs {want}")
-        specs.append(PatchSpec(name, shape, count))
         sample_labels = [smp.label for smp in samples]
         try:
             folds = metrics.kfold_split(sample_labels, k=k, seed=cfg.seed)
@@ -519,7 +532,7 @@ def _load_level_datasets(cfg, packs_dir):
         train_set = [smp for smp, f in zip(samples, folds) if f != 0]
         val_set = [smp for smp, f in zip(samples, folds) if f == 0]
         datasets[name] = (train_set, val_set)
-    return specs, datasets
+    return datasets
 
 
 def _check_out(path):
@@ -534,7 +547,7 @@ def _check_out(path):
 def cmd_train(args):
     cfg = load_config(args.config)
     _check_out(args.out)
-    specs, datasets = _load_level_datasets(cfg, args.packs)
+    datasets = _load_level_datasets(cfg, args.packs)
     class_count = len(PROTOCOL_CLASSES[cfg.protocol])
 
     def log(level, stats):
@@ -544,7 +557,7 @@ def cmd_train(args):
               f"lr {stats.lr:.3e}")
 
     try:
-        _, results = progressive_fit(specs, datasets, cfg.train, class_count,
+        _, results = progressive_fit(datasets, cfg.train, class_count,
                                      channels=cfg.channels, log=log)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -133,10 +133,6 @@ def roc_curve(scores, labels):
     return points, auc
 
 
-def roc_auc(scores, labels):
-    return roc_curve(scores, labels)[1]
-
-
 def _ovr_roc_curves(probs, labels, k):
     """One-vs-rest ROC points and AUCs, one roc_curve per class; every class
     must appear."""
@@ -152,19 +148,13 @@ def _ovr_roc_curves(probs, labels, k):
     return [points for points, _ in curves], np.array([auc for _, auc in curves])
 
 
-def macro_auc_ovr(probs, labels, k):
-    """Unweighted mean of one-vs-rest AUCs; every class must appear."""
-    _, aucs = _ovr_roc_curves(probs, labels, k)
-    return aucs, float(aucs.mean())
-
-
 def kfold_split(labels, k=5, seed=0):
     """Fold id per sample, stratified: per-class fold sizes stay within 1."""
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise ValueError("need at least 2 folds")
     folds = np.empty(labels.size, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    rng = np.random.default_rng(seed)
     for c in np.unique(labels):  # sorted, so the draw order is fixed
         idx = np.nonzero(labels == c)[0]
         if idx.size < k:

@@ -63,15 +63,10 @@ class DecompressError(NiftiError):
     pass
 
 
-class ShapeMismatch(NiftiError):
-    pass
-
-
 @dataclass
 class NiftiHeader:
     """The subset of the 348-byte NIfTI-1 header this pipeline uses."""
 
-    sizeof_hdr: int
     dim: tuple          # 8 ints; dim[0]=rank, dim[1..3]=rows, cols, slices
     datatype_code: int
     bitpix: int
@@ -79,7 +74,6 @@ class NiftiHeader:
     vox_offset: int
     scl_slope: float
     scl_inter: float
-    magic: bytes
     byte_order: str     # "<" little, ">" big
 
     @property
@@ -124,8 +118,10 @@ def parse_header(buf: bytes) -> NiftiHeader:
     if len(buf) < HEADER_SIZE:
         raise TruncatedHeader(f"need {HEADER_SIZE} header bytes, got {len(buf)}")
     magic = bytes(buf[344:348])
-    if magic not in (MAGIC_SINGLE, MAGIC_PAIR):
-        raise BadMagic(f"magic {magic!r} is neither 'n+1' nor 'ni1'")
+    if magic == MAGIC_PAIR:
+        raise InvalidHeader("paired .hdr/.img files are not supported")
+    if magic != MAGIC_SINGLE:
+        raise BadMagic(f"magic {magic!r} is not 'n+1'")
     if struct.unpack_from("<i", buf, 0)[0] == HEADER_SIZE:
         bo = "<"
     elif struct.unpack_from(">i", buf, 0)[0] == HEADER_SIZE:
@@ -154,7 +150,6 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise InvalidHeader(f"vox_offset {vox_offset} is not finite")
 
     return NiftiHeader(
-        sizeof_hdr=HEADER_SIZE,
         dim=tuple(int(d) for d in dim),
         datatype_code=int(datatype_code),
         bitpix=int(bitpix),
@@ -162,7 +157,6 @@ def parse_header(buf: bytes) -> NiftiHeader:
         vox_offset=int(vox_offset),
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
-        magic=magic,
         byte_order=bo,
     )
 
@@ -215,8 +209,6 @@ def read_raw(data):
     """
     data = _gunzipped(data)
     header = parse_header(data)
-    if header.magic != MAGIC_SINGLE:
-        raise InvalidHeader("paired .hdr/.img files are not supported for data reads")
     offset = max(header.vox_offset, MIN_VOX_OFFSET)
     need = header.data_length()
     if len(data) - offset < need:
@@ -269,7 +261,7 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     so identical inputs give identical bytes.
     """
     if raw.ndim != 3:
-        raise ShapeMismatch(f"expected 3D array, got shape {raw.shape}")
+        raise NiftiError(f"expected 3D array, got shape {raw.shape}")
     code = None
     for c, (ch, _) in DATATYPES.items():
         if np.dtype(ch) == raw.dtype.newbyteorder("="):
@@ -293,6 +285,6 @@ def write_mask(mask, template, gzipped=False):
     """
     bits = np.asarray(getattr(mask, "bits", mask), dtype=bool)
     if bits.shape != template.shape:
-        raise ShapeMismatch(f"mask shape {bits.shape} != template {template.shape}")
+        raise NiftiError(f"mask shape {bits.shape} != template {template.shape}")
     return write_nifti(bits.astype(np.uint8), spacing=template.spacing,
                        scl_slope=1.0, scl_inter=0.0, gzipped=gzipped)

@@ -301,8 +301,7 @@ def dropout_forward(x, rate, mode, seed):
         raise ValueError("dropout rate must be in [0,1)")
     if mode != "train" or rate == 0.0:
         return x.copy(), None
-    seq = seed if isinstance(seed, (list, tuple)) else [int(seed)]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seq)))
+    rng = np.random.default_rng(seed)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask.astype(x.dtype)
 
@@ -478,7 +477,7 @@ def init_weights(spec: ModelSpec, seed=0, dtype=np.float32):
     A kernel shaped (fan_out, fan_in, *taps) or a dense weight shaped
     (fan_in, fan_out) gets std sqrt(2 / ((fan_in + fan_out) * taps)).
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    rng = np.random.default_rng(seed)
     weights = {}
     for name, shape in param_shapes(spec).items():
         role = name.split(".")[1]

@@ -39,27 +39,6 @@ class NoLungRegion(ValueError):
     """Mask has no foreground; there is nothing to anchor patches to."""
 
 
-@dataclass(frozen=True)
-class PatchSpec:
-    level: str
-    shape: tuple
-    per_scan_count: int
-
-    def __post_init__(self):
-        if self.level in PATCH_TABLE:
-            want_shape, want_count = PATCH_TABLE[self.level]
-            if tuple(self.shape) != want_shape or self.per_scan_count != want_count:
-                raise ValueError(
-                    f"{self.level} is pinned to shape {want_shape} x {want_count} per scan")
-        if len(self.shape) != 3 or min(self.shape) < 1 or self.per_scan_count < 1:
-            raise ValueError(f"bad patch spec {self}")
-
-
-def level_spec(level: str) -> PatchSpec:
-    shape, count = PATCH_TABLE[level]
-    return PatchSpec(level, shape, count)
-
-
 @dataclass
 class Sample:
     tensor: np.ndarray  # float32 in [0,1]
@@ -197,10 +176,10 @@ def _overlap_1d(starts, extent, lo, hi):
     return np.maximum(right - left, 0)
 
 
-def extract_patches(volume: Volume, mask: Mask, spec: PatchSpec, seed: int,
+def extract_patches(volume: Volume, mask: Mask, level: str, seed: int,
                     label: int = 0) -> list:
-    """Cut spec.per_scan_count seeded patches from the scan's standardized
-    STANDARD_SHAPE grid, standardizing only the windows it cuts.
+    """Cut the PATCH_TABLE count of seeded `level` patches from the scan's
+    standardized STANDARD_SHAPE grid, standardizing only the windows it cuts.
 
     Origins come from the mask alone. Eligible origins are those whose (R,C)
     window covers >= 50% of its own footprint with the lung bounding box;
@@ -210,11 +189,8 @@ def extract_patches(volume: Volume, mask: Mask, spec: PatchSpec, seed: int,
     ordering is canonical. Each tensor is standardize_volume over its window
     alone: the same bytes as that window of the whole standardized grid.
     """
-    pr, pc, ps = spec.shape
+    (pr, pc, ps), count = PATCH_TABLE[level]
     R, C, S = STANDARD_SHAPE
-    if pr > R or pc > C or ps > S:
-        raise ValueError(f"patch {spec.shape} exceeds the standard grid {STANDARD_SHAPE}")
-
     (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE)
     ov_r = _overlap_1d(np.arange(R - pr + 1), pr, br, er)
     ov_c = _overlap_1d(np.arange(C - pc + 1), pc, bc, ec)
@@ -222,14 +198,12 @@ def extract_patches(volume: Volume, mask: Mask, spec: PatchSpec, seed: int,
     need = min(0.5 * pr * pc, area.max())
     eligible = np.argwhere(area >= need)
 
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), LEVELS.index(spec.level)
-                                if spec.level in LEVELS else 0])))
-    pick = rng.integers(0, len(eligible), size=spec.per_scan_count)
-    s0 = rng.integers(0, S - ps + 1, size=spec.per_scan_count)
+    rng = np.random.default_rng([int(seed), LEVELS.index(level)])
+    pick = rng.integers(0, len(eligible), size=count)
+    s0 = rng.integers(0, S - ps + 1, size=count)
     origins = sorted((int(eligible[i][0]), int(eligible[i][1]), int(z))
                      for i, z in zip(pick, s0))
     return [Sample(standardize_volume(volume, mask, box=(
                        slice(r, r + pr), slice(c, c + pc), slice(s, s + ps))).voxels,
-                   label, volume.source_id, spec.level, (r, c, s))
+                   label, volume.source_id, level, (r, c, s))
             for (r, c, s) in origins]

@@ -1,4 +1,4 @@
-"""Synthetic chest phantoms for tests and the CLI demo.
+"""Synthetic chest phantoms for the quickstart and the tests.
 
 A phantom is air at -1000 HU, a soft-tissue body ellipsoid at +40 HU, and
 two lung ellipsoids at -800 HU inside the body. Optional "vessel" blobs at
@@ -69,12 +69,3 @@ def lung_phantom(shape=(120, 260, 90), lung_semi_axes=(42, 50, 32),
         vox[blob] = BODY_HU
 
     return Volume(vox, (1.0, 1.0, 1.0), source_id), Mask(lungs, source_id)
-
-
-def dice(a, b):
-    a = np.asarray(getattr(a, "bits", a), dtype=bool)
-    b = np.asarray(getattr(b, "bits", b), dtype=bool)
-    denom = a.sum() + b.sum()
-    if denom == 0:
-        return 1.0
-    return 2.0 * float((a & b).sum()) / float(denom)

@@ -187,8 +187,7 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
 
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
-        shuffle_rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(config.seed), epoch])))
+        shuffle_rng = np.random.default_rng([int(config.seed), epoch])
         order = shuffle_rng.permutation(len(train_set))
         loss_sum, hit_sum = 0.0, 0
         for bidx in range(0, len(order), config.batch_size):
@@ -224,26 +223,30 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
     return best_weights, history
 
 
-def progressive_fit(levels, datasets, config: TrainConfig, class_count,
+def progressive_fit(datasets, config: TrainConfig, class_count,
                     channels=nn.BASE_CHANNELS, log=None):
     """Train through an ordered ladder of patch levels.
 
-    levels: PatchSpec list, small to large; datasets: {level: (train, val)}.
-    Level n+1 starts from level n's best weights behind a fresh stem block.
-    Returns (final best weights, [LevelResult per level]). `log`, when
-    given, is called with (level name, EpochStats) per finished epoch.
+    datasets: {level: (train, val)}, small to large; each level's input
+    shape is that of its training patches. Level n+1 starts from level n's
+    best weights behind a fresh stem block. Returns (final best weights,
+    [LevelResult per level]). `log`, when given, is called with (level
+    name, EpochStats) per finished epoch.
     """
-    if not levels:
+    if not datasets:
         raise EmptyDataset("no levels given")
-    shapes = [tuple(l.shape) for l in levels]
+    for name, (train_set, _) in datasets.items():
+        if not train_set:
+            raise EmptyDataset(f"level {name}: train dataset is empty")
+    shapes = [train_set[0].tensor.shape for train_set, _ in datasets.values()]
     for a, b in zip(shapes, shapes[1:]):
         if any(x > y for x, y in zip(a, b)):
             raise IncompatibleSpec(f"ladder must grow monotonically, got {a} -> {b}")
 
     results = []
     prev_spec, prev_best = None, None
-    for li, level in enumerate(levels):
-        r, c, s = level.shape
+    for li, (name, (train_set, val_set)) in enumerate(datasets.items()):
+        r, c, s = shapes[li]
         input_shape = (1, s, r, c)
         if prev_spec is None:
             spec = nn.base_model(input_shape, class_count, channels=channels)
@@ -252,12 +255,11 @@ def progressive_fit(levels, datasets, config: TrainConfig, class_count,
             spec, init = nn.build_progressive(prev_spec, prev_best,
                                               large_input=input_shape,
                                               seed=config.seed + li)
-        train_set, val_set = datasets[level.level]
         init_snapshot = {n: w.copy() for n, w in init.items()}
         level_log = None if log is None else (
-            lambda stats, name=level.level: log(name, stats))
+            lambda stats, name=name: log(name, stats))
         best, history = fit(spec, init, train_set, val_set, config, log=level_log)
-        results.append(LevelResult(level.level, spec, init_snapshot, best, history))
+        results.append(LevelResult(name, spec, init_snapshot, best, history))
         prev_spec, prev_best = spec, best
     return results[-1].best_weights, results
 

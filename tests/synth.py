@@ -1,4 +1,4 @@
-"""Synthetic patch datasets shared by the training and acceptance tests."""
+"""Synthetic patch datasets and the Dice overlap, shared by the tests."""
 
 import numpy as np
 
@@ -28,3 +28,13 @@ def blob_dataset(n, seed, shape=(12, 12, 6), classes=2, level="T"):
         t = blob_tensor(rng, shape, 2 * label + 1)
         samples.append(Sample(t, label, f"syn{i:04d}", level))
     return samples
+
+
+def dice(a, b):
+    """Dice overlap of two masks (Mask or boolean array); 1.0 when both are empty."""
+    a = np.asarray(getattr(a, "bits", a), dtype=bool)
+    b = np.asarray(getattr(b, "bits", b), dtype=bool)
+    denom = a.sum() + b.sum()
+    if denom == 0:
+        return 1.0
+    return 2.0 * float((a & b).sum()) / float(denom)

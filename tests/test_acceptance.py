@@ -11,16 +11,16 @@ import numpy as np
 
 from ctscreen import cli, nn_core as nn
 from ctscreen import train as tr
-from ctscreen.metrics import ConfusionMatrix, precision_recall_f1, roc_auc
+from ctscreen.metrics import ConfusionMatrix, precision_recall_f1, roc_curve
 from ctscreen.nifti_io import DATATYPES, read_raw, write_nifti, Volume
-from ctscreen.patch_sampler import PatchSpec, Sample, extract_patches, level_spec
-from ctscreen.phantoms import dice, lung_phantom
+from ctscreen.patch_sampler import PATCH_TABLE, Sample, extract_patches
+from ctscreen.phantoms import lung_phantom
 from ctscreen.rebalance import class_weights
 from ctscreen.segmentation import (Mask, SegmentationParams, component_count,
                                    fill_holes, segment_lung)
 from ctscreen.train import TrainConfig
 
-from synth import blob_dataset, blob_tensor
+from synth import blob_dataset, blob_tensor, dice
 
 
 @contextmanager
@@ -260,7 +260,7 @@ def test_c03_auc_equals_pair_statistic():
             pos, neg = scores[labels == 1], scores[labels == 0]
             wins = sum((a > b) + 0.5 * (a == b) for a in pos for b in neg)
             want = wins / (len(pos) * len(neg))
-            assert abs(roc_auc(scores, labels) - want) < 1e-12
+            assert abs(roc_curve(scores, labels)[1] - want) < 1e-12
 
 
 # ------------------------------------------------------------- criterion 4
@@ -314,10 +314,9 @@ def test_c06_patch_count_law():
         volume = Volume(vox, (1.0, 1.0, 1.0), "law")
         mask = Mask(bits, "law")
         for name, count in per_scan.items():
-            spec = level_spec(name)
-            patches = extract_patches(volume, mask, spec, seed=17)
+            patches = extract_patches(volume, mask, name, seed=17)
             assert len(patches) == count, name
-            assert all(p.tensor.shape == spec.shape for p in patches)
+            assert all(p.tensor.shape == PATCH_TABLE[name][0] for p in patches)
 
 
 # ------------------------------------------------------------- criterion 7
@@ -382,7 +381,7 @@ def _split(samples):
 def _final_auc(spec, weights, val_set):
     x, y = tr.to_batch(val_set)
     probs = nn.model_forward(spec, weights, x, mode="infer")
-    return roc_auc(probs[:, 1], y == 1)
+    return roc_curve(probs[:, 1], y == 1)[1]
 
 
 def test_c09_progressive_ladder_smoke_and_direction():
@@ -391,18 +390,15 @@ def test_c09_progressive_ladder_smoke_and_direction():
         scans = [blob_tensor(rng, (32, 32, 32), 2 * (i % 2) + 1, radius=3)
                  for i in range(200)]
         labels = [i % 2 for i in range(200)]
-        ladder = [PatchSpec("A4", (8, 8, 8), 8),
-                  PatchSpec("A5", (16, 16, 16), 4),
-                  PatchSpec("A6", (32, 32, 32), 1)]
-        datasets = {lv.level: _split(_cut_patches(scans, labels, lv.level,
-                                                  lv.shape, lv.per_scan_count,
-                                                  seed=40 + i))
-                    for i, lv in enumerate(ladder)}
+        ladder = [("A4", (8, 8, 8), 8), ("A5", (16, 16, 16), 4),
+                  ("A6", (32, 32, 32), 1)]
+        datasets = {name: _split(_cut_patches(scans, labels, name, shape,
+                                              per_scan, seed=40 + i))
+                    for i, (name, shape, per_scan) in enumerate(ladder)}
         config = TrainConfig(lr0=3e-4, max_epochs=8, patience=5,
                              batch_size=16, seed=21, weight_mode="uniform")
 
-        _, results = tr.progressive_fit(ladder, datasets, config, 2,
-                                        channels=(2, 4))
+        _, results = tr.progressive_fit(datasets, config, 2, channels=(2, 4))
         # carried tensors must be byte-for-byte the previous level's best,
         # re-keyed past the three stem layers
         for prev, cur in zip(results, results[1:]):
@@ -428,7 +424,7 @@ def test_c09_progressive_ladder_smoke_and_direction():
 TRAIN_CFG = """\
 protocol = binary
 seed = 5
-patch.levels = T1,T2
+patch.levels = P1,P2
 model.channels = 2,4
 augment.enabled = false
 train.lr0 = 0.001
@@ -481,10 +477,10 @@ def test_c10_cli_byte_determinism(tmp_path):
 
         blob_packs = tmp_path / "blobpacks"
         blob_packs.mkdir()
-        (blob_packs / "T1.pack").write_bytes(cli.write_pack(
-            "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
-        (blob_packs / "T2.pack").write_bytes(cli.write_pack(
-            "T2", blob_dataset(16, seed=2, shape=(12, 12, 6), level="T2")))
+        (blob_packs / "P1.pack").write_bytes(cli.write_pack(
+            "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
+        (blob_packs / "P2.pack").write_bytes(cli.write_pack(
+            "P2", blob_dataset(16, seed=2, shape=(32, 32, 12), level="P2")))
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text(TRAIN_CFG)
         runs = [tmp_path / f"run{i}" for i in (0, 1)]

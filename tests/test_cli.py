@@ -88,6 +88,19 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
         cli.load_manifest(str(p))
 
 
+def test_manifest_rejects_two_scans_with_one_source_id(tmp_path, capsys):
+    # both would write masks/x_mask.nii.gz
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("d1/x.nii.gz,NOR\nd2/x.nii,MiNCP\n")
+    out = tmp_path / "masks"
+    rc = cli.main(["segment", "--manifest", str(manifest), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest} line 2: duplicate source_id 'x' of 'd2/x.nii', "
+        f"first at line 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--manifest", "--config"])
 def test_segment_file_not_utf8_exits_2(workspace, tmp_path, capsys, flag):
     bad = tmp_path / "latin1.txt"
@@ -184,6 +197,18 @@ def test_readme_flag_table_matches_the_parser():
                                   if opt not in ("-h", "--help"))
                   for command, parser in subs.choices.items()}
     assert documented == registered
+
+
+def test_readme_pyramid_table_matches_patch_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"\| level +\| patch shape +\| patches per scan +\|\n\|[-|]+\|\n"
+                      r"((?:\|.*\n)+)", readme).group(1)
+    documented = {}
+    for line in table.splitlines():
+        level, shape, count = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[level] = (tuple(int(n) for n in shape.split(" x ")),
+                             int(count.split()[0]))
+    assert documented == cli.PATCH_TABLE
 
 
 def test_config_errors_name_line_and_key():
@@ -503,7 +528,7 @@ def test_patch_unknown_level_exits_2(workspace, tmp_path, capsys):
 TRAIN_CFG = """\
 protocol = binary
 seed = 5
-patch.levels = T1,T2
+patch.levels = P1,P2
 model.channels = 2,4
 augment.enabled = false
 train.lr0 = 0.001
@@ -519,10 +544,10 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("train")
     packs = root / "packs"
     packs.mkdir()
-    (packs / "T1.pack").write_bytes(cli.write_pack(
-        "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
-    (packs / "T2.pack").write_bytes(cli.write_pack(
-        "T2", blob_dataset(16, seed=2, shape=(12, 12, 6), level="T2")))
+    (packs / "P1.pack").write_bytes(cli.write_pack(
+        "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
+    (packs / "P2.pack").write_bytes(cli.write_pack(
+        "P2", blob_dataset(16, seed=2, shape=(32, 32, 12), level="P2")))
     cfg = root / "train.cfg"
     cfg.write_text(TRAIN_CFG)
     out = root / "run"
@@ -534,22 +559,22 @@ def trained(tmp_path_factory):
 
 def test_train_artifacts(trained, capsys):
     out = trained["out"]
-    for name in ("checkpoint_T1.ctck", "checkpoint_T2.ctck",
+    for name in ("checkpoint_P1.ctck", "checkpoint_P2.ctck",
                  "checkpoint_final.ctck", "history.csv", "effective.cfg"):
         assert (out / name).exists()
     # final checkpoint is the last ladder level
     assert (out / "checkpoint_final.ctck").read_bytes() == \
-        (out / "checkpoint_T2.ctck").read_bytes()
+        (out / "checkpoint_P2.ctck").read_bytes()
     rows = list(csv.reader((out / "history.csv").open()))
     assert rows[0][:2] == ["level", "epoch"]
-    assert [r[0] for r in rows[1:]] == ["T1", "T1", "T2", "T2"]
+    assert [r[0] for r in rows[1:]] == ["P1", "P1", "P2", "P2"]
     # checkpoints load back and declare the ladder input shapes
-    spec, _ = nn_core.load_checkpoint((out / "checkpoint_T1.ctck").read_bytes())
-    assert spec.input_shape == (1, 4, 8, 8)
+    spec, _ = nn_core.load_checkpoint((out / "checkpoint_P1.ctck").read_bytes())
+    assert spec.input_shape == (1, 9, 16, 16)
     spec, _ = nn_core.load_checkpoint((out / "checkpoint_final.ctck").read_bytes())
-    assert spec.input_shape == (1, 6, 12, 12)
+    assert spec.input_shape == (1, 12, 32, 32)
     cfg = cli.load_config(str(out / "effective.cfg"))
-    assert cfg.levels == ("T1", "T2")
+    assert cfg.levels == ("P1", "P2")
 
 
 def test_train_deterministic_rerun(trained, tmp_path):
@@ -570,22 +595,22 @@ def test_train_missing_pack_exits_2(trained, tmp_path, capsys):
 
 
 def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
-    cut = trained["packs"].joinpath("T1.pack").read_bytes()[:7]
-    t2 = trained["packs"].joinpath("T2.pack").read_bytes()
-    samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
+    cut = trained["packs"].joinpath("P1.pack").read_bytes()[:7]
+    p2 = trained["packs"].joinpath("P2.pack").read_bytes()
+    samples = blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")
     for smp in samples[::4]:
         smp.label = 5  # enough of them to split, outside the binary protocol
-    nan_samples = blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")
+    nan_samples = blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")
     nan_samples[3].tensor[:] = np.nan  # set after the sample checked its range
     for name, blob, says in (
             ("cut", cut, "bad pack"),
             ("text", b"plain text, not a pack\n", "bad pack"),
-            ("nan", cli.write_pack("T1", nan_samples), "bad pack"),
-            ("label", cli.write_pack("T1", samples), "label 5 outside")):
+            ("nan", cli.write_pack("P1", nan_samples), "bad pack"),
+            ("label", cli.write_pack("P1", samples), "label 5 outside")):
         packs = tmp_path / name
         packs.mkdir()
-        (packs / "T1.pack").write_bytes(blob)
-        (packs / "T2.pack").write_bytes(t2)
+        (packs / "P1.pack").write_bytes(blob)
+        (packs / "P2.pack").write_bytes(p2)
         rc = cli.main(["train", "--config", str(trained["cfg"]),
                        "--packs", str(packs), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -599,7 +624,7 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     (packs / "P2.pack").write_bytes(cli.write_pack(
         "P2", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P2")))
     cfg = tmp_path / "p2.cfg"
-    cfg.write_text(TRAIN_CFG.replace("T1,T2", "P2"))
+    cfg.write_text(TRAIN_CFG.replace("P1,P2", "P2"))
     rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -614,10 +639,10 @@ def test_train_non_finite_loss_exits_1(tmp_path, capsys):
     # legal input, but a step size that blows the weights up in one batch
     packs = tmp_path / "packs"
     packs.mkdir()
-    (packs / "T1.pack").write_bytes(cli.write_pack(
-        "T1", blob_dataset(16, seed=1, shape=(8, 8, 4), level="T1")))
+    (packs / "P1.pack").write_bytes(cli.write_pack(
+        "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(TRAIN_CFG.replace("T1,T2", "T1").replace(
+    cfg.write_text(TRAIN_CFG.replace("P1,P2", "P1").replace(
         "train.lr0 = 0.001", "train.lr0 = 1e30"))
     rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
                    "--out", str(tmp_path / "run")])
@@ -642,7 +667,7 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
                    ("augment.gammas", "0.7,nan"), ("augment.rotation_angles", "nan"),
                    ("augment.shift_fraction", "nan"), ("seed", "-1")]
     cases = [("train.lr = 0.1\n", "train.lr", False),
-             (TRAIN_CFG.replace("T1,T2", "T2,T1"), "grow monotonically", False)]
+             (TRAIN_CFG.replace("P1,P2", "P2,P1"), "grow monotonically", False)]
     for key, value in bad_values:
         kept = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key)]
         cases.append(("\n".join(kept + [f"{key} = {value}"]) + "\n",
@@ -656,6 +681,23 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
         assert out.exists() == writes
+
+
+@pytest.mark.parametrize("levels, says", [
+    ("T1", "unknown level 'T1' (expected one of P1, P2, P3, P4, P5, P6)"),
+    ("P2,P2", "level 'P2' is listed twice")])
+def test_train_patch_levels_outside_the_table_exit_2(trained, tmp_path, capsys,
+                                                     levels, says):
+    with pytest.raises(cli.ConfigError, match=re.escape(says)):
+        cli.parse_config(f"patch.levels = {levels}\n")
+    cfg = tmp_path / "levels.cfg"
+    cfg.write_text(TRAIN_CFG.replace("P1,P2", levels))
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", str(cfg), "--packs", str(trained["packs"]),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- eval

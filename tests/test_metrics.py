@@ -4,11 +4,12 @@ import io
 import numpy as np
 import pytest
 
+from ctscreen import metrics
 from ctscreen.metrics import (ConfusionMatrix, LabelOutOfRange, MissingClass,
                               SingleClassInput, TooFewSamples,
                               confusion_matrix, evaluate_probs, kfold_split,
-                              macro_auc_ovr, precision_recall_f1, report_csv,
-                              roc_auc, roc_curve, roc_points_csv)
+                              precision_recall_f1, report_csv, roc_curve,
+                              roc_points_csv)
 
 
 def auc_pair_oracle(scores, labels):
@@ -111,7 +112,7 @@ def test_auc_matches_pair_oracle_with_ties():
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        assert abs(roc_auc(scores, labels) - auc_pair_oracle(scores, labels)) < 1e-12
+        assert abs(roc_curve(scores, labels)[1] - auc_pair_oracle(scores, labels)) < 1e-12
 
 
 def test_auc_monotone_transform_invariant():
@@ -119,9 +120,9 @@ def test_auc_monotone_transform_invariant():
     scores = rng.random(50)
     labels = rng.integers(0, 2, size=50)
     labels[0], labels[1] = 0, 1
-    base = roc_auc(scores, labels)
-    assert abs(roc_auc(np.exp(scores), labels) - base) < 1e-12
-    assert abs(roc_auc(2.0 * scores + 3.0, labels) - base) < 1e-12
+    base = roc_curve(scores, labels)[1]
+    assert abs(roc_curve(np.exp(scores), labels)[1] - base) < 1e-12
+    assert abs(roc_curve(2.0 * scores + 3.0, labels)[1] - base) < 1e-12
 
 
 def test_roc_curve_anchored_and_monotone():
@@ -139,14 +140,14 @@ def test_roc_curve_anchored_and_monotone():
 
 
 def test_auc_extremes():
-    assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
-    assert roc_auc([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0]) == 0.0
-    assert roc_auc([0.5, 0.5, 0.5, 0.5], [1, 1, 0, 0]) == 0.5
+    assert roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])[1] == 1.0
+    assert roc_curve([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])[1] == 0.0
+    assert roc_curve([0.5, 0.5, 0.5, 0.5], [1, 1, 0, 0])[1] == 0.5
 
 
 def test_auc_single_class_raises():
     with pytest.raises(SingleClassInput):
-        roc_auc([0.1, 0.9], [1, 1])
+        roc_curve([0.1, 0.9], [1, 1])
 
 
 def test_macro_auc_two_class_symmetry():
@@ -156,15 +157,18 @@ def test_macro_auc_two_class_symmetry():
     probs = np.stack([1.0 - p1, p1], axis=1)
     labels = rng.integers(0, 2, size=40)
     labels[0], labels[1] = 0, 1
-    aucs, macro = macro_auc_ovr(probs, labels, k=2)
-    assert abs(aucs[0] - aucs[1]) < 1e-12
-    assert abs(macro - roc_auc(p1, labels)) < 1e-12
+    report = evaluate_probs(probs, labels)
+    assert abs(report.auc[0] - report.auc[1]) < 1e-12
+    assert abs(report.macro_auc - roc_curve(p1, labels)[1]) < 1e-12
 
 
 def test_macro_auc_missing_class_raises():
     probs = np.full((6, 3), 1 / 3)
     with pytest.raises(MissingClass):
-        macro_auc_ovr(probs, [0, 0, 1, 1, 0, 1], k=3)
+        metrics._ovr_roc_curves(probs, [0, 0, 1, 1, 0, 1], k=3)
+    # the report leaves the AUCs out rather than fail
+    report = evaluate_probs(probs, [0, 0, 1, 1, 0, 1])
+    assert report.auc is None and report.macro_auc is None
 
 
 # ----------------------------------------------------------------- folds

@@ -148,6 +148,8 @@ def test_read_raw_rejects_pair_magic():
     blob = pack_file(raw, magic=b"ni1\x00")
     with pytest.raises(nio.InvalidHeader):
         nio.read_raw(blob)
+    with pytest.raises(nio.InvalidHeader, match="paired .hdr/.img"):
+        nio.parse_header(pack_header(magic=b"ni1\x00"))
 
 
 def test_bad_gzip_stream():
@@ -265,7 +267,7 @@ def test_write_mask_uint8_and_geometry(tmp_path):
 
 def test_write_mask_shape_mismatch():
     hdr, _ = nio.read_raw(pack_file(np.zeros((4, 5, 6), dtype=np.int16)))
-    with pytest.raises(nio.ShapeMismatch):
+    with pytest.raises(nio.NiftiError, match="mask shape"):
         nio.write_mask(np.zeros((4, 5, 7), dtype=bool), hdr)
 
 

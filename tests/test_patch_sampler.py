@@ -270,18 +270,6 @@ def test_patch_table_pinned():
     assert [ps.PATCH_TABLE[l][1] for l in ps.LEVELS] == [64, 32, 16, 8, 4, 1]
 
 
-def test_patch_spec_rejects_tampered_canonical_level():
-    with pytest.raises(ValueError):
-        ps.PatchSpec("P3", (64, 64, 15), 99)
-    with pytest.raises(ValueError):
-        ps.PatchSpec("P3", (64, 64, 16), 16)
-
-
-def test_patch_spec_allows_custom_level():
-    spec = ps.PatchSpec("tiny", (4, 4, 3), 5)
-    assert spec.per_scan_count == 5
-
-
 def test_sample_rejects_out_of_range_tensor():
     for bad in (1.5, -0.25, np.nan):
         tensor = np.full((2, 2, 2), 0.5, dtype=np.float32)
@@ -313,7 +301,7 @@ def window(sample):
 def test_whole_volume_level_returns_standardized_grid():
     v = std_volume(1, shape=(128, 160, 40))
     m = center_mask(v.shape)
-    out = ps.extract_patches(v, m, ps.level_spec("P6"), seed=3)
+    out = ps.extract_patches(v, m, "P6", seed=3)
     assert len(out) == 1
     assert same_bytes(out[0].tensor, ps.standardize_volume(v, m).voxels)
     assert out[0].origin == (0, 0, 0)
@@ -330,7 +318,7 @@ def test_every_level_matches_whole_grid_windows(in_shape):
     whole = ps.standardize_volume(v, m).voxels
     assert whole.min() >= 0.0 and whole.max() <= 1.0
     for level in ps.LEVELS:
-        for s in ps.extract_patches(v, m, ps.level_spec(level), seed=29):
+        for s in ps.extract_patches(v, m, level, seed=29):
             assert same_bytes(s.tensor, whole[window(s)]), (level, s.origin)
 
 
@@ -341,7 +329,7 @@ def test_p1_extract_peak_memory_is_far_below_one_grid():
     m = center_mask(v.shape)
     tracemalloc.start()
     try:
-        out = ps.extract_patches(v, m, ps.level_spec("P1"), seed=1)
+        out = ps.extract_patches(v, m, "P1", seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,11 +381,11 @@ def test_per_scan_counts_and_shapes_all_levels():
     v = std_volume(2)
     m = center_mask(v.shape)
     for level in ps.LEVELS:
-        spec = ps.level_spec(level)
-        out = ps.extract_patches(v, m, spec, seed=7)
-        assert len(out) == spec.per_scan_count
+        shape, count = ps.PATCH_TABLE[level]
+        out = ps.extract_patches(v, m, level, seed=7)
+        assert len(out) == count
         for s in out:
-            assert s.tensor.shape == spec.shape
+            assert s.tensor.shape == shape
             assert s.level == level
 
 
@@ -405,8 +393,8 @@ def test_patches_lie_inside_volume_and_match_slices():
     v = std_volume(3, shape=(100, 90, 30))
     m = center_mask(v.shape)
     whole = ps.standardize_volume(v, m).voxels
-    out = ps.extract_patches(v, m, ps.level_spec("P3"), seed=5)
-    pr, pc, psz = ps.level_spec("P3").shape
+    out = ps.extract_patches(v, m, "P3", seed=5)
+    pr, pc, psz = ps.PATCH_TABLE["P3"][0]
     R, C, S = ps.STANDARD_SHAPE
     for s in out:
         r, c, z = s.origin
@@ -419,22 +407,22 @@ def test_patches_lie_inside_volume_and_match_slices():
 def test_same_seed_same_origins():
     v = std_volume(4)
     m = center_mask(v.shape)
-    a = ps.extract_patches(v, m, ps.level_spec("P2"), seed=11)
-    b = ps.extract_patches(v, m, ps.level_spec("P2"), seed=11)
+    a = ps.extract_patches(v, m, "P2", seed=11)
+    b = ps.extract_patches(v, m, "P2", seed=11)
     assert [s.origin for s in a] == [s.origin for s in b]
 
 
 def test_distinct_seeds_distinct_origins():
     v = std_volume(5)
     m = center_mask(v.shape)
-    a = ps.extract_patches(v, m, ps.level_spec("P1"), seed=1)
-    b = ps.extract_patches(v, m, ps.level_spec("P1"), seed=2)
+    a = ps.extract_patches(v, m, "P1", seed=1)
+    b = ps.extract_patches(v, m, "P1", seed=2)
     assert sorted(s.origin for s in a) != sorted(s.origin for s in b)
 
 
 def test_output_sorted_by_origin():
     v = std_volume(6)
-    out = ps.extract_patches(v, center_mask(v.shape), ps.level_spec("P1"), seed=9)
+    out = ps.extract_patches(v, center_mask(v.shape), "P1", seed=9)
     origins = [s.origin for s in out]
     assert origins == sorted(origins)
 
@@ -446,9 +434,8 @@ def test_origin_overlap_constraint():
     br, er = idx[0].min(), idx[0].max() + 1
     bc, ec = idx[1].min(), idx[1].max() + 1
     for level in ("P1", "P2", "P3", "P4"):
-        spec = ps.level_spec(level)
-        pr, pc, _ = spec.shape
-        for s in ps.extract_patches(v, m, spec, seed=13):
+        pr, pc, _ = ps.PATCH_TABLE[level][0]
+        for s in ps.extract_patches(v, m, level, seed=13):
             r, c, _ = s.origin
             ov = (max(0, min(r + pr, er) - max(r, br))
                   * max(0, min(c + pc, ec) - max(c, bc)))
@@ -461,9 +448,9 @@ def test_small_box_falls_back_to_best_overlap():
     v = std_volume(8)
     bits = np.zeros(v.shape, dtype=bool)
     bits[250:260, 250:260, 10:20] = True
-    out = ps.extract_patches(v, Mask(bits), ps.level_spec("P5"), seed=17)
+    out = ps.extract_patches(v, Mask(bits), "P5", seed=17)
     assert len(out) == 4
-    pr, pc, _ = ps.level_spec("P5").shape
+    pr, pc, _ = ps.PATCH_TABLE["P5"][0]
     for s in out:
         r, c, _ = s.origin
         ov = (max(0, min(r + pr, 260) - max(r, 250))
@@ -477,10 +464,10 @@ def test_mask_in_native_grid_is_mapped():
     v = std_volume(9, shape=(64, 64, 20))
     native = np.zeros(v.shape, dtype=bool)
     native[16:48, 16:48, 5:15] = True
-    out = ps.extract_patches(v, Mask(native), ps.level_spec("P4"), seed=19)
+    out = ps.extract_patches(v, Mask(native), "P4", seed=19)
     lo = int(np.floor(16 * 511 / 63))
     hi = int(np.ceil(47 * 511 / 63)) + 1
-    pr, pc, _ = ps.level_spec("P4").shape
+    pr, pc, _ = ps.PATCH_TABLE["P4"][0]
     for s in out:
         r, c, _ = s.origin
         ov = (max(0, min(r + pr, hi) - max(r, lo))
@@ -492,23 +479,19 @@ def test_empty_mask_raises():
     v = std_volume(10)
     with pytest.raises(ps.NoLungRegion):
         ps.extract_patches(v, Mask(np.zeros(v.shape, dtype=bool)),
-                           ps.level_spec("P1"), seed=0)
+                           "P1", seed=0)
 
 
-def test_patch_larger_than_volume_rejected():
+def test_patch_larger_than_the_scan_is_cut_from_the_standard_grid():
     # a patch is cut from the standard grid, whatever the scan's own shape
     v = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1, 1, 1), "s")
-    with pytest.raises(ValueError):
-        ps.extract_patches(v, full_mask((8, 8, 8)),
-                           ps.PatchSpec("big", (16, 4, ps.STANDARD_SHAPE[2] + 1), 1),
-                           seed=0)
-    out = ps.extract_patches(v, full_mask((8, 8, 8)),
-                             ps.PatchSpec("big", (16, 4, 4), 1), seed=0)
-    assert out[0].tensor.shape == (16, 4, 4)
+    out = ps.extract_patches(v, full_mask((8, 8, 8)), "P1", seed=0)
+    assert len(out) == 64
+    assert all(s.tensor.shape == (16, 16, 9) for s in out)
 
 
 def test_label_propagates_to_all_samples():
     v = std_volume(11)
-    out = ps.extract_patches(v, center_mask(v.shape), ps.level_spec("P2"),
+    out = ps.extract_patches(v, center_mask(v.shape), "P2",
                              seed=23, label=3)
     assert all(s.label == 3 for s in out)

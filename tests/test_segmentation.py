@@ -10,7 +10,9 @@ from scipy import ndimage
 
 from ctscreen.nifti_io import Volume
 from ctscreen import segmentation as seg
-from ctscreen.phantoms import lung_phantom, dice
+from ctscreen.phantoms import lung_phantom
+
+from synth import dice
 
 
 def vol(arr, sid="t"):

@@ -8,7 +8,6 @@ import pytest
 
 from ctscreen import nn_core as nn
 from ctscreen import train as tr
-from ctscreen.patch_sampler import PatchSpec
 
 from synth import blob_dataset
 
@@ -321,29 +320,26 @@ def test_build_progressive_full_resolution_ladder_shapes():
     nn.model_shapes(top)  # whole ladder is shape-legal
 
 
-def ladder_levels():
-    return [PatchSpec("T1", (8, 8, 4), 4), PatchSpec("T2", (12, 12, 6), 2),
-            PatchSpec("T3", (16, 16, 8), 1)]
+LADDER = (("T1", (8, 8, 4)), ("T2", (12, 12, 6)), ("T3", (16, 16, 8)))
 
 
-def ladder_datasets(seed=0):
+def ladder_datasets(ladder=LADDER, seed=0):
     out = {}
-    for i, lv in enumerate(ladder_levels()):
-        out[lv.level] = (blob_dataset(16, seed + i, shape=lv.shape, level=lv.level),
-                         blob_dataset(8, seed + 50 + i, shape=lv.shape, level=lv.level))
+    for i, (level, shape) in enumerate(ladder):
+        out[level] = (blob_dataset(16, seed + i, shape=shape, level=level),
+                      blob_dataset(8, seed + 50 + i, shape=shape, level=level))
     return out
 
 
 def test_progressive_fit_single_level_equals_plain_fit():
-    lv = PatchSpec("T2", (12, 12, 6), 2)
-    data = {lv.level: (blob_dataset(16, 20, shape=lv.shape),
-                       blob_dataset(8, 21, shape=lv.shape))}
+    data = {"T2": (blob_dataset(16, 20, shape=(12, 12, 6)),
+                   blob_dataset(8, 21, shape=(12, 12, 6)))}
     cfg = quick_config(max_epochs=2, patience=1, seed=9)
-    final, results = tr.progressive_fit([lv], data, cfg, class_count=2,
+    final, results = tr.progressive_fit(data, cfg, class_count=2,
                                         channels=(4, 8))
     spec = nn.base_model((1, 6, 12, 12), 2, channels=(4, 8))
     init = nn.init_weights(spec, seed=cfg.seed)
-    best, hist = tr.fit(spec, init, *data[lv.level], cfg)
+    best, hist = tr.fit(spec, init, *data["T2"], cfg)
     assert results[0].history == hist
     for n in best:
         assert np.array_equal(final[n], best[n]), n
@@ -351,7 +347,7 @@ def test_progressive_fit_single_level_equals_plain_fit():
 
 def test_progressive_fit_carries_weights_bit_exact():
     cfg = quick_config(max_epochs=2, patience=1, seed=4)
-    _, results = tr.progressive_fit(ladder_levels(), ladder_datasets(), cfg,
+    _, results = tr.progressive_fit(ladder_datasets(), cfg,
                                     class_count=2, channels=(4, 8))
     assert [r.level for r in results] == ["T1", "T2", "T3"]
     for prev, cur in zip(results, results[1:]):
@@ -362,10 +358,20 @@ def test_progressive_fit_carries_weights_bit_exact():
 
 
 def test_progressive_fit_rejects_shrinking_ladder():
-    levels = [PatchSpec("T2", (12, 12, 6), 2), PatchSpec("T1", (8, 8, 4), 4)]
+    shrinking = ladder_datasets(LADDER[1::-1])
+    assert list(shrinking) == ["T2", "T1"]
     with pytest.raises(tr.IncompatibleSpec):
-        tr.progressive_fit(levels, ladder_datasets(), quick_config(),
+        tr.progressive_fit(shrinking, quick_config(),
                            class_count=2, channels=(4, 8))
+
+
+def test_progressive_fit_rejects_an_empty_train_set_before_training():
+    datasets = ladder_datasets()
+    datasets["T3"] = ([], datasets["T3"][1])
+    with pytest.raises(tr.EmptyDataset, match="level T3: train"):
+        tr.progressive_fit(datasets, quick_config(), class_count=2,
+                           channels=(4, 8),
+                           log=lambda *_: pytest.fail("trained before the check"))
 
 
 # ---------------------------------------------------------------- history
