@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import secrets
 import struct
@@ -43,6 +44,12 @@ _LABEL_MAPS = {
     "binary": {l: (0 if l == "NOR" else 1) for l in LABELS},
     "multiclass": {"NOR": 0, "MiNCP": 1, "MoNCP": 2, "SeNCP": 3, "CrNCP": 3},
 }
+
+
+# the most parameters a model may have: 256 MiB per float32 copy, and
+# training holds about six (weights, gradients, two Adam moments, the best
+# and the initial weights)
+MAX_PARAMETERS = 1 << 26
 
 
 class ManifestError(Exception):
@@ -132,6 +139,14 @@ class RunConfig:
                              f"got {self.val_fraction}")
         if min(self.channels, default=0) < 1:
             raise ValueError(f"model.channels must be positive, got {self.channels}")
+        # checked before any weight is allocated; with the gap bridge the
+        # count does not depend on the input shape
+        spec = nn_core.base_model((1, 1, 1, 1), len(PROTOCOL_CLASSES[self.protocol]),
+                                  self.channels)
+        size = sum(math.prod(shape) for shape in nn_core.param_shapes(spec).values())
+        if size > MAX_PARAMETERS:
+            raise ValueError(f"model.channels {self.channels} make {size} parameters, "
+                             f"more than {MAX_PARAMETERS}")
         _check_levels(self.levels)
         self.policy = dataclasses.replace(self.policy, seed=self.seed)
         self.train = dataclasses.replace(

@@ -24,7 +24,9 @@ import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
+
+from . import parallel
 
 
 class ShapeMismatch(ValueError):
@@ -91,9 +93,67 @@ def _pad_channels_last(x, padding):
                   ((0, 0),) + tuple((p, p) for p in padding) + ((0, 0),))
 
 
-# outputs per slab of the ci == 1 forward: a float32 slab and its product
-# buffer take 1 MiB, which stays in a 2 MiB L2 cache
-SLAB_ELEMENTS = 1 << 17
+# wide positions per chunk of the ci == 1 forward: a float32 chunk and its
+# product buffer take 1 MiB, which stays in a 2 MiB L2 cache
+CHUNK_ELEMENTS = 1 << 17
+
+
+def _chunks(extents, steps, chunk):
+    """(start, count) boxes over the (sample, plane, row) output extents that
+    cover each once, each box spanning at most about `chunk` wide positions:
+    whole samples if one fits, else whole planes of one sample, else rows."""
+    level = next((i for i, step in enumerate(steps) if step <= chunk), len(steps) - 1)
+    count = max(chunk // steps[level], 1)
+    inner = tuple(extents[level + 1:])
+    for outer in np.ndindex(*extents[:level]):
+        for start in range(0, extents[level], count):
+            yield (outer + (start,) + (0,) * len(inner),
+                   (1,) * level + (min(count, extents[level] - start),) + inner)
+
+
+def _one_channel_forward(x, kernel, bias, stride, padding, dims):
+    """The ci == 1 forward, lowered on the flat padded input (see
+    conv3d_forward); each part of the pool takes every n-th chunk."""
+    co = kernel.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    flat = xp.reshape(-1)
+    dp, hp, wp = xp.shape[2:]
+    # wide positions from one sample, output plane, output row, output voxel
+    # to the next
+    steps = (dp * hp * wp, stride[0] * hp * wp, stride[1] * wp, stride[2])
+    shifts = [i * hp * wp + j * wp + k for i, j, k in np.ndindex(*kernel.shape[2:])]
+    taps = kernel.reshape(co, -1)
+    out = np.empty((x.shape[0], co) + dims, dtype=x.dtype)
+    chunks = []
+    for start, count in _chunks((x.shape[0],) + dims[:2], steps[:3], CHUNK_ELEMENTS):
+        count += dims[2:]
+        span = sum((n - 1) * step for n, step in zip(count, steps)) + 1
+        chunks.append((start, count, sum(i * step for i, step in zip(start, steps)), span))
+    n = min(parallel.parts(), len(chunks))
+    size = max(span for *_, span in chunks)
+    acc = np.empty((n, size), dtype=x.dtype)
+    term = np.empty((n, size), dtype=np.result_type(x, kernel))
+
+    def part(p):
+        for (b0, d0, h0), count, q0, span in chunks[p::n]:
+            a, t = acc[p, :span], term[p, :span]
+            # the outputs among this chunk's wide positions
+            valid = as_strided(a, count, tuple(step * a.itemsize for step in steps),
+                               writeable=False)
+            rows = (slice(b0, b0 + count[0]), slice(d0, d0 + count[1]),
+                    slice(h0, h0 + count[2]))
+            for c in range(co):
+                a[...] = 0
+                for shift, tap in zip(shifts, taps[c]):
+                    np.multiply(flat[q0 + shift:q0 + shift + span], tap, out=t)
+                    a += t
+                dst = out[rows[0], c, rows[1], rows[2]]
+                if bias is None:
+                    np.copyto(dst, valid)
+                else:
+                    np.add(valid, bias[c:c + 1], out=dst)
+    parallel.run(part, n)
+    return out
 
 
 def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
@@ -104,10 +164,16 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
 
     - ci > 1: channels-last, one BLAS GEMM per offset,
       acc(N, co) += window(N, ci) @ W[i,j,k](ci, co);
-    - ci == 1 (the progressive stems and the first base conv): a per-offset
-      multiply-add in the channel-first layout, one cache-sized slab of
-      output at a time (see SLAB_ELEMENTS); each output still sums its
-      offsets in the same order, so the slabs change no bits. These layers are
+    - ci == 1 (the progressive stems and the first base conv): a flat
+      lowering. Read flat, the padded input under kernel offset (i, j, k) is
+      one contiguous run shifted by i*Hp*Wp + j*Wp + k, for every stride
+      and padding. Over cache-sized chunks of these wide positions (see
+      CHUNK_ELEMENTS), one multiply-add per offset and output channel sums
+      the offsets in C order, and the outputs among them, every stride-th
+      position of each plane's valid [:H, :W] block, are copied into the
+      result. The chunks are dealt to the pool (`parallel`); each output
+      sums the same terms in the same order whatever the chunking or the
+      part count, so the bytes do not depend on either. These layers are
       memory-bound, a GEMM/GEMV there is slower for co == 1, a full im2col
       of a 36x512x512 scan would need about 1 GB, and their float32 bits
       are kept as they were: the ladder-beats-baseline acceptance test
@@ -118,33 +184,17 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     if bias is not None and np.shape(bias) != (co,):
         raise ShapeMismatch(f"bias {np.shape(bias)} != ({co},) output channels")
     if ci == 1:
-        xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-        out = np.zeros((b, co) + dims, dtype=x.dtype)
-        # slabs of about SLAB_ELEMENTS outputs: a run of axis-0 rows of one
-        # sample, or whole samples when one sample is smaller than that
-        rows = min(max(SLAB_ELEMENTS // (co * dims[1] * dims[2]), 1), dims[0])
-        samples = min(max(SLAB_ELEMENTS // (co * math.prod(dims)), 1), b)
-        term = np.empty((samples, co, rows) + dims[1:], dtype=np.result_type(x, kernel))
-        for b0 in range(0, b, samples):
-            for d0 in range(0, dims[0], rows):
-                slab = out[b0:b0 + samples, :, d0:d0 + rows]
-                t = term[:slab.shape[0], :, :slab.shape[2]]
-                src = xp[b0:b0 + samples, :, stride[0] * d0:]
-                for off, view in _offsets(kernel, stride, slab.shape[2:]):
-                    np.multiply(src[(Ellipsis,) + view],
-                                kernel[(slice(None), 0) + off].reshape(1, co, 1, 1, 1), out=t)
-                    slab += t
-    else:
-        xp = _pad_channels_last(x, padding)
-        w = np.ascontiguousarray(kernel.transpose(2, 3, 4, 1, 0))  # (kd, kh, kw, ci, co)
-        window = np.empty((b,) + dims + (ci,), dtype=x.dtype)
-        rows = window.reshape(-1, ci)
-        acc = np.zeros((rows.shape[0], co), dtype=x.dtype)
-        for off, view in _offsets(kernel, stride, dims):
-            np.copyto(window, xp[(slice(None),) + view])
-            acc += rows @ w[off]
-        out = np.ascontiguousarray(
-            acc.reshape((b,) + dims + (co,)).transpose(0, 4, 1, 2, 3))
+        return _one_channel_forward(x, kernel, bias, stride, padding, dims)
+    xp = _pad_channels_last(x, padding)
+    w = np.ascontiguousarray(kernel.transpose(2, 3, 4, 1, 0))  # (kd, kh, kw, ci, co)
+    window = np.empty((b,) + dims + (ci,), dtype=x.dtype)
+    rows = window.reshape(-1, ci)
+    acc = np.zeros((rows.shape[0], co), dtype=x.dtype)
+    for off, view in _offsets(kernel, stride, dims):
+        np.copyto(window, xp[(slice(None),) + view])
+        acc += rows @ w[off]
+    out = np.ascontiguousarray(
+        acc.reshape((b,) + dims + (co,)).transpose(0, 4, 1, 2, 3))
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1, 1)
     return out
@@ -192,7 +242,16 @@ def conv3d_backward(x, kernel, grad_out, stride=1, padding=0, input_grad=True):
 
 
 def maxpool3d_forward(x, window, stride=None):
-    """Max per window; ties resolve to the lowest linear in-window index."""
+    """Max per window; ties resolve to the lowest linear in-window index, and
+    a NaN counts as the largest value (the rule of np.argmax).
+
+    The running maximum meets the window's voxels one offset at a time in C
+    order, and a voxel takes over unless it is <= the maximum or the maximum
+    is NaN. The takeover selects raw bits under an all-ones integer mask: a
+    masked copy (np.copyto with where=) branches on every voxel, and was 4x
+    slower on noisy input. The pool's parts take disjoint ranges of output
+    depth.
+    """
     window = _triple(window)
     stride = _triple(stride) if stride is not None else window
     if x.ndim != 5:
@@ -200,12 +259,34 @@ def maxpool3d_forward(x, window, stride=None):
     for n, k in zip(x.shape[2:], window):
         if k > n:
             raise ShapeMismatch(f"pool window {window} exceeds extent {x.shape[2:]}")
-    xw = sliding_window_view(x, window, axis=(2, 3, 4))
-    xw = xw[:, :, ::stride[0], ::stride[1], ::stride[2]]
-    flat = xw.reshape(xw.shape[:5] + (-1,))
-    idx = flat.argmax(axis=-1)  # first maximum = lowest linear index
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), (x.shape, window, stride, idx)
+    dims = _conv_extents(x.shape[2:], window, stride, (0, 0, 0))
+    views = [(Ellipsis,) + tuple(slice(o, o + s * n, s) for o, s, n in zip(off, stride, dims))
+             for off in np.ndindex(*window)]
+    bits = np.dtype(f"i{x.itemsize}")
+    out = np.empty(x.shape[:2] + dims, dtype=x.dtype)
+    idx = np.zeros(out.shape, dtype=np.intp)
+    flags = np.empty((2,) + out.shape, dtype=bool)
+    masks = np.empty((2,) + out.shape, dtype=bits)
+    n = min(parallel.parts(), dims[0])
+
+    def part(p):
+        d = (Ellipsis, slice(p * dims[0] // n, (p + 1) * dims[0] // n), slice(None), slice(None))
+        top, at, keep, nan, take, diff = (out[d], idx[d], flags[0][d], flags[1][d],
+                                          masks[0][d], masks[1][d])
+        np.copyto(top, x[views[0]][d])
+        for t, view in enumerate(views[1:], 1):
+            v = x[view][d]
+            np.less_equal(v, top, out=keep)
+            np.not_equal(top, top, out=nan)
+            np.logical_or(keep, nan, out=keep)
+            np.subtract(keep, 1, out=take, dtype=bits)  # all ones where v takes over
+            np.bitwise_xor(top.view(bits), v.view(bits), out=diff)
+            np.bitwise_and(diff, take, out=diff)
+            np.bitwise_xor(top.view(bits), diff, out=top.view(bits))
+            np.bitwise_and(take, t, out=diff)
+            np.maximum(at, diff, out=at)
+    parallel.run(part, n)
+    return out, (x.shape, window, stride, idx)
 
 
 def maxpool3d_backward(grad_out, cache):

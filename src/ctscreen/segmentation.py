@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from . import parallel
 from .nifti_io import Volume
 
 
@@ -101,15 +102,75 @@ def _structure(connectivity: int):
     raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
 
+def _cuts(extent):
+    """Bounds of the pool's parts (`parallel`) along an axis of `extent`."""
+    n = min(parallel.parts(), extent)
+    return [p * extent // n for p in range(n + 1)]
+
+
+def _roots(n, a, b):
+    """For each of n nodes, the smallest node joined to it by edges a[i]-b[i]."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        # hook each larger root under a smaller one, then point every node
+        # at its root; links only ever point down, so they make no cycle
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
 def _border_connected(bits, connectivity):
-    """Voxels of `bits` whose component touches any of the six grid faces."""
-    labels, n = ndimage.label(bits, structure=_structure(connectivity))
-    border = np.zeros(n + 1, dtype=bool)
-    for face in (labels[0], labels[-1], labels[:, 0], labels[:, -1],
-                 labels[:, :, 0], labels[:, :, -1]):
-        border[face] = True
-    border[0] = False
-    return border[labels]
+    """Voxels of `bits` whose component touches any of the six grid faces.
+
+    Each part of the pool labels one slab along axis 0 into its slice of one
+    label grid. The structure's offsets from one slab's last plane to the
+    next slab's first plane join labels across each seam, and a joined
+    component touches a face when any of its labels does.
+    """
+    structure = _structure(connectivity)
+    cuts = _cuts(bits.shape[0])
+    slabs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    labels = np.empty(bits.shape, dtype=np.int32)
+    counts = [0] * len(slabs)
+
+    def label(p):
+        counts[p] = ndimage.label(bits[slabs[p]], structure, output=labels[slabs[p]])
+    parallel.run(label, len(slabs))
+
+    # node first[p] + l - 1 is slab p's label l
+    first = np.cumsum([0] + counts)
+    touches = np.zeros(first[-1], dtype=bool)
+    for p, slab in enumerate(slabs):
+        faces = [labels[slab, 0], labels[slab, -1], labels[slab, :, 0], labels[slab, :, -1]]
+        faces += [labels[0]] if p == 0 else []
+        faces += [labels[-1]] if p == len(slabs) - 1 else []
+        for face in faces:
+            touches[first[p] + face[face > 0] - 1] = True
+    ends = ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)])
+    n1, n2 = bits.shape[1:]
+    for p, cut in enumerate(cuts[1:-1], 1):
+        for dj, dk in np.argwhere(structure[2]) - 1:
+            lo = labels[cut - 1, max(-dj, 0):n1 - max(dj, 0), max(-dk, 0):n2 - max(dk, 0)]
+            hi = labels[cut, max(dj, 0):n1 - max(-dj, 0), max(dk, 0):n2 - max(-dk, 0)]
+            both = (lo > 0) & (hi > 0)
+            ends[0].append(first[p - 1] + lo[both] - 1)
+            ends[1].append(first[p] + hi[both] - 1)
+    root = _roots(first[-1], *map(np.concatenate, ends))
+    border = np.zeros(first[-1], dtype=bool)
+    border[root[touches]] = True
+    out = np.empty(bits.shape, dtype=bool)
+
+    def mark(p):
+        lut = np.concatenate([[False], border[root[first[p]:first[p + 1]]]])
+        # plane by plane: np.take would first copy the labels as intp
+        for i in range(slabs[p].start, slabs[p].stop):
+            out[i] = lut[labels[i]]
+    parallel.run(mark, len(slabs))
+    return out
 
 
 def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
@@ -193,24 +254,37 @@ def _chords(radius, reach):
 
 
 def _erode_bits(bits, radius, outside=False):
-    """Voxels whose whole ball lies in `bits`; out-of-grid voxels read as `outside`."""
+    """Voxels whose whole ball lies in `bits`; out-of-grid voxels read as `outside`.
+
+    The chord runs grow along axis 0 and are read at in-plane shifts, so
+    each part of the pool takes a slab of axis 1 and grows its own run
+    buffer over that slab plus J voxels of the grid on either side.
+    """
     n0, n1, n2 = bits.shape
     r = int(math.floor(radius))
     H, J, K = min(r, n0), min(r, n1), min(r, n2)
     padded = np.pad(bits, ((0, 0), (J, J), (K, K)), constant_values=outside)
-    # run is the mask d > h: set voxels whose axis-0 neighbours within h are set
-    run = padded.copy()
     out = np.ones(bits.shape, dtype=bool)
     by_h = _chords(radius, (H, J, K))
-    for h in range(H + 1):
-        if h:
-            run[:-h] &= padded[h:]
-            run[h:] &= padded[:-h]
-            if not outside:
-                run[:h] = False
-                run[-h:] = False
-        for j, k in by_h.get(h, ()):
-            out &= run[:, J + j:J + j + n1, K + k:K + k + n2]
+    cuts = _cuts(n1)
+    runs = [np.empty((n0, b - a + 2 * J, n2 + 2 * K), dtype=bool)
+            for a, b in zip(cuts, cuts[1:])]
+
+    def part(p):
+        a, b = cuts[p], cuts[p + 1]
+        src, run, dst = padded[:, a:b + 2 * J], runs[p], out[:, a:b]
+        # run is the mask d > h: set voxels whose axis-0 neighbours within h are set
+        np.copyto(run, src)
+        for h in range(H + 1):
+            if h:
+                run[:-h] &= src[h:]
+                run[h:] &= src[:-h]
+                if not outside:
+                    run[:h] = False
+                    run[-h:] = False
+            for j, k in by_h.get(h, ()):
+                dst &= run[:, J + j:J + j + b - a, K + k:K + k + n2]
+    parallel.run(part, len(runs))
     return out
 
 

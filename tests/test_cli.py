@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctscreen import cli, metrics, nifti_io, nn_core
+from ctscreen import cli, metrics, nifti_io, nn_core, parallel
 from ctscreen.nifti_io import Volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
@@ -656,6 +657,7 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     bad_values = [("train.val_fraction", v) for v in ("0", "nan", "-0.5", "2")]
     bad_values += [("model.channels", "0"), ("model.channels", "2,-1"),
+                   ("model.channels", "1000000,1000000"),
                    ("augment.elastic_grid", "4,4"),
                    ("augment.elastic_grid", "4,4,2,2"),
                    ("train.max_epochs", "-1"), ("train.patience", "-3"),
@@ -728,6 +730,37 @@ def test_eval_reports_and_determinism(workspace, trained, tmp_path, capsys):
             weighted[2:5] + weighted[6:])]
     roc = list(csv.reader((out1 / "roc.csv").open()))
     assert roc[0] == ["class", "fpr", "tpr"]
+
+
+def test_jobs_workers_run_each_kernel_as_one_part(workspace, trained, tmp_path,
+                                                 monkeypatch):
+    # with one job the main thread splits the kernels; under --jobs each
+    # worker runs them whole, and the outputs are the same bytes
+    monkeypatch.setattr(parallel, "CPUS", 2)
+    calls = []
+    run = parallel.run
+
+    def recording(part, n):
+        calls.append((threading.current_thread() is threading.main_thread(), n))
+        return run(part, n)
+    monkeypatch.setattr(parallel, "run", recording)
+    common = ["--manifest", str(workspace["manifest"]), "--config", str(workspace["config"])]
+    seen = {}
+    for jobs in ("1", "2"):
+        calls.clear()
+        masks, scores = tmp_path / f"masks{jobs}", tmp_path / f"eval{jobs}"
+        assert cli.main(["segment", *common, "--out", str(masks), "--jobs", jobs]) == 0
+        assert cli.main(["eval", "--checkpoint", str(trained["out"] / "checkpoint_final.ctck"),
+                         *common, "--out", str(scores), "--jobs", jobs]) == 0
+        seen[jobs] = set(calls)
+    assert seen["1"] == {(True, 1), (True, 2)}
+    assert seen["2"] == {(False, 1)}
+    for out in ("masks", "eval"):
+        names = sorted(os.listdir(tmp_path / f"{out}1"))
+        assert names == sorted(os.listdir(tmp_path / f"{out}2"))
+        for name in names:
+            assert ((tmp_path / f"{out}1" / name).read_bytes()
+                    == (tmp_path / f"{out}2" / name).read_bytes()), name
 
 
 def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):

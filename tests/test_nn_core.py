@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ctscreen import nn_core as nn
+from ctscreen import nn_core as nn, parallel
 
 
 # ---------------------------------------------------------------- oracles
@@ -238,24 +239,27 @@ def unblocked_one_channel_forward(x, kernel, bias, stride, padding):
     return out
 
 
-# slab sizes that cut one row, two rows (so 7 rows end on a short slab),
-# whole samples one at a time, two samples at a time (so 3 samples end on a
-# short slab), and the module's own
-@pytest.mark.parametrize("slab", [1, 150, 700, 1100, nn.SLAB_ELEMENTS])
+# chunk sizes (on this test's 9x8 grid, 11x10 wide positions per padded
+# plane) that take one row, two rows (so 9 rows end on a short chunk), one
+# plane, six planes (so 7 planes end on a short chunk), an odd count that
+# holds one sample (so 3 samples take 3 chunks), and the module's own
+@pytest.mark.parametrize("chunk", [1, 25, 110, 700, 1501, nn.CHUNK_ELEMENTS])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_slabbed_one_channel_forward_is_byte_equal_to_the_unblocked_loop(
-        slab, dtype, monkeypatch):
-    monkeypatch.setattr(nn, "SLAB_ELEMENTS", slab)
+        chunk, dtype, monkeypatch):
+    monkeypatch.setattr(nn, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(50)
-    for b in (1, 3):
-        for co in (1, 16):
-            for stride, padding in [(1, 1), (2, 1), ((2, 1, 2), (0, 1, 1))]:
-                x = rng.standard_normal((b, 1, 7, 9, 8)).astype(dtype)
-                k = rng.standard_normal((co, 1, 3, 3, 3)).astype(dtype)
-                bias = rng.standard_normal(co).astype(dtype)
-                got = nn.conv3d_forward(x, k, bias, stride, padding)
-                want = unblocked_one_channel_forward(x, k, bias, stride, padding)
-                assert same_bytes(got, want), (b, co, stride)
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(parallel, "CPUS", parts)
+        for b in (1, 3):
+            for co in (1, 16):
+                for stride, padding in [(1, 1), (2, 1), ((2, 1, 2), (0, 1, 1))]:
+                    x = rng.standard_normal((b, 1, 7, 9, 8)).astype(dtype)
+                    k = rng.standard_normal((co, 1, 3, 3, 3)).astype(dtype)
+                    bias = rng.standard_normal(co).astype(dtype)
+                    got = nn.conv3d_forward(x, k, bias, stride, padding)
+                    want = unblocked_one_channel_forward(x, k, bias, stride, padding)
+                    assert same_bytes(got, want), (parts, b, co, stride)
 
 
 @pytest.mark.parametrize("ci", [1, 3])
@@ -316,6 +320,27 @@ def test_conv_bytes_do_not_depend_on_blas_threads():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
+ONE_CPU_SCRIPT = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from ctscreen import nn_core as nn, segmentation as seg
+x = np.ones((2, 1, 6, 8, 8), dtype=np.float32)
+y = nn.conv3d_forward(x, np.ones((1, 1, 3, 3, 3), dtype=np.float32), None, 1, 1)
+nn.maxpool3d_forward(y, 2)
+seg.morph_close(seg.remove_border_components(seg.Mask(x[0, 0] > 0)), 1)
+print(threading.active_count())
+"""
+
+
+def test_one_cpu_starts_no_pool_thread():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.strip() == "1"
+
+
 # ------------------------------------------------------------------- pool
 
 def test_pool_window_one_identity():
@@ -344,6 +369,33 @@ def test_pool_matches_loop_oracle():
         x = rng.standard_normal((2, 3, 5, 6, 4))
         out, _ = nn.maxpool3d_forward(x, window, stride)
         assert np.array_equal(out, pool_loop_oracle(x, window, stride)), (window, stride)
+
+
+def argmax_pool_forward(x, window, stride):
+    """maxpool3d_forward as it was before the pool split it, kept as a byte
+    oracle: np.argmax over a copy of every window."""
+    xw = sliding_window_view(x, window, axis=(2, 3, 4))
+    xw = xw[:, :, ::stride[0], ::stride[1], ::stride[2]]
+    flat = xw.reshape(xw.shape[:5] + (-1,))
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_bytes_do_not_depend_on_the_part_count(parts, dtype):
+    rng = np.random.default_rng(9)
+    clamp = nn.LayerSpec("maxpool3d", window=2, clamp_window=True)
+    for shape in [(2, 3, 7, 6, 5), (2, 2, 2, 4, 4), (1, 2, 1, 5, 1)]:
+        x = rng.standard_normal(shape).astype(dtype)
+        x[0, 0, :, :2] = np.nan  # whole windows of NaN, and NaN beside numbers
+        x[0, 0, :, 3:] = -np.nan
+        x[1 % shape[0], 1] = rng.choice([-0.0, 0.0, 1.0], shape[2:])  # signed-zero ties
+        x[-1, -1, ::2] = 2.0  # ties of equal numbers
+        for window, stride in [nn._pool_geometry(shape[2:], clamp),
+                               ((1, 2, 1), (1, 1, 1)), ((1, 1, 1), (2, 3, 1))]:
+            out, (_, _, _, idx) = nn.maxpool3d_forward(x, window, stride)
+            want, want_idx = argmax_pool_forward(x, window, stride)
+            assert same_bytes(out, want) and same_bytes(idx, want_idx), (shape, window)
 
 
 def test_pool_backward_matches_finite_differences():

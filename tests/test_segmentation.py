@@ -227,6 +227,65 @@ def test_interior_kept_border_dropped_matches_flood_oracle():
             assert np.array_equal(out.bits, expect)
 
 
+def one_call_border_connected(bits, connectivity):
+    """_border_connected as it was before the pool split it, kept as a byte
+    oracle: one ndimage.label call over the whole grid."""
+    labels, n = ndimage.label(bits, structure=seg._structure(connectivity))
+    border = np.zeros(n + 1, dtype=bool)
+    for face in (labels[0], labels[-1], labels[:, 0], labels[:, -1],
+                 labels[:, :, 0], labels[:, :, -1]):
+        border[face] = True
+    border[0] = False
+    return border[labels]
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_border_connected_does_not_depend_on_the_part_count(parts, connectivity):
+    rng = np.random.default_rng(12)
+    for shape in [(20, 20, 20), (7, 5, 9), (3, 1, 4), (1, 6, 6)]:
+        for density in (0.18, 0.5, 0.8):
+            bits = rng.random(shape) < density
+            assert np.array_equal(seg._border_connected(bits, connectivity),
+                                  flood_from_border(bits, connectivity)), (shape, density)
+
+
+def test_seam_joins_a_component_that_crosses_it_only_diagonally(parts):
+    # with two parts the cut lies between rows 2 and 3; the component
+    # touches a face only in the near half
+    bits = np.zeros((6, 5, 5), dtype=bool)
+    bits[0:3, 2, 2] = True
+    bits[3:5, 3, 3] = True
+    for connectivity, joined in ((26, True), (6, False)):
+        got = seg._border_connected(bits, connectivity)
+        assert np.array_equal(got, one_call_border_connected(bits, connectivity))
+        assert got[4, 3, 3] == joined
+
+
+def test_seam_joins_a_u_that_crosses_it_twice(parts):
+    # two arms in the near half, joined in the far half, which alone
+    # reaches a face (row 7)
+    bits = np.zeros((8, 5, 9), dtype=bool)
+    bits[1:6, 2, 2] = True
+    bits[1:6, 2, 6] = True
+    bits[5, 2, 2:7] = True
+    bits[5:8, 2, 4] = True
+    for connectivity in (6, 26):
+        got = seg._border_connected(bits, connectivity)
+        assert np.array_equal(got, one_call_border_connected(bits, connectivity))
+        assert got[1, 2, 2] and got[1, 2, 6]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_seam_on_grids_one_and_two_rows_deep(parts, depth):
+    rng = np.random.default_rng(13)
+    for density in (0.2, 0.5, 0.8):
+        bits = rng.random((depth, 7, 7)) < density
+        bits[:, 1:6, 1:6] |= rng.random((depth, 5, 5)) < density
+        for connectivity in (6, 26):
+            assert np.array_equal(seg._border_connected(bits, connectivity),
+                                  one_call_border_connected(bits, connectivity))
+
+
 def test_border_removal_empty_identity():
     m = seg.Mask(np.zeros((4, 4, 4), dtype=bool))
     assert not seg.remove_border_components(m, 26).bits.any()
@@ -311,6 +370,18 @@ def test_erode_shaves_border_touching_structure():
     bits[0:3] = True  # slab on the r=0 face
     out = seg.morph_erode(seg.Mask(bits), 1)
     assert not out.bits[0].any()  # face layer gone: outside is background
+
+
+def test_morphology_does_not_depend_on_the_part_count(parts):
+    rng = np.random.default_rng(14)
+    for shape in [(10, 11, 9), (6, 2, 7), (5, 1, 6)]:
+        for radius in (1, 2):
+            bits = rng.random(shape) < 0.6
+            assert np.array_equal(seg.morph_erode(seg.Mask(bits), radius).bits,
+                                  erode_oracle(bits, radius)), (shape, radius)
+            bits = rng.random(shape) < 0.35
+            assert np.array_equal(seg.morph_close(seg.Mask(bits), radius).bits,
+                                  close_oracle(bits, radius)), (shape, radius)
 
 
 def test_close_radius_zero_identity():
