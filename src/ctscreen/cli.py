@@ -406,7 +406,7 @@ def _model_input(std: Volume, spec: nn_core.ModelSpec):
     """Standardized volume resampled to the checkpoint grid, batch of one."""
     _, d, h, w = spec.input_shape
     tensor = trilinear_resample(std.voxels, (h, w, d))
-    return tensor.transpose(2, 0, 1)[None, None].astype(np.float32)
+    return tensor.transpose(2, 0, 1)[None, None].astype(np.float32, copy=False)
 
 
 def _scan_probs(spec, weights, volume, mask):

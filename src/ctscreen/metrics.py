@@ -78,9 +78,8 @@ def confusion_matrix(predicted, actual, k) -> ConfusionMatrix:
     for name, arr in (("predicted", predicted), ("actual", actual)):
         if arr.size and (arr.min() < 0 or arr.max() >= k):
             raise LabelOutOfRange(f"{name} labels outside [0,{k})")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (predicted, actual), 1)
-    return ConfusionMatrix(counts)
+    counts = np.bincount((predicted * k + actual).ravel(), minlength=k * k)
+    return ConfusionMatrix(counts.reshape(k, k))
 
 
 def precision_recall_f1(matrix: ConfusionMatrix) -> EvalReport:

@@ -75,10 +75,10 @@ def _conv_geometry(x, kernel, stride, padding):
     return stride, padding, _conv_extents(x.shape[2:], kernel.shape[2:], stride, padding)
 
 
-def _offsets(kernel, stride, dims):
-    """Each kernel offset (i, j, k), in C order, with the spatial slices of
-    the padded input that this offset meets across the output grid."""
-    for off in np.ndindex(*kernel.shape[2:]):
+def _offsets(window, stride, dims):
+    """Each offset (i, j, k) of a window of extents `window`, in C order, with
+    the spatial slices of the (padded) input it meets across the output grid."""
+    for off in np.ndindex(*window):
         yield off, tuple(slice(o, o + s * n, s) for o, s, n in zip(off, stride, dims))
 
 
@@ -113,7 +113,7 @@ def _chunks(extents, steps, chunk):
 
 def _one_channel_forward(x, kernel, bias, stride, padding, dims):
     """The ci == 1 forward, lowered on the flat padded input (see
-    conv3d_forward); each part of the pool takes every n-th chunk."""
+    conv3d_forward); each part of the pool takes a run of chunks."""
     co = kernel.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
     flat = xp.reshape(-1)
@@ -129,13 +129,13 @@ def _one_channel_forward(x, kernel, bias, stride, padding, dims):
         count += dims[2:]
         span = sum((n - 1) * step for n, step in zip(count, steps)) + 1
         chunks.append((start, count, sum(i * step for i, step in zip(start, steps)), span))
-    n = min(parallel.parts(), len(chunks))
+    cuts = parallel.cuts(len(chunks))
     size = max(span for *_, span in chunks)
-    acc = np.empty((n, size), dtype=x.dtype)
-    term = np.empty((n, size), dtype=np.result_type(x, kernel))
+    acc = np.empty((len(cuts) - 1, size), dtype=x.dtype)
+    term = np.empty(acc.shape, dtype=np.result_type(x, kernel))
 
     def part(p):
-        for (b0, d0, h0), count, q0, span in chunks[p::n]:
+        for (b0, d0, h0), count, q0, span in chunks[cuts[p]:cuts[p + 1]]:
             a, t = acc[p, :span], term[p, :span]
             # the outputs among this chunk's wide positions
             valid = as_strided(a, count, tuple(step * a.itemsize for step in steps),
@@ -152,7 +152,7 @@ def _one_channel_forward(x, kernel, bias, stride, padding, dims):
                     np.copyto(dst, valid)
                 else:
                     np.add(valid, bias[c:c + 1], out=dst)
-    parallel.run(part, n)
+    parallel.run(part, len(cuts) - 1)
     return out
 
 
@@ -171,7 +171,7 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
       CHUNK_ELEMENTS), one multiply-add per offset and output channel sums
       the offsets in C order, and the outputs among them, every stride-th
       position of each plane's valid [:H, :W] block, are copied into the
-      result. The chunks are dealt to the pool (`parallel`); each output
+      result. The pool's parts (`parallel`) take runs of chunks; each output
       sums the same terms in the same order whatever the chunking or the
       part count, so the bytes do not depend on either. These layers are
       memory-bound, a GEMM/GEMV there is slower for co == 1, a full im2col
@@ -190,7 +190,7 @@ def conv3d_forward(x, kernel, bias=None, stride=1, padding=0):
     window = np.empty((b,) + dims + (ci,), dtype=x.dtype)
     rows = window.reshape(-1, ci)
     acc = np.zeros((rows.shape[0], co), dtype=x.dtype)
-    for off, view in _offsets(kernel, stride, dims):
+    for off, view in _offsets(kernel.shape[2:], stride, dims):
         np.copyto(window, xp[(slice(None),) + view])
         acc += rows @ w[off]
     out = np.ascontiguousarray(
@@ -214,7 +214,7 @@ def conv3d_backward(x, kernel, grad_out, stride=1, padding=0, input_grad=True):
     if ci == 1:
         xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
         grad_xp = np.zeros_like(xp) if input_grad else None
-        for off, view in _offsets(kernel, stride, dims):
+        for off, view in _offsets(kernel.shape[2:], stride, dims):
             sub = (Ellipsis,) + view
             grad_k[(Ellipsis,) + off] = np.einsum("bcdhw,bodhw->oc", xp[sub], grad_out)
             if input_grad:
@@ -228,7 +228,7 @@ def conv3d_backward(x, kernel, grad_out, stride=1, padding=0, input_grad=True):
         grad_xp = np.zeros_like(xp) if input_grad else None
         window = np.empty((b,) + dims + (ci,), dtype=x.dtype)
         rows = window.reshape(-1, ci)
-        for off, view in _offsets(kernel, stride, dims):
+        for off, view in _offsets(kernel.shape[2:], stride, dims):
             sub = (slice(None),) + view
             np.copyto(window, xp[sub])
             grad_k[(Ellipsis,) + off] = g.T @ rows
@@ -256,21 +256,17 @@ def maxpool3d_forward(x, window, stride=None):
     stride = _triple(stride) if stride is not None else window
     if x.ndim != 5:
         raise ShapeMismatch("maxpool3d expects 5D input")
-    for n, k in zip(x.shape[2:], window):
-        if k > n:
-            raise ShapeMismatch(f"pool window {window} exceeds extent {x.shape[2:]}")
     dims = _conv_extents(x.shape[2:], window, stride, (0, 0, 0))
-    views = [(Ellipsis,) + tuple(slice(o, o + s * n, s) for o, s, n in zip(off, stride, dims))
-             for off in np.ndindex(*window)]
+    views = [(Ellipsis,) + view for _, view in _offsets(window, stride, dims)]
     bits = np.dtype(f"i{x.itemsize}")
     out = np.empty(x.shape[:2] + dims, dtype=x.dtype)
     idx = np.zeros(out.shape, dtype=np.intp)
     flags = np.empty((2,) + out.shape, dtype=bool)
     masks = np.empty((2,) + out.shape, dtype=bits)
-    n = min(parallel.parts(), dims[0])
+    cuts = parallel.cuts(dims[0])
 
     def part(p):
-        d = (Ellipsis, slice(p * dims[0] // n, (p + 1) * dims[0] // n), slice(None), slice(None))
+        d = (Ellipsis, slice(cuts[p], cuts[p + 1]), slice(None), slice(None))
         top, at, keep, nan, take, diff = (out[d], idx[d], flags[0][d], flags[1][d],
                                           masks[0][d], masks[1][d])
         np.copyto(top, x[views[0]][d])
@@ -285,23 +281,18 @@ def maxpool3d_forward(x, window, stride=None):
             np.bitwise_xor(top.view(bits), diff, out=top.view(bits))
             np.bitwise_and(take, t, out=diff)
             np.maximum(at, diff, out=at)
-    parallel.run(part, n)
+    parallel.run(part, len(cuts) - 1)
     return out, (x.shape, window, stride, idx)
 
 
 def maxpool3d_backward(grad_out, cache):
+    """Adds each output's gradient at its maximum's voxel, one window offset
+    at a time: without overlap a voxel gets 0.0 + g at most once, and where
+    windows overlap (stride < window) the terms add."""
     x_shape, window, stride, idx = cache
-    di, hi, wi = np.unravel_index(idx, window)
-    do, ho, wo = idx.shape[2:]
-    b = np.arange(x_shape[0]).reshape(-1, 1, 1, 1, 1)
-    c = np.arange(x_shape[1]).reshape(1, -1, 1, 1, 1)
-    d = np.arange(do).reshape(1, 1, -1, 1, 1) * stride[0] + di
-    h = np.arange(ho).reshape(1, 1, 1, -1, 1) * stride[1] + hi
-    w = np.arange(wo).reshape(1, 1, 1, 1, -1) * stride[2] + wi
     grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-    # windows may overlap when stride < window, so scatter must accumulate
-    np.add.at(grad_x, (np.broadcast_to(b, idx.shape), np.broadcast_to(c, idx.shape),
-                       d, h, w), grad_out)
+    for t, (_, view) in enumerate(_offsets(window, stride, idx.shape[2:])):
+        grad_x[(Ellipsis,) + view] += np.where(idx == t, grad_out, 0)
     return grad_x
 
 

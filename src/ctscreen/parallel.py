@@ -22,9 +22,12 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
 _pool = None
 
 
-def parts():
-    """How many parts a kernel called on this thread cuts its work into."""
-    return CPUS if threading.current_thread() is threading.main_thread() else 1
+def cuts(extent):
+    """Bounds [b0, ..., bn] of the parts a kernel called on this thread cuts
+    `extent` items into: part p takes [bp, bp+1), and n is the pool's size on
+    the main thread and 1 on any other, but never more than `extent`."""
+    n = min(CPUS if threading.current_thread() is threading.main_thread() else 1, extent)
+    return [p * extent // n for p in range(n + 1)]
 
 
 def run(part, n):

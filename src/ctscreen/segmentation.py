@@ -69,9 +69,14 @@ class Mask:
         return int(self.bits.sum())
 
 
-def _check_radius(radius):
+# the largest erode_radius or close_radius a run may set: chords and time grow
+# as radius**2 (closing a 345x455x36 lung box takes 0.09 s at 4, 1.1 s at 16)
+MAX_RADIUS = 16
+
+
+def _check_radius(radius, name="radius"):
     if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and non-negative, got {radius}")
+        raise ValueError(f"{name} must be finite and non-negative, got {radius}")
 
 
 @dataclass
@@ -88,8 +93,11 @@ class SegmentationParams:
             raise ValueError("hu_low must be below hu_high")
         if self.keep_k < 1:
             raise ValueError("keep_k must be at least 1")
-        _check_radius(self.erode_radius)
-        _check_radius(self.close_radius)
+        for name in ("erode_radius", "close_radius"):
+            radius = getattr(self, name)
+            _check_radius(radius, name)
+            if radius > MAX_RADIUS:
+                raise ValueError(f"{name} {radius} is above {MAX_RADIUS} voxels")
         if self.connectivity not in (6, 26):
             raise ValueError("connectivity must be 6 or 26")
 
@@ -100,12 +108,6 @@ def _structure(connectivity: int):
     if connectivity == 6:
         return ndimage.generate_binary_structure(3, 1)
     raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-
-
-def _cuts(extent):
-    """Bounds of the pool's parts (`parallel`) along an axis of `extent`."""
-    n = min(parallel.parts(), extent)
-    return [p * extent // n for p in range(n + 1)]
 
 
 def _roots(n, a, b):
@@ -132,7 +134,7 @@ def _border_connected(bits, connectivity):
     component touches a face when any of its labels does.
     """
     structure = _structure(connectivity)
-    cuts = _cuts(bits.shape[0])
+    cuts = parallel.cuts(bits.shape[0])
     slabs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     labels = np.empty(bits.shape, dtype=np.int32)
     counts = [0] * len(slabs)
@@ -220,7 +222,7 @@ def _in_scan_order(labels, ids):
     def first(lab):
         rows, cols, slices = boxes[lab - 1]
         plane = labels[rows.start, cols, slices] == lab
-        j, k = np.unravel_index(np.argmax(plane), plane.shape)
+        j, k = divmod(int(np.argmax(plane)), plane.shape[1])
         return rows.start, cols.start + j, slices.start + k
     return sorted(ids.tolist(), key=first)
 
@@ -266,7 +268,7 @@ def _erode_bits(bits, radius, outside=False):
     padded = np.pad(bits, ((0, 0), (J, J), (K, K)), constant_values=outside)
     out = np.ones(bits.shape, dtype=bool)
     by_h = _chords(radius, (H, J, K))
-    cuts = _cuts(n1)
+    cuts = parallel.cuts(n1)
     runs = [np.empty((n0, b - a + 2 * J, n2 + 2 * K), dtype=bool)
             for a, b in zip(cuts, cuts[1:])]
 

@@ -140,7 +140,7 @@ def early_stop(history, patience, monitor="val_accuracy"):
 def to_batch(samples):
     x = np.stack([np.transpose(s.tensor, (2, 0, 1)) for s in samples])
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return x[:, None].astype(np.float32), y
+    return x[:, None].astype(np.float32, copy=False), y
 
 
 def _check_dataset(dataset, class_count, name):

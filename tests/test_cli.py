@@ -352,9 +352,16 @@ def test_segment_outputs_and_determinism(workspace, tmp_path):
         assert (masks / name).read_bytes() == (again / name).read_bytes()
 
 
-@pytest.mark.parametrize("key, value", [("seg.erode_radius", "inf"),
-                                        ("seg.close_radius", "nan")])
-def test_segment_non_finite_radius_exits_2(workspace, tmp_path, capsys, key, value):
+RADIUS_CASES = [("seg.erode_radius", "inf", "erode_radius must be finite"),
+                ("seg.close_radius", "nan", "close_radius must be finite"),
+                # radii the chord count would make run for minutes
+                ("seg.close_radius", "300", "close_radius 300.0 is above 16"),
+                ("seg.erode_radius", "17", "erode_radius 17.0 is above 16")]
+
+
+@pytest.mark.parametrize("key, value, text", RADIUS_CASES,
+                         ids=[f"{key}-{value}" for key, value, _ in RADIUS_CASES])
+def test_segment_non_finite_radius_exits_2(workspace, tmp_path, capsys, key, value, text):
     cfg = tmp_path / "bad.cfg"
     kept = [line for line in CFG_TEXT.splitlines() if not line.startswith(key)]
     cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
@@ -363,7 +370,7 @@ def test_segment_non_finite_radius_exits_2(workspace, tmp_path, capsys, key, val
                    "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "finite" in err and err.count("\n") == 1
+    assert text in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -897,7 +904,8 @@ def _threshold_checkpoint(workspace, path):
 
 
 def test_model_input_at_the_standard_grid_makes_no_float64_copy():
-    # a float64 copy of the 512x512x36 grid alone is 75 MB
+    # a float64 copy of the 512x512x36 grid alone is 75 MB; at the checkpoint
+    # grid the model input is a view of the standardized voxels
     voxels = np.random.default_rng(5).random((512, 512, 36), dtype=np.float32)
     spec = nn_core.base_model((1, 36, 512, 512), 2, channels=(2,))
     tracemalloc.start()
@@ -908,6 +916,7 @@ def test_model_input_at_the_standard_grid_makes_no_float64_copy():
         tracemalloc.stop()
     assert tensor.dtype == np.float32
     assert np.array_equal(tensor[0, 0], voxels.transpose(2, 0, 1))
+    assert np.shares_memory(tensor, voxels)
     assert peak < 60e6
 
 

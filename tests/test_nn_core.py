@@ -5,6 +5,7 @@ structured forward (conv, pool) is checked against a naive nested-loop
 reimplementation.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -225,15 +226,16 @@ def test_conv_forward_rejects_bias_of_wrong_length():
 def unblocked_one_channel_forward(x, kernel, bias, stride, padding):
     """The ci == 1 forward as it was before slabs, kept as a byte oracle: one
     multiply-add per kernel offset over the whole batch."""
-    stride, padding = nn._triple(stride), nn._triple(padding)
-    dims = nn._conv_extents(x.shape[2:], kernel.shape[2:], stride, padding)
+    (sd, sh, sw), padding = nn._triple(stride), nn._triple(padding)
     co = kernel.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-    out = np.zeros((x.shape[0], co) + dims, dtype=x.dtype)
+    do, ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel.shape[2:],
+                                                        (sd, sh, sw)))
+    out = np.zeros((x.shape[0], co, do, ho, wo), dtype=x.dtype)
     term = np.empty(out.shape, dtype=np.result_type(x, kernel))
-    for off, view in nn._offsets(kernel, stride, dims):
-        np.multiply(xp[(Ellipsis,) + view],
-                    kernel[(slice(None), 0) + off].reshape(1, co, 1, 1, 1), out=term)
+    for i, j, k in np.ndindex(*kernel.shape[2:]):
+        np.multiply(xp[:, :, i:i + sd * do:sd, j:j + sh * ho:sh, k:k + sw * wo:sw],
+                    kernel[:, 0, i, j, k].reshape(1, co, 1, 1, 1), out=term)
         out += term
     out += bias.reshape(1, -1, 1, 1, 1)
     return out
@@ -381,6 +383,23 @@ def argmax_pool_forward(x, window, stride):
     return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
 
 
+def add_at_pool_backward(grad_out, cache):
+    """maxpool3d_backward as it was before it walked the forward's views,
+    kept as a byte oracle: np.add.at into index grids from np.unravel_index."""
+    x_shape, window, stride, idx = cache
+    di, hi, wi = np.unravel_index(idx, window)
+    do, ho, wo = idx.shape[2:]
+    b = np.arange(x_shape[0]).reshape(-1, 1, 1, 1, 1)
+    c = np.arange(x_shape[1]).reshape(1, -1, 1, 1, 1)
+    d = np.arange(do).reshape(1, 1, -1, 1, 1) * stride[0] + di
+    h = np.arange(ho).reshape(1, 1, 1, -1, 1) * stride[1] + hi
+    w = np.arange(wo).reshape(1, 1, 1, 1, -1) * stride[2] + wi
+    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+    np.add.at(grad_x, (np.broadcast_to(b, idx.shape), np.broadcast_to(c, idx.shape),
+                       d, h, w), grad_out)
+    return grad_x
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pool_bytes_do_not_depend_on_the_part_count(parts, dtype):
     rng = np.random.default_rng(9)
@@ -393,9 +412,34 @@ def test_pool_bytes_do_not_depend_on_the_part_count(parts, dtype):
         x[-1, -1, ::2] = 2.0  # ties of equal numbers
         for window, stride in [nn._pool_geometry(shape[2:], clamp),
                                ((1, 2, 1), (1, 1, 1)), ((1, 1, 1), (2, 3, 1))]:
-            out, (_, _, _, idx) = nn.maxpool3d_forward(x, window, stride)
+            out, cache = nn.maxpool3d_forward(x, window, stride)
             want, want_idx = argmax_pool_forward(x, window, stride)
-            assert same_bytes(out, want) and same_bytes(idx, want_idx), (shape, window)
+            assert same_bytes(out, want) and same_bytes(cache[3], want_idx), (shape, window)
+            # finite, with signed zeros: where windows overlap (the (1, 2, 1)
+            # window), a voxel sums two terms, which add alike in either order
+            g = rng.choice([-0.0, 0.0, 0.5, -1.5], out.shape).astype(dtype)
+            assert same_bytes(nn.maxpool3d_backward(g, cache),
+                              add_at_pool_backward(g, cache)), (shape, window)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_backward_without_overlap_is_byte_equal_to_add_at(dtype):
+    """Every window of up to 3 voxels a side, with every stride from the
+    window to two voxels past it: each voxel gets 0.0 + g at most once."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 2, 7, 6, 5)).astype(dtype)
+    x[0, 0, :3] = 1.0  # ties of equal numbers
+    x[1, 1, 3:] = np.nan
+    for window in itertools.product((1, 2, 3), repeat=3):
+        for extra in itertools.product((0, 1, 2), repeat=3):
+            stride = tuple(w + e for w, e in zip(window, extra))
+            out, cache = nn.maxpool3d_forward(x, window, stride)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            g.flat[::3] = -0.0
+            g.flat[1::5] = np.nan
+            g.flat[2::7] = -np.nan
+            assert same_bytes(nn.maxpool3d_backward(g, cache),
+                              add_at_pool_backward(g, cache)), (window, stride)
 
 
 def test_pool_backward_matches_finite_differences():
