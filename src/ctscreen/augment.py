@@ -11,6 +11,7 @@ All transforms keep shape, keep the label, and map [0,1] into [0,1].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,19 +56,39 @@ def _sample_linear(vol, coords):
     """
     n = len(coords)
     shape = vol.shape[:n]
-    base = [np.floor(x).astype(np.int64) for x in coords]
-    frac = [(x - b).astype(vol.dtype) for x, b in zip(coords, base)]
+    # per axis, for the lower (d = 0) and upper (d = 1) neighbour: its weight,
+    # whether it lies in the grid, and its clipped index scaled to a flat
+    # one. Fresh large arrays cost page faults, so work happens in place.
+    sides = []
+    for a, (x, size) in enumerate(zip(coords, shape)):
+        low = np.floor(x)
+        base = low.astype(np.int64)
+        frac = np.subtract(x, low, out=low).astype(vol.dtype)
+        stride = math.prod(shape[a + 1:])
+        upper = base + 1
+        axis = []
+        for wa, i in ((1 - frac, base), (frac, upper)):
+            # a negative index reads as a huge unsigned one
+            valid = i.view(np.uint64) < size
+            np.clip(i, 0, size - 1, out=i)
+            i *= stride
+            axis.append((wa, valid, i))
+        sides.append(axis)
+    flat = vol.reshape((-1,) + vol.shape[n:])
     ride = (...,) + (None,) * (vol.ndim - n)
+    w_buf, valid_buf = np.empty(shape, vol.dtype), np.empty(shape, bool)
+    index_buf, gathered = np.empty(shape, np.int64), np.empty_like(vol)
     out = np.zeros_like(vol)
-    for corner in itertools.product((0, 1), repeat=n):
-        w, valid, index = None, True, []
-        for b, f, d, size in zip(base, frac, corner, shape):
-            i = b + d
-            wa = f if d else 1 - f
-            w = wa if w is None else w * wa
-            valid = valid & (i >= 0) & (i < size)
-            index.append(np.clip(i, 0, size - 1))
-        out += (w * valid)[ride] * vol[tuple(index)]
+    for (w, valid, index), *rest in itertools.product(*sides):
+        for wa, va, ia in rest:
+            w = np.multiply(w, wa, out=w_buf)
+            valid = np.logical_and(valid, va, out=valid_buf)
+            index = np.add(index, ia, out=index_buf)
+        w = np.multiply(w, valid, out=w_buf)
+        # the indices are clipped already, so 'clip' changes none and spares
+        # take its buffered copy
+        np.take(flat, index, axis=0, out=gathered, mode="clip")
+        out += np.multiply(w[ride], gathered, out=gathered)
     return out
 
 

@@ -9,6 +9,8 @@ or checkpoints behind.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import dataclasses
 import io
@@ -263,8 +265,18 @@ PACK_MAGIC = b"CTPK"
 PACK_VERSION = 1
 
 
+def _pack_count_offset(level):
+    """Where a pack's header holds its record count, the header's last four bytes."""
+    return len(PACK_MAGIC) + struct.calcsize("<HB") + len(level) + struct.calcsize("<HHH")
+
+
 def write_pack(level, samples):
-    """Little-endian container: header, then per-sample id/label/origin/f32."""
+    """Little-endian container: header, then per-sample id/label/origin/f32.
+
+    The packs of several sample lists of one level and shape join into the
+    pack of them all: the first whole, then each later one without its
+    header, with the header's record count set to the total.
+    """
     if not samples:
         raise ValueError("refusing to write an empty pack")
     shape = samples[0].tensor.shape
@@ -306,13 +318,19 @@ def read_pack(data):
     return level, samples
 
 
-def pack_index_csv(samples):
+def index_records(samples):
+    """(source_id, label, level, origin) of each sample: a pack index's rows."""
+    return [(smp.source_id, smp.label, smp.level, smp.origin) for smp in samples]
+
+
+def pack_index_csv(records):
+    """CSV of a pack's index_records, numbered in pack order."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["row", "source_id", "label", "level",
                 "origin_r", "origin_c", "origin_s"])
-    for i, smp in enumerate(samples):
-        w.writerow([i, smp.source_id, smp.label, smp.level, *smp.origin])
+    for i, (source_id, label, level, origin) in enumerate(records):
+        w.writerow([i, source_id, label, level, *origin])
     return buf.getvalue()
 
 
@@ -346,9 +364,21 @@ def _read_text(path, error):
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _atomic_write(path, data):
+def _atomic_write(path, data, amend=None):
+    """Write `data` to `path` whole or not at all: into a temp file beside it,
+    renamed over `path` once complete; any error removes the temp file.
+
+    `data` is text, bytes, or an iterable of byte chunks; an iterable that
+    yields no chunk writes no file and leaves `path` as it was. `amend`, when
+    given, is called after the last chunk and returns (offset, bytes) to write
+    over the file there, such as a header count known only at the end.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    chunks = iter((data,) if isinstance(data, (bytes, bytearray, memoryview)) else data)
+    first = next(chunks, None)
+    if first is None:
+        return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
     # mode 0o666 leaves the final mode to the process umask, as open() would;
@@ -356,7 +386,16 @@ def _atomic_write(path, data):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(first)
+            del first
+            # each chunk is dropped before the next is asked for
+            for chunk in chunks:
+                fh.write(chunk)
+                del chunk
+            if amend is not None:
+                offset, patch = amend()
+                fh.seek(offset)
+                fh.write(patch)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -409,9 +448,8 @@ def _model_input(std: Volume, spec: nn_core.ModelSpec):
     return tensor.transpose(2, 0, 1)[None, None].astype(np.float32, copy=False)
 
 
-def _scan_probs(spec, weights, volume, mask):
-    """Class probabilities for one scan; non-finite ones fail the scan."""
-    std = standardize_volume(volume, mask)
+def _scan_probs(spec, weights, std):
+    """Class probabilities for one standardized scan; non-finite ones fail it."""
     probs = nn_core.model_forward(spec, weights, _model_input(std, spec),
                                   mode="infer")[0]
     if not np.isfinite(probs).all():
@@ -422,13 +460,17 @@ def _scan_probs(spec, weights, volume, mask):
 def _scoring_work(spec, weights, seg, masks):
     """work(index, path) giving a scan's class probabilities: its mask read
     from the `masks` directory or, when that is None, segmented with `seg`."""
-    def work(_, path):
+    def standardized(path):
+        # the HU volume and its mask die when this returns, before the forward
         volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
         if masks is None:
             mask = segment_lung(volume, seg)
         else:
             mask = _read_mask(os.path.join(masks, mask_name(path)), volume.shape)
-        return _scan_probs(spec, weights, volume, mask)
+        return standardize_volume(volume, mask)
+
+    def work(_, path):
+        return _scan_probs(spec, weights, standardized(path))
     return work
 
 
@@ -436,29 +478,41 @@ _FILE_ERRORS = (OSError, ValueError)
 
 
 def _per_scan(work, paths, jobs):
-    """Run work(index, path) for every scan, on `jobs` threads.
+    """Yield work(index, path) for every scan, in input order, run on `jobs`
+    threads with at most 2 * jobs scans submitted ahead of the consumer.
 
-    A scan whose work raises one of _FILE_ERRORS is named on stderr and
-    gives None; the others still run. Returns (results, failure count);
-    results follow the input order, whatever finishes first.
+    A scan whose work raises one of _FILE_ERRORS is named once on stderr, in
+    input order, and yields None; the others still run. With one job the
+    work runs on the calling thread, as each scan is asked for. Closing the
+    generator early cancels the scans not yet started.
     """
-    def guarded(item):
-        index, path = item
+    def guarded(index, path):
         try:
             return work(index, path), None
         except _FILE_ERRORS as exc:
             return None, f"error: {path}: {exc}"
 
-    items = list(enumerate(paths))
+    def settle(outcome):
+        result, err = outcome
+        if err is not None:
+            print(err, file=sys.stderr)
+        return result
+
     if jobs == 1:
-        outcomes = [guarded(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(guarded, items))
-    failures = [err for _, err in outcomes if err is not None]
-    for err in failures:
-        print(err, file=sys.stderr)
-    return [result for result, _ in outcomes], len(failures)
+        for index, path in enumerate(paths):
+            yield settle(guarded(index, path))
+        return
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    ahead = collections.deque()
+    try:
+        for index, path in enumerate(paths):
+            ahead.append(pool.submit(guarded, index, path))
+            if len(ahead) == 2 * jobs:
+                yield settle(ahead.popleft().result())
+        while ahead:
+            yield settle(ahead.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -------------------------------------------------------------- commands
@@ -477,14 +531,15 @@ def cmd_segment(args):
         parts = component_count(mask, cfg.seg.connectivity)
         return volume.source_id, mask.count(), parts
 
-    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
+    done = [ok for ok in _per_scan(work, [row.path for row in rows], args.jobs)
+            if ok is not None]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["source_id", "lung_voxels", "components"])
-    w.writerows(ok for ok in results if ok is not None)
+    w.writerows(done)
     _atomic_write(os.path.join(args.out, "summary.csv"), buf.getvalue())
-    print(f"segmented {len(rows) - failed}/{len(rows)} scans -> {args.out}")
-    return 1 if failed else 0
+    print(f"segmented {len(done)}/{len(rows)} scans -> {args.out}")
+    return 1 if len(done) < len(rows) else 0
 
 
 def cmd_patch(args):
@@ -503,21 +558,41 @@ def cmd_patch(args):
         mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
-        return extract_patches(volume, mask, args.level, scan_seed,
-                               label=int(labels[index]))
+        patches = extract_patches(volume, mask, args.level, scan_seed,
+                                  label=int(labels[index]))
+        return write_pack(args.level, patches), index_records(patches)
 
-    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
-    if failed == len(rows):
+    # the scans' packs join into one as they finish, in manifest order: each
+    # later header must match the first but for its count, which is set last
+    count_at = _pack_count_offset(args.level)
+    records = []
+    scans = 0
+
+    def chunks(outcomes):
+        nonlocal scans
+        for blob, recs in filter(None, outcomes):
+            if not scans:
+                head = blob[:count_at]
+                yield blob
+            elif blob[:count_at] != head:
+                raise ValueError("pack samples must share one shape")
+            else:
+                yield memoryview(blob)[count_at + 4:]
+            del blob  # before the next scan is awaited
+            records.extend(recs)
+            scans += 1
+
+    with contextlib.closing(_per_scan(work, [row.path for row in rows],
+                                      args.jobs)) as outcomes:
+        _atomic_write(os.path.join(args.out, f"{args.level}.pack"), chunks(outcomes),
+                      amend=lambda: (count_at, struct.pack("<I", len(records))))
+    if not scans:
         return 1
-    samples = [smp for patches in results if patches is not None
-               for smp in patches]
-    _atomic_write(os.path.join(args.out, f"{args.level}.pack"),
-                  write_pack(args.level, samples))
     _atomic_write(os.path.join(args.out, f"{args.level}_index.csv"),
-                  pack_index_csv(samples))
-    print(f"packed {len(samples)} {args.level} patches "
-          f"from {len(rows) - failed} scans -> {args.out}")
-    return 1 if failed else 0
+                  pack_index_csv(records))
+    print(f"packed {len(records)} {args.level} patches "
+          f"from {scans} scans -> {args.out}")
+    return 1 if scans < len(rows) else 0
 
 
 def _load_level_datasets(cfg, packs_dir):
@@ -602,8 +677,8 @@ def cmd_eval(args):
     _write_effective_config(cfg, args.out)
 
     work = _scoring_work(spec, weights, cfg.seg, args.masks)
-    results, failed = _per_scan(work, [row.path for row in rows], args.jobs)
-    if failed:
+    results = list(_per_scan(work, [row.path for row in rows], args.jobs))
+    if any(probs is None for probs in results):
         return 1
     report = metrics.evaluate_probs(np.stack(results), labels)
     _atomic_write(os.path.join(args.out, "report.csv"),
@@ -625,8 +700,8 @@ def cmd_predict(args):
     spec, weights = _load_model(args.checkpoint)
     _, names = _checkpoint_classes(spec)
     work = _scoring_work(spec, weights, cfg.seg, None)
-    (probs,), failed = _per_scan(work, [args.scan], 1)
-    if failed:
+    probs, = _per_scan(work, [args.scan], 1)
+    if probs is None:
         return 1
     for name, p in zip(names, probs):
         print(f"{name} {p:.6f}")

@@ -1,12 +1,13 @@
 """Augmentation tests: coordinate-map oracles, fixed points, determinism."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ctscreen import augment as aug
-from ctscreen.patch_sampler import Sample
+from ctscreen.patch_sampler import PATCH_TABLE, Sample
 
 
 def rand_tensor(seed, shape=(12, 12, 6)):
@@ -246,6 +247,50 @@ def test_elastic_determinism():
 def test_elastic_rejects_tiny_grid():
     with pytest.raises(ValueError):
         aug.elastic_deform(rand_tensor(14), (1, 4, 2), 1.0, 0)
+
+
+def _sample_linear_oracle(vol, coords):
+    """The corner-by-corner gather `_sample_linear` replaced, kept as its
+    byte oracle: every corner recomputes its axes' floors and weights and
+    indexes with a tuple of index arrays."""
+    n = len(coords)
+    shape = vol.shape[:n]
+    base = [np.floor(x).astype(np.int64) for x in coords]
+    frac = [(x - b).astype(vol.dtype) for x, b in zip(coords, base)]
+    ride = (...,) + (None,) * (vol.ndim - n)
+    out = np.zeros_like(vol)
+    for corner in itertools.product((0, 1), repeat=n):
+        w, valid, index = None, True, []
+        for b, f, d, size in zip(base, frac, corner, shape):
+            i = b + d
+            wa = f if d else 1 - f
+            w = wa if w is None else w * wa
+            valid = valid & (i >= 0) & (i < size)
+            index.append(np.clip(i, 0, size - 1))
+        out += (w * valid)[ride] * vol[tuple(index)]
+    return out
+
+
+@pytest.mark.parametrize("level", ["P2", "P3", "P4"])
+def test_sample_linear_matches_the_corner_by_corner_oracle(level):
+    shape = PATCH_TABLE[level][0]
+    t = np.random.default_rng(15).random(shape, dtype=np.float32)
+    grid = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
+    for seed in range(5):
+        field = aug.elastic_field(shape, (4, 4, 2), 2.0, seed)
+        coords = [c + d for c, d in zip(grid, field)]
+        assert (aug._sample_linear(t, coords).tobytes()
+                == _sample_linear_oracle(t, coords).tobytes()), seed
+    for angle in (-25.0, -15.0, 10.0, 30.0):
+        coords = aug.rotation_map(shape[:2], angle)
+        assert (aug._sample_linear(t, coords).tobytes()
+                == _sample_linear_oracle(t, coords).tobytes()), angle
+    # float64 voxels, and neighbours well outside the grid on every side
+    t64 = t.astype(np.float64)
+    rng = np.random.default_rng(16)
+    coords = [rng.uniform(-3.0, n + 2.0, size=shape) for n in shape]
+    assert (aug._sample_linear(t64, coords).tobytes()
+            == _sample_linear_oracle(t64, coords).tobytes())
 
 
 # ---------------------------------------------------------------- sampler

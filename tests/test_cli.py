@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import gzip
 import io
+import math
 import os
 import re
 import shlex
 import struct
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, metrics, nifti_io, nn_core, parallel
 from ctscreen.nifti_io import Volume
+from ctscreen.patch_sampler import extract_patches, standardize_volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
 
@@ -531,6 +534,147 @@ def test_patch_unknown_level_exits_2(workspace, tmp_path, capsys):
     assert "P9" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def twelve(workspace, tmp_path_factory):
+    """Twelve scans, three copies of each workspace scan under names of
+    their own, with their masks; manifests of the first 4 and of all 12."""
+    root = tmp_path_factory.mktemp("twelve")
+    scans, masks = root / "scans", root / "masks"
+    scans.mkdir()
+    masks.mkdir()
+    labels = ["NOR", "NOR", "MiNCP", "MiNCP"]
+    rows = []
+    for k in range(12):
+        source = workspace["scan_paths"][k % 4]
+        path = scans / f"s{k:02d}.nii.gz"
+        path.write_bytes(Path(source).read_bytes())
+        (masks / cli.mask_name(str(path))).write_bytes(
+            (workspace["masks"] / cli.mask_name(source)).read_bytes())
+        rows.append(f"{path},{labels[k % 4]}")
+    manifests = {}
+    for count in (4, 12):
+        manifests[count] = root / f"manifest{count}.csv"
+        manifests[count].write_text("\n".join(rows[:count]) + "\n")
+    return {"manifests": manifests, "masks": masks, "config": workspace["config"],
+            "scan_paths": [row.split(",")[0] for row in rows]}
+
+
+def _patch_argv(scans, count, masks, level, out, jobs):
+    return ["patch", "--manifest", str(scans["manifests"][count]),
+            "--config", str(scans["config"]), "--masks", str(masks),
+            "--level", level, "--out", str(out), "--jobs", str(jobs)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_patch_memory_does_not_grow_with_the_scan_count(twelve, tmp_path, jobs):
+    # each finished scan's records go to the pack file, so a run holds the
+    # records of the scans in flight, not of the cohort: at most 2 * jobs
+    # submitted ahead, the jobs' scans each as patches and their pack at
+    # once, and the chunk being written
+    level = "P4"
+    shape, count = cli.PATCH_TABLE[level]
+    scan_bytes = count * 4 * math.prod(shape)
+    peaks = {}
+    for scans in (4, 12):
+        tracemalloc.start()
+        try:
+            assert cli.main(_patch_argv(twelve, scans, twelve["masks"], level,
+                                        tmp_path / f"out{scans}", jobs)) == 0
+            peaks[scans] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] - peaks[4] < 2 * scan_bytes, peaks
+    assert peaks[12] < (2 * jobs + 4) * scan_bytes, peaks
+
+
+def _expected_pack(scans, level, skip):
+    """(pack, index CSV) of one write_pack over the patches of every scan
+    of the 12-scan manifest but `skip`, cut here with cmd_patch's seeds."""
+    cfg = cli.load_config(str(scans["config"]))
+    rows = cli.load_manifest(str(scans["manifests"][12]))
+    labels = cli.class_labels(rows, cfg.protocol)
+    samples = []
+    for index, row in enumerate(rows):
+        if index == skip:
+            continue
+        volume = nifti_io.read_volume(Path(row.path).read_bytes(),
+                                      source_id=cli._stem(row.path))
+        mask = cli._read_mask(str(scans["masks"] / cli.mask_name(row.path)),
+                              volume.shape)
+        seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
+        samples += extract_patches(volume, mask, level, seed, label=int(labels[index]))
+    return (cli.write_pack(level, samples),
+            cli.pack_index_csv(cli.index_records(samples)).encode())
+
+
+@pytest.mark.parametrize("skip", [None, 0, 5, 11])
+def test_patch_stream_is_one_write_pack_of_the_scans_that_worked(twelve, tmp_path,
+                                                                 capsys, skip):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for k, path in enumerate(twelve["scan_paths"]):
+        if k != skip:
+            name = cli.mask_name(path)
+            (masks / name).write_bytes((twelve["masks"] / name).read_bytes())
+    pack, index = _expected_pack(twelve, "P1", skip)
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"out{jobs}"
+        rc = cli.main(_patch_argv(twelve, 12, masks, "P1", out, jobs))
+        assert rc == (0 if skip is None else 1)
+        err = capsys.readouterr().err
+        if skip is None:
+            assert err == ""
+        else:
+            assert err == (f"error: {twelve['scan_paths'][skip]}: no mask at "
+                           f"{masks / cli.mask_name(twelve['scan_paths'][skip])}\n")
+        assert (out / "P1.pack").read_bytes() == pack, jobs
+        assert (out / "P1_index.csv").read_bytes() == index, jobs
+        assert sorted(os.listdir(out)) == ["P1.pack", "P1_index.csv", "effective.cfg"]
+
+
+def test_patch_with_every_scan_failing_keeps_the_old_pack(twelve, tmp_path, capsys):
+    out, empty = tmp_path / "out", tmp_path / "nomasks"
+    out.mkdir()
+    empty.mkdir()
+    (out / "P1.pack").write_bytes(b"the previous pack")
+    for jobs in (1, 2):
+        assert cli.main(_patch_argv(twelve, 4, empty, "P1", out, jobs)) == 1
+        assert capsys.readouterr().err.count("no mask at") == 4
+        assert (out / "P1.pack").read_bytes() == b"the previous pack"
+        assert sorted(os.listdir(out)) == ["P1.pack", "effective.cfg"]
+
+
+def _executor_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["error", "shape"])
+def test_patch_stream_cut_short_leaves_no_temp_file(twelve, tmp_path, monkeypatch,
+                                                    jobs, fault):
+    # a scan in the middle raises what no scan failure is, or cuts patches
+    # of another shape: the command stops, and the pack is not written
+    cut = cli.extract_patches
+    bad = cli._stem(twelve["scan_paths"][6])
+
+    def faulty(volume, mask, level, seed, label=0):
+        patches = cut(volume, mask, level, seed, label=label)
+        if volume.source_id != bad:
+            return patches
+        if fault == "error":
+            raise RuntimeError("stop")
+        return [dataclasses.replace(p, tensor=p.tensor[1:]) for p in patches]
+    monkeypatch.setattr(cli, "extract_patches", faulty)
+    before = _executor_threads()
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError if fault == "error" else ValueError,
+                       match="stop" if fault == "error" else "one shape"):
+        cli.main(_patch_argv(twelve, 12, twelve["masks"], "P1", out, jobs))
+    assert sorted(os.listdir(out)) == ["effective.cfg"]
+    assert _executor_threads() == before
+
+
 # ------------------------------------------------------------------- train
 
 TRAIN_CFG = """\
@@ -783,7 +927,8 @@ def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
         volume = nifti_io.read_volume(Path(path).read_bytes())
         _, raw = nifti_io.read_raw(
             (workspace["masks"] / cli.mask_name(path)).read_bytes())
-        probs.append(cli._scan_probs(spec, weights, volume, Mask(raw > 0)))
+        probs.append(cli._scan_probs(
+            spec, weights, standardize_volume(volume, Mask(raw > 0))))
     labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
     report = metrics.evaluate_probs(np.stack(probs), labels)
     assert (out / "report.csv").read_bytes() == metrics.report_csv(
@@ -901,6 +1046,35 @@ def _threshold_checkpoint(workspace, path):
     weights["L7.weight"] = w7
     weights["L7.bias"] = b7
     path.write_bytes(nn_core.save_checkpoint(spec, weights))
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_scoring_frees_the_scan_before_the_forward(workspace, tmp_path, monkeypatch,
+                                                   command):
+    # the HU volume and its mask are dead once standardize_volume returns,
+    # so the forward's activations do not sit on top of them
+    ck = tmp_path / "fixture.ctck"
+    _threshold_checkpoint(workspace, ck)
+    refs, alive = [], []
+    standardize, forward = cli.standardize_volume, nn_core.model_forward
+
+    def recording(volume, mask, *args, **kwargs):
+        refs.extend([weakref.ref(volume.voxels), weakref.ref(mask.bits)])
+        return standardize(volume, mask, *args, **kwargs)
+
+    def checking(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return forward(*args, **kwargs)
+    monkeypatch.setattr(cli, "standardize_volume", recording)
+    monkeypatch.setattr(nn_core, "model_forward", checking)
+    if command == "predict":
+        argv = ["predict", workspace["scan_paths"][0], "--checkpoint", str(ck)]
+    else:
+        argv = ["eval", "--checkpoint", str(ck), "--manifest", str(workspace["manifest"]),
+                "--masks", str(workspace["masks"]), "--out", str(tmp_path / "e")]
+    assert cli.main(argv + ["--config", str(workspace["config"])]) == 0
+    scans = 1 if command == "predict" else 4
+    assert alive == [[False] * 2 * (k + 1) for k in range(scans)]
 
 
 def test_model_input_at_the_standard_grid_makes_no_float64_copy():
