@@ -18,6 +18,10 @@ import numpy as np
 
 from .patch_sampler import Sample, trilinear_resample
 
+# output voxels an elastic warp gathers at a time; each holds about 140 B of
+# float64 coordinates, weights and indices while its slab is gathered
+ELASTIC_SLAB_VOXELS = 1 << 15
+
 
 @dataclass
 class AugmentPolicy:
@@ -50,12 +54,14 @@ class AugmentPolicy:
 def _sample_linear(vol, coords):
     """Multilinear gather at float coords over the leading len(coords) axes.
 
-    `coords` holds one array per gathered axis, each of shape
-    vol.shape[:len(coords)]; trailing axes ride along with one weight per
-    line. Neighbours outside the grid read 0.
+    `coords` holds one array per gathered axis, all of one shape: that of
+    the output's leading axes, such as vol.shape[:len(coords)] or a slab of
+    its rows. Trailing axes ride along with one weight per line. Neighbours
+    outside the grid read 0.
     """
     n = len(coords)
     shape = vol.shape[:n]
+    out_shape = coords[0].shape
     # per axis, for the lower (d = 0) and upper (d = 1) neighbour: its weight,
     # whether it lies in the grid, and its clipped index scaled to a flat
     # one. Fresh large arrays cost page faults, so work happens in place.
@@ -76,9 +82,10 @@ def _sample_linear(vol, coords):
         sides.append(axis)
     flat = vol.reshape((-1,) + vol.shape[n:])
     ride = (...,) + (None,) * (vol.ndim - n)
-    w_buf, valid_buf = np.empty(shape, vol.dtype), np.empty(shape, bool)
-    index_buf, gathered = np.empty(shape, np.int64), np.empty_like(vol)
-    out = np.zeros_like(vol)
+    w_buf, valid_buf = np.empty(out_shape, vol.dtype), np.empty(out_shape, bool)
+    index_buf = np.empty(out_shape, np.int64)
+    gathered = np.empty(out_shape + vol.shape[n:], vol.dtype)
+    out = np.zeros_like(gathered)
     for (w, valid, index), *rest in itertools.product(*sides):
         for wa, va, ia in rest:
             w = np.multiply(w, wa, out=w_buf)
@@ -109,9 +116,16 @@ def rotation_map(shape_rc, angle_deg):
     return cr + cos * dr + sin * dc, cc - sin * dr + cos * dc
 
 
+def _aligned(tensor):
+    """`tensor`, or an aligned copy of it: a pack record's view can start at
+    any byte, and gathers from an unaligned array run far slower than the
+    copy takes."""
+    return np.require(tensor, requirements="A")
+
+
 def rotate_inplane(tensor, angle_deg):
     """Bilinear in-plane rotation of every axial slice; zero fill."""
-    out = _sample_linear(tensor, rotation_map(tensor.shape[:2], angle_deg))
+    out = _sample_linear(_aligned(tensor), rotation_map(tensor.shape[:2], angle_deg))
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -143,35 +157,54 @@ def add_gaussian_noise(tensor, sigma, seed):
     if sigma == 0:
         return tensor.copy()
     rng = np.random.default_rng(seed)
-    noisy = tensor + rng.normal(0.0, sigma, size=tensor.shape)
-    return np.clip(noisy, 0.0, 1.0).astype(tensor.dtype)
+    # the sum and the clip work in the draw's own float64 array
+    noisy = rng.normal(0.0, sigma, size=tensor.shape)
+    noisy += tensor
+    return np.clip(noisy, 0.0, 1.0, out=noisy).astype(tensor.dtype)
 
 
-def elastic_field(shape, grid, sigma, seed):
+def elastic_field(shape, grid, sigma, seed, rows=None):
     """Dense displacement field from seeded control-point offsets.
 
     Control offsets are N(0, sigma) per axis, upsampled trilinearly to the
     tensor grid. The through-plane component is attenuated by the depth/row
     extent ratio since patches are much thinner than they are wide.
+
+    `rows`, a slice of axis 0, gives those rows of the field alone, with the
+    same bytes as those rows of the whole field.
     """
     rng = np.random.default_rng(seed)
     control = rng.normal(0.0, sigma, size=(3,) + tuple(grid))
-    field = np.stack([trilinear_resample(control[a], shape) for a in range(3)])
+    box = None if rows is None else (rows, slice(0, shape[1]), slice(0, shape[2]))
+    field = np.stack([trilinear_resample(control[a], shape, box) for a in range(3)])
     field[2] *= shape[2] / shape[0]
     return field
 
 
 def elastic_deform(tensor, grid, sigma, seed):
-    """Warp: out(p) = in(p + d(p)) with trilinear sampling, zero fill."""
+    """Warp: out(p) = in(p + d(p)) with trilinear sampling, zero fill.
+
+    The field and the gather run ELASTIC_SLAB_VOXELS output voxels' worth
+    of rows of axis 0 at a time, and every voxel's float64 operations are
+    those of the whole patch, so the slabs only bound the temporaries.
+    """
     if min(grid) < 2:
         raise ValueError("elastic grid needs at least 2 control points per axis")
     if sigma == 0:
         return tensor.copy()
-    field = elastic_field(tensor.shape, grid, sigma, seed)
-    coords = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in tensor.shape],
-                         indexing="ij")
-    out = _sample_linear(tensor, [c + d for c, d in zip(coords, field)])
-    return np.clip(out, 0.0, 1.0, out=out)
+    tensor = _aligned(tensor)
+    R, C, S = tensor.shape
+    step = max(1, ELASTIC_SLAB_VOXELS // (C * S))
+    out = np.empty_like(tensor)
+    for start in range(0, R, step):
+        rows = slice(start, min(start + step, R))
+        coords = elastic_field(tensor.shape, grid, sigma, seed, rows)
+        coords[0] += np.arange(rows.start, rows.stop, dtype=np.float64)[:, None, None]
+        coords[1] += np.arange(C, dtype=np.float64)[:, None]
+        coords[2] += np.arange(S, dtype=np.float64)
+        slab = _sample_linear(tensor, coords)
+        np.clip(slab, 0.0, 1.0, out=out[rows])
+    return out
 
 
 def transform_menu(policy: AugmentPolicy):

@@ -13,6 +13,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -297,7 +298,10 @@ def write_pack(level, samples):
 
 
 def read_pack(data):
-    """Inverse of write_pack, from the file's bytes: (level name, samples)."""
+    """Inverse of write_pack, from the file's bytes: (level name, samples).
+
+    Each sample's tensor is a read-only view of `data`, not a copy, so the
+    samples keep the file's bytes alive and cost nothing beside them."""
     cur = nn_core.ByteCursor(data, "patch pack")
     if cur.take(4) != PACK_MAGIC:
         raise ValueError("not a patch pack")
@@ -595,34 +599,45 @@ def cmd_patch(args):
     return 1 if scans < len(rows) else 0
 
 
-def _load_level_datasets(cfg, packs_dir):
-    """Read one pack per configured level; deterministic stratified split."""
+def _read_level(cfg, packs_dir, name):
+    """(train, val) of level `name`: its pack's records, read-only views of
+    the pack's bytes, in a deterministic stratified split. A missing or bad
+    pack, one of another level or shape, or too few records to split is a
+    ConfigError."""
     k = max(2, int(round(1.0 / cfg.val_fraction)))
-    datasets = {}
+    path = os.path.join(packs_dir, f"{name}.pack")
+    if not os.path.exists(path):
+        raise ConfigError(f"missing pack for level {name}: {path}")
+    try:
+        level, samples = read_pack(_read_bytes(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad pack {path}: {exc}") from exc
+    if level != name:
+        raise ConfigError(f"{path} holds level {level}, expected {name}")
+    shape = samples[0].tensor.shape
+    want = PATCH_TABLE[name][0]
+    if shape != want:
+        raise ConfigError(
+            f"{path} holds {shape} patches, level {name} needs {want}")
+    sample_labels = [smp.label for smp in samples]
+    try:
+        folds = metrics.kfold_split(sample_labels, k=k, seed=cfg.seed)
+    except metrics.TooFewSamples as exc:
+        raise ConfigError(f"level {name}: {exc}") from exc
+    train_set = [smp for smp, f in zip(samples, folds) if f != 0]
+    val_set = [smp for smp, f in zip(samples, folds) if f == 0]
+    return train_set, val_set
+
+
+def _load_level_datasets(cfg, packs_dir):
+    """Check one pack per configured level, then ({level: patch shape}, load)
+    for progressive_fit: load(level) reads that level's pack again when its
+    turn comes. Each check drops the pack it read, so a bad pack is an error
+    before any epoch and no more than one level's records are resident."""
     for name in cfg.levels:
-        path = os.path.join(packs_dir, f"{name}.pack")
-        if not os.path.exists(path):
-            raise ConfigError(f"missing pack for level {name}: {path}")
-        try:
-            level, samples = read_pack(_read_bytes(path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad pack {path}: {exc}") from exc
-        if level != name:
-            raise ConfigError(f"{path} holds level {level}, expected {name}")
-        shape = samples[0].tensor.shape
-        want = PATCH_TABLE[name][0]
-        if shape != want:
-            raise ConfigError(
-                f"{path} holds {shape} patches, level {name} needs {want}")
-        sample_labels = [smp.label for smp in samples]
-        try:
-            folds = metrics.kfold_split(sample_labels, k=k, seed=cfg.seed)
-        except metrics.TooFewSamples as exc:
-            raise ConfigError(f"level {name}: {exc}") from exc
-        train_set = [smp for smp, f in zip(samples, folds) if f != 0]
-        val_set = [smp for smp, f in zip(samples, folds) if f == 0]
-        datasets[name] = (train_set, val_set)
-    return datasets
+        _read_level(cfg, packs_dir, name)
+    return ({name: PATCH_TABLE[name][0] for name in cfg.levels},
+            functools.partial(_read_level, cfg, packs_dir))
 
 
 def _check_out(path):
@@ -637,7 +652,7 @@ def _check_out(path):
 def cmd_train(args):
     cfg = load_config(args.config)
     _check_out(args.out)
-    datasets = _load_level_datasets(cfg, args.packs)
+    shapes, load = _load_level_datasets(cfg, args.packs)
     class_count = len(PROTOCOL_CLASSES[cfg.protocol])
 
     def log(level, stats):
@@ -647,7 +662,7 @@ def cmd_train(args):
               f"lr {stats.lr:.3e}")
 
     try:
-        _, results = progressive_fit(datasets, cfg.train, class_count,
+        _, results = progressive_fit(shapes, load, cfg.train, class_count,
                                      channels=cfg.channels, log=log)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

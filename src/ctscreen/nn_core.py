@@ -797,9 +797,11 @@ class ByteCursor:
         return str(self.take(self.unpack("H")[0]), encoding)
 
     def array(self, dtype, shape):
+        """The next bytes as a read-only array over them, not a copy."""
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(nbytes),
-                             dtype=dtype).reshape(shape).copy()
+        arr = np.frombuffer(self.take(nbytes), dtype=dtype).reshape(shape)
+        arr.flags.writeable = False
+        return arr
 
     def end(self):
         if self.off != len(self.view):
@@ -832,7 +834,7 @@ def load_checkpoint(data):
         if dtype not in ("<f2", "<f4", "<f8"):  # float weights, as saved
             raise ValueError(f"tensor {name}: unsupported dtype {dtype!r}")
         ndim, = cur.unpack("B")
-        weights[name] = cur.array(dtype, cur.unpack(f"{ndim}I"))
+        weights[name] = cur.array(dtype, cur.unpack(f"{ndim}I")).copy()
     cur.end()
     if {n: w.shape for n, w in weights.items()} != expected:
         raise ValueError("checkpoint tensors do not match the declared model spec")

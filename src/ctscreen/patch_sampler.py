@@ -85,12 +85,39 @@ def _axis_order(in_shape, out_shape):
     return sorted(range(3), key=lambda a: out_shape[a] / in_shape[a])
 
 
-def trilinear_resample(arr, out_shape):
+def _box_taps(in_shape, out_shape, box):
+    """For each axis of `box` (three slices of the out_shape grid): the input
+    range its outputs read, and their taps from _taps re-based onto that
+    range, or None for an axis that is not resized."""
+    reads, taps = [], []
+    for n_in, n_out, s in zip(in_shape, out_shape, box):
+        if n_in == n_out:
+            reads.append(s)
+            taps.append(None)
+            continue
+        i0, i1, frac = (t[s] for t in _taps(n_in, n_out))
+        reads.append(slice(i0[0], i1[-1] + 1))
+        taps.append((i0 - i0[0], i1 - i0[0], frac))
+    return tuple(reads), taps
+
+
+def trilinear_resample(arr, out_shape, box=None):
     """Separable trilinear resample; float64 math on every resized axis
-    (the first promotes exactly), and `arr` itself when none is resized."""
-    for axis in _axis_order(arr.shape, out_shape):
-        if arr.shape[axis] != out_shape[axis]:
-            arr = _lerp(arr, axis, *_taps(arr.shape[axis], out_shape[axis]))
+    (the first promotes exactly), and a view of `arr` when none is resized.
+
+    `box`, three slices of the out_shape grid, asks for that sub-box alone
+    (by default the whole grid). Each axis pass is elementwise along the
+    other two and the axis order comes from the whole grid, so the box
+    holds the same bytes as that box of the whole resample.
+    """
+    if box is None:
+        box = tuple(slice(0, n) for n in out_shape)
+    order = _axis_order(arr.shape, out_shape)
+    reads, taps = _box_taps(arr.shape, out_shape, box)
+    arr = arr[reads]
+    for axis in order:
+        if taps[axis] is not None:
+            arr = _lerp(arr, axis, *taps[axis])
     return arr
 
 
@@ -122,28 +149,17 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
     if len(box) != 3 or not all(0 <= s.start < s.stop <= n and s.step in (None, 1)
                                 for s, n in zip(box, out_shape)):
         raise ValueError(f"{box} is not a box of the {out_shape} grid")
-    resized = [a for a in _axis_order(shape_in, out_shape) if shape_in[a] != out_shape[a]]
-    taps = {a: _taps(shape_in[a], out_shape[a]) for a in resized}
-
-    def span(axis, start, stop):
-        """Input range that outputs [start, stop) of `axis` read, and their
-        taps re-based onto it."""
-        if axis not in taps:
-            return slice(start, stop), None
-        i0, i1, frac = (t[start:stop] for t in taps[axis])
-        return slice(i0[0], i1[-1] + 1), (i0 - i0[0], i1 - i0[0], frac)
-
-    reads, box_taps = map(list, zip(*(span(a, s.start, s.stop) for a, s in enumerate(box))))
+    order = _axis_order(shape_in, out_shape)
     rows = box[0]
     out = np.empty([s.stop - s.start for s in box], dtype=np.float32)
     for start in range(rows.start, rows.stop, SLAB_ROWS):
         stop = min(start + SLAB_ROWS, rows.stop)
-        reads[0], box_taps[0] = span(0, start, stop)
-        read = tuple(reads)
+        read, taps = _box_taps(shape_in, out_shape, (slice(start, stop),) + box[1:])
         vox = np.where(mask.bits[read], volume.voxels[read], np.float32(lo))
         vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
-        for axis in resized:
-            vox = _lerp(vox, axis, *box_taps[axis])
+        for axis in order:
+            if taps[axis] is not None:
+                vox = _lerp(vox, axis, *taps[axis])
         vox -= lo
         vox /= hi - lo
         # a blend of two equal clip values can round one ulp past them

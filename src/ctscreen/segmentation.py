@@ -364,5 +364,9 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:
 
 
 def component_count(mask: Mask, connectivity: int = 26) -> int:
-    _, n = ndimage.label(mask.bits, structure=_structure(connectivity))
+    """Connected components of the mask, labelled over its bounding box."""
+    box = grown_box(mask.bits, 0)
+    if box is None:
+        return 0
+    _, n = ndimage.label(mask.bits[box], structure=_structure(connectivity))
     return int(n)

@@ -198,6 +198,7 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
             else:
                 chunk = [train_set[i] for i in picks]
             x, y = to_batch(chunk)
+            del chunk  # the augmented copies, now stacked in x
             batch_seed = int(np.random.SeedSequence(
                 [int(config.seed), epoch, int(bidx)]).generate_state(1)[0])
             loss, grads, probs = nn.loss_and_grads(spec, weights, x, y, wvec,
@@ -208,6 +209,8 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
             loss_sum += loss * len(picks)
             hit_sum += int((probs.argmax(axis=1) == y).sum())
             weights, state = adam_step(weights, grads, state, lr, config)
+            # nothing of this batch outlives its step
+            del x, y, probs, grads
 
         val_loss, val_acc = evaluate(spec, weights, val_set, wvec)
         stats = EpochStats(epoch, loss_sum / len(order), hit_sum / len(order),
@@ -223,30 +226,34 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
     return best_weights, history
 
 
-def progressive_fit(datasets, config: TrainConfig, class_count,
+def progressive_fit(shapes, load, config: TrainConfig, class_count,
                     channels=nn.BASE_CHANNELS, log=None):
     """Train through an ordered ladder of patch levels.
 
-    datasets: {level: (train, val)}, small to large; each level's input
-    shape is that of its training patches. Level n+1 starts from level n's
-    best weights behind a fresh stem block. Returns (final best weights,
-    [LevelResult per level]). `log`, when given, is called with (level
-    name, EpochStats) per finished epoch.
+    shapes: {level: (rows, cols, slices)}, small to large, the patch shape
+    of each level. load(level) gives that level's (train, val) when its
+    turn comes, and they are dropped before the next level loads, so one
+    level's datasets are resident at a time. Level n+1 starts from level
+    n's best weights behind a fresh stem block. Returns (final best
+    weights, [LevelResult per level]). `log`, when given, is called with
+    (level name, EpochStats) per finished epoch.
     """
-    if not datasets:
+    if not shapes:
         raise EmptyDataset("no levels given")
-    for name, (train_set, _) in datasets.items():
-        if not train_set:
-            raise EmptyDataset(f"level {name}: train dataset is empty")
-    shapes = [train_set[0].tensor.shape for train_set, _ in datasets.values()]
-    for a, b in zip(shapes, shapes[1:]):
+    ladder = list(shapes.values())
+    for a, b in zip(ladder, ladder[1:]):
         if any(x > y for x, y in zip(a, b)):
             raise IncompatibleSpec(f"ladder must grow monotonically, got {a} -> {b}")
 
     results = []
     prev_spec, prev_best = None, None
-    for li, (name, (train_set, val_set)) in enumerate(datasets.items()):
-        r, c, s = shapes[li]
+    for li, (name, (r, c, s)) in enumerate(shapes.items()):
+        train_set, val_set = load(name)
+        if not train_set:
+            raise EmptyDataset(f"level {name}: train dataset is empty")
+        if train_set[0].tensor.shape != (r, c, s):
+            raise IncompatibleSpec(f"level {name} holds {train_set[0].tensor.shape} "
+                                   f"patches, not {(r, c, s)}")
         input_shape = (1, s, r, c)
         if prev_spec is None:
             spec = nn.base_model(input_shape, class_count, channels=channels)
@@ -259,6 +266,7 @@ def progressive_fit(datasets, config: TrainConfig, class_count,
         level_log = None if log is None else (
             lambda stats, name=name: log(name, stats))
         best, history = fit(spec, init, train_set, val_set, config, log=level_log)
+        del train_set, val_set  # before the next level loads
         results.append(LevelResult(name, spec, init_snapshot, best, history))
         prev_spec, prev_best = spec, best
     return results[-1].best_weights, results

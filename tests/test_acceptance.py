@@ -398,7 +398,9 @@ def test_c09_progressive_ladder_smoke_and_direction():
         config = TrainConfig(lr0=3e-4, max_epochs=8, patience=5,
                              batch_size=16, seed=21, weight_mode="uniform")
 
-        _, results = tr.progressive_fit(datasets, config, 2, channels=(2, 4))
+        shapes = {name: shape for name, shape, _ in ladder}
+        _, results = tr.progressive_fit(shapes, datasets.__getitem__, config, 2,
+                                        channels=(2, 4))
         # carried tensors must be byte-for-byte the previous level's best,
         # re-keyed past the three stem layers
         for prev, cur in zip(results, results[1:]):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,63 @@ def test_sample_linear_matches_the_corner_by_corner_oracle(level):
     coords = [rng.uniform(-3.0, n + 2.0, size=shape) for n in shape]
     assert (aug._sample_linear(t64, coords).tobytes()
             == _sample_linear_oracle(t64, coords).tobytes())
+
+
+def _whole_patch_warp(t, grid, sigma, seed):
+    """elastic_deform as one gather over the whole patch's field and grid."""
+    field = aug.elastic_field(t.shape, grid, sigma, seed)
+    coords = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in t.shape],
+                         indexing="ij")
+    out = aug._sample_linear(t, [c + d for c, d in zip(coords, field)])
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 7, 11])
+def test_elastic_slabs_match_the_whole_patch_gather(monkeypatch, rows):
+    # three rows a slab, so no row count here but 1 fills whole slabs only
+    shape = (rows, 10, 4)
+    monkeypatch.setattr(aug, "ELASTIC_SLAB_VOXELS", 3 * 10 * 4)
+    t = np.random.default_rng(rows).random(shape, dtype=np.float32)
+    for seed in range(3):
+        got = aug.elastic_deform(t, (4, 4, 2), 2.0, seed)
+        assert got.tobytes() == _whole_patch_warp(t, (4, 4, 2), 2.0, seed).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 128, 20), PATCH_TABLE["P4"][0]])
+def test_elastic_default_slabs_match_the_whole_patch_gather(shape):
+    rows = max(1, aug.ELASTIC_SLAB_VOXELS // (shape[1] * shape[2]))
+    assert shape[0] == 1 or shape[0] % rows
+    t = np.random.default_rng(17).random(shape, dtype=np.float32)
+    got = aug.elastic_deform(t, (4, 4, 2), 2.0, 8)
+    assert got.tobytes() == _whole_patch_warp(t, (4, 4, 2), 2.0, 8).tobytes()
+
+
+def test_elastic_field_rows_are_rows_of_the_whole_field():
+    shape = (37, 20, 9)
+    whole = aug.elastic_field(shape, (4, 3, 2), 1.5, 6)
+    for rows in (slice(0, 1), slice(5, 12), slice(36, 37), slice(0, 37)):
+        part = aug.elastic_field(shape, (4, 3, 2), 1.5, 6, rows)
+        assert part.tobytes() == whole[:, rows].tobytes(), rows
+
+
+def test_elastic_memory_is_bounded_by_the_slab():
+    # the whole-patch gather held about 180 B of float64 coordinates,
+    # weights and indices per voxel: 320 MB for one P5 patch
+    t = np.random.default_rng(18).random(PATCH_TABLE["P5"][0], dtype=np.float32)
+    tracemalloc.start()
+    try:
+        aug.elastic_deform(t, (4, 4, 2), 2.0, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.nbytes, peak
+
+
+def test_noise_matches_the_three_array_sum():
+    t = np.random.default_rng(19).random(PATCH_TABLE["P4"][0], dtype=np.float32)
+    noise = np.random.default_rng(4).normal(0.0, 0.05, size=t.shape)
+    want = np.clip(t + noise, 0.0, 1.0).astype(np.float32)
+    assert aug.add_gaussian_noise(t, 0.05, 4).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- sampler

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, metrics, nifti_io, nn_core, parallel
+from ctscreen.augment import AugmentPolicy, transform_menu
 from ctscreen.nifti_io import Volume
 from ctscreen.patch_sampler import extract_patches, standardize_volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
+from ctscreen.train import TrainConfig, fit
 
 from synth import blob_dataset
 
@@ -250,6 +252,34 @@ def test_write_pack_peak_memory_is_about_one_pack(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * len(blob)
+
+
+def test_pack_records_are_read_only_views():
+    # records cost nothing beside the pack's bytes, and augmenting or
+    # training on them never writes through to those bytes
+    blob = bytearray(cli.write_pack("P2", blob_dataset(
+        8, seed=5, shape=(32, 32, 12), level="P2")))
+    before = bytes(blob)
+    tracemalloc.start()
+    try:
+        _, samples = cli.read_pack(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * len(blob)  # copies would be the whole pack again
+    for smp in samples:
+        assert not smp.tensor.flags.writeable
+        assert np.shares_memory(smp.tensor, np.frombuffer(blob, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            smp.tensor[0, 0, 0] = 0.5
+    policy = AugmentPolicy(seed=2)
+    for _, transform in transform_menu(policy):
+        for i, smp in enumerate(samples):
+            transform(smp.tensor, np.random.default_rng(i))
+    cfg = TrainConfig(max_epochs=1, patience=0, batch_size=4, augment=policy)
+    spec = nn_core.base_model((1, 12, 32, 32), 2, channels=(2,))
+    fit(spec, nn_core.init_weights(spec, seed=0), samples, samples, cfg)
+    assert bytes(blob) == before
 
 
 def test_pack_rejects_garbage():
@@ -784,6 +814,47 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     assert err == (f"error: {packs / 'P2.pack'} holds (16, 16, 9) patches, "
                    f"level P2 needs (32, 32, 12)\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_train_checks_every_pack_before_any_epoch(trained, tmp_path, capsys):
+    # P2's pack is cut short: training loads it only after P1, but the
+    # run still fails on it before P1 trains
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    (packs / "P1.pack").write_bytes(trained["packs"].joinpath("P1.pack").read_bytes())
+    (packs / "P2.pack").write_bytes(trained["packs"].joinpath("P2.pack").read_bytes()[:-1])
+    rc = cli.main(["train", "--config", str(trained["cfg"]), "--packs", str(packs),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "epoch" not in out
+    assert err.startswith(f"error: bad pack {packs / 'P2.pack'}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_holds_one_level_of_records(tmp_path):
+    # two levels' packs of one size: training them in turn peaks near
+    # training the larger alone, not one pack higher as holding both did
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    for level, count in (("P1", 640), ("P2", 120)):
+        shape = cli.PATCH_TABLE[level][0]
+        (packs / f"{level}.pack").write_bytes(cli.write_pack(
+            level, blob_dataset(count, seed=3, shape=shape, level=level)))
+    pack_bytes = (packs / "P1.pack").stat().st_size
+    peaks = {}
+    for levels in ("P2", "P1,P2"):
+        cfg = tmp_path / f"{levels}.cfg"
+        cfg.write_text(TRAIN_CFG.replace("P1,P2", levels).replace(
+            "max_epochs = 2", "max_epochs = 1").replace("patience = 1", "patience = 0"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["train", "--config", str(cfg), "--packs", str(packs),
+                             "--out", str(tmp_path / levels)]) == 0
+            peaks[levels] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["P1,P2"] < peaks["P2"] + 0.5 * pack_bytes, (peaks, pack_bytes)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

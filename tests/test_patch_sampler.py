@@ -246,6 +246,20 @@ def test_trilinear_resample_matches_reference_chain():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_trilinear_resample_box_is_that_box_of_the_whole_resample():
+    rng = np.random.default_rng(16)
+    for in_shape, out_shape in [((4, 4, 2), (37, 20, 9)), ((7, 9, 5), (13, 4, 8)),
+                                ((12, 1, 3), (1, 7, 3))]:
+        arr = rng.standard_normal(in_shape)
+        whole = ps.trilinear_resample(arr, out_shape)
+        for start in range(out_shape[0]):
+            for stop in (start + 1, out_shape[0]):
+                box = (slice(start, stop), slice(0, out_shape[1]),
+                       slice(out_shape[2] // 2, out_shape[2]))
+                got = ps.trilinear_resample(arr, out_shape, box)
+                assert got.tobytes() == whole[box].tobytes(), (out_shape, box)
+
+
 def test_standardize_peak_memory_is_one_output_plus_slab():
     # the whole-grid float64 resample peaked near 320 MB on this input
     rng = np.random.default_rng(15)

@@ -334,6 +334,18 @@ def test_largest_matches_labeling_oracle():
                 assert np.array_equal(out.bits, expect), (trial, conn, k)
 
 
+def test_component_count_matches_the_full_grid_label():
+    # it labels the mask's bounding box only; an empty mask has no box
+    rng = np.random.default_rng(5)
+    for trial in range(4):
+        bits = np.zeros((16, 18, 12), dtype=bool)
+        bits[2 + trial:12, 3:15 - trial, 1:9] = rng.random((10 - trial, 12 - trial, 8)) < 0.2
+        for conn in (6, 26):
+            want = ndimage.label(bits, structure=seg._structure(conn))[1]
+            assert seg.component_count(seg.Mask(bits), conn) == want, (trial, conn)
+    assert seg.component_count(seg.Mask(np.zeros((4, 5, 6), dtype=bool))) == 0
+
+
 # ------------------------------------------------------------- morphology
 
 def test_erode_radius_zero_identity():

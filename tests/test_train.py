@@ -1,7 +1,11 @@
 """Optimizer, schedule, early-stop and training-loop tests."""
 
 import csv
+import dataclasses
 import io
+import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +274,38 @@ def test_fit_with_augmentation_runs_and_is_deterministic():
     assert h1 == h2
 
 
+def test_fit_holds_one_batch_at_a_time(monkeypatch):
+    # a step drops its augmented samples once they are stacked, and its
+    # batch, probabilities and gradients once Adam has used them, so the
+    # next batch's warps run beside none of them: more batches peak within
+    # one batch of one batch's peak (holding the last batch's samples and
+    # tensor put them two batches over)
+    from ctscreen import augment as aug
+
+    def warp(sample, policy, epoch, index):
+        tensor = aug.elastic_deform(sample.tensor, policy.elastic_grid,
+                                    policy.elastic_sigma, index)
+        return dataclasses.replace(sample, tensor=tensor)
+    monkeypatch.setattr(tr, "augment_sample", warp)
+    shape, batch = (32, 32, 12), 4
+    # narrow enough that the warps, not the backward, set the peak
+    spec = nn.base_model((1, 12, 32, 32), 2, channels=(2, 4))
+    weights = nn.init_weights(spec, seed=14)
+    peaks = {}
+    for n in (batch, 3 * batch):
+        data = blob_dataset(n, seed=14, shape=shape)
+        cfg = quick_config(max_epochs=1, patience=0, batch_size=batch,
+                           augment=aug.AugmentPolicy(seed=1))
+        tracemalloc.start()
+        try:
+            tr.fit(spec, weights, data, data[:2], cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    batch_bytes = batch * 4 * math.prod(shape)
+    assert peaks[3 * batch] - peaks[batch] < batch_bytes, peaks
+
+
 def test_evaluate_keeps_running_stats_frozen():
     spec = tiny_spec()
     weights = nn.init_weights(spec, seed=12)
@@ -331,11 +367,17 @@ def ladder_datasets(ladder=LADDER, seed=0):
     return out
 
 
+def in_memory(datasets):
+    """progressive_fit's (shapes, load) over {level: (train, val)}."""
+    shapes = {name: val[0].tensor.shape for name, (_, val) in datasets.items()}
+    return shapes, datasets.__getitem__
+
+
 def test_progressive_fit_single_level_equals_plain_fit():
     data = {"T2": (blob_dataset(16, 20, shape=(12, 12, 6)),
                    blob_dataset(8, 21, shape=(12, 12, 6)))}
     cfg = quick_config(max_epochs=2, patience=1, seed=9)
-    final, results = tr.progressive_fit(data, cfg, class_count=2,
+    final, results = tr.progressive_fit(*in_memory(data), cfg, class_count=2,
                                         channels=(4, 8))
     spec = nn.base_model((1, 6, 12, 12), 2, channels=(4, 8))
     init = nn.init_weights(spec, seed=cfg.seed)
@@ -347,7 +389,7 @@ def test_progressive_fit_single_level_equals_plain_fit():
 
 def test_progressive_fit_carries_weights_bit_exact():
     cfg = quick_config(max_epochs=2, patience=1, seed=4)
-    _, results = tr.progressive_fit(ladder_datasets(), cfg,
+    _, results = tr.progressive_fit(*in_memory(ladder_datasets()), cfg,
                                     class_count=2, channels=(4, 8))
     assert [r.level for r in results] == ["T1", "T2", "T3"]
     for prev, cur in zip(results, results[1:]):
@@ -361,17 +403,50 @@ def test_progressive_fit_rejects_shrinking_ladder():
     shrinking = ladder_datasets(LADDER[1::-1])
     assert list(shrinking) == ["T2", "T1"]
     with pytest.raises(tr.IncompatibleSpec):
-        tr.progressive_fit(shrinking, quick_config(),
-                           class_count=2, channels=(4, 8))
+        tr.progressive_fit(in_memory(shrinking)[0],
+                           lambda _: pytest.fail("loaded before the check"),
+                           quick_config(), class_count=2, channels=(4, 8))
 
 
 def test_progressive_fit_rejects_an_empty_train_set_before_training():
+    # a level is loaded when its turn comes, so it is checked then
     datasets = ladder_datasets()
     datasets["T3"] = ([], datasets["T3"][1])
+
+    def log(level, _):
+        if level == "T3":
+            pytest.fail("trained T3 before the check")
     with pytest.raises(tr.EmptyDataset, match="level T3: train"):
-        tr.progressive_fit(datasets, quick_config(), class_count=2,
-                           channels=(4, 8),
-                           log=lambda *_: pytest.fail("trained before the check"))
+        tr.progressive_fit(*in_memory(datasets), quick_config(max_epochs=1, patience=0),
+                           class_count=2, channels=(4, 8), log=log)
+
+
+def test_progressive_fit_rejects_a_level_of_another_shape():
+    datasets = ladder_datasets()
+    shapes, load = in_memory(datasets)
+    shapes["T2"] = (12, 12, 7)
+    with pytest.raises(tr.IncompatibleSpec, match="level T2 holds"):
+        tr.progressive_fit(shapes, load, quick_config(max_epochs=1, patience=0),
+                           class_count=2, channels=(4, 8))
+
+
+def test_progressive_fit_holds_one_level_at_a_time():
+    # each level loads when its turn comes, and the one before it is gone
+    # by then: nothing of progressive_fit still refers to its samples
+    loaded, alive = [], []
+
+    def load(name):
+        for ref in alive:
+            assert ref() is None, f"{name} loaded with an earlier level alive"
+        loaded.append(name)
+        train_set, val_set = ladder_datasets()[name]
+        alive.append(weakref.ref(train_set[0]))
+        return train_set, val_set
+    shapes = dict(LADDER)
+    tr.progressive_fit(shapes, load, quick_config(max_epochs=1, patience=0),
+                       class_count=2, channels=(4, 8))
+    assert loaded == list(shapes)
+    assert alive[-1]() is None
 
 
 # ---------------------------------------------------------------- history
