@@ -562,11 +562,11 @@ def cmd_patch(args):
         mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
-        patches = extract_patches(volume, mask, args.level, scan_seed,
-                                  label=int(labels[index]))
-        return write_pack(args.level, patches), index_records(patches)
+        return extract_patches(volume, mask, args.level, scan_seed,
+                               label=int(labels[index]))
 
-    # the scans' packs join into one as they finish, in manifest order: each
+    # the scans' records join into one pack as they finish, in manifest
+    # order, each encoded on its own so no scan's whole pack is built: each
     # later header must match the first but for its count, which is set last
     count_at = _pack_count_offset(args.level)
     records = []
@@ -574,16 +574,19 @@ def cmd_patch(args):
 
     def chunks(outcomes):
         nonlocal scans
-        for blob, recs in filter(None, outcomes):
-            if not scans:
-                head = blob[:count_at]
-                yield blob
-            elif blob[:count_at] != head:
-                raise ValueError("pack samples must share one shape")
-            else:
-                yield memoryview(blob)[count_at + 4:]
-            del blob  # before the next scan is awaited
-            records.extend(recs)
+        for patches in filter(None, outcomes):
+            for sample in patches:
+                blob = write_pack(args.level, [sample])
+                if not records:
+                    head = blob[:count_at]
+                    yield blob
+                elif blob[:count_at] != head:
+                    raise ValueError("pack samples must share one shape")
+                else:
+                    yield memoryview(blob)[count_at + 4:]
+                del blob  # before the next record is encoded
+                records.extend(index_records([sample]))
+            del patches  # before the next scan is awaited
             scans += 1
 
     with contextlib.closing(_per_scan(work, [row.path for row in rows],

@@ -9,12 +9,15 @@ matrices are not applied; data is used exactly as stored.
 from __future__ import annotations
 
 import gzip
+import itertools
 import math
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
 
 HEADER_SIZE = 348
 # Single-file data starts after the header plus the 4 extension-flag bytes.
@@ -162,6 +165,9 @@ def parse_header(buf: bytes) -> NiftiHeader:
 
 
 GUNZIP_PIECE = 1 << 20  # most bytes one inflate call may return
+# deflate makes at most 1032 bytes of each byte it reads, so a gzip stream
+# cannot hold more than this many bytes per byte of the file
+DEFLATE_MAX_RATIO = 1032
 
 
 def _inflated(data):
@@ -180,53 +186,102 @@ def _inflated(data):
         pending = inflate.unused_data.lstrip(b"\0")
 
 
-def _gunzipped(data):
-    """`data`, gunzipped when it starts with the gzip magic (a NIfTI-1 header
-    never does). Only the bytes the header declares are kept; the rest is
-    inflated a piece at a time and dropped, so a small file cannot inflate
+def _extent(header):
+    """(offset, length) of the voxel data in bytes of the file."""
+    return max(header.vox_offset, MIN_VOX_OFFSET), header.data_length()
+
+
+def _short(need, present):
+    return DataLengthMismatch(f"declared {need} data bytes, only {max(0, present)} present")
+
+
+def _target(buf, offset, header):
+    """(the empty (R, C, S) voxel array, the voxel data of `buf` at `offset`
+    as the stored (S, C, R) grid: the file stores the first index fastest)."""
+    r, c, s = header.shape
+    stored = np.frombuffer(buf, dtype=header.dtype, count=r * c * s, offset=offset)
+    return np.empty((r, c, s), dtype=header.dtype), stored.reshape((s, c, r))
+
+
+def _copy_planes(raw, stored, planes):
+    """Copy the stored planes [s0, s1) into the (R, C, S) array."""
+    s0, s1 = planes
+    raw[:, :, s0:s1] = stored[s0:s1].transpose(2, 1, 0)
+
+
+def _read_gzipped(data):
+    """read_raw of a gzipped file. This thread inflates it a piece at a time
+    into one buffer of the bytes the header declares, while the pool copies
+    each run of planes into the array as soon as the run is whole. The rest
+    of the stream is inflated and dropped, so a small file cannot inflate
     without bound and every member's CRC and length are still checked."""
-    if memoryview(data)[:2] != b"\x1f\x8b":
-        return data
-    parts, kept, keep = [], 0, None
+    pieces = _inflated(data)
     try:
-        for piece in _inflated(data):
-            if keep is None and kept + len(piece) >= HEADER_SIZE:
-                header = parse_header(b"".join(parts) + piece[:HEADER_SIZE])
-                keep = max(header.vox_offset, MIN_VOX_OFFSET) + header.data_length()
-            if keep is None or kept < keep:
-                parts.append(piece if keep is None else piece[:keep - kept])
-                kept += len(parts[-1])
+        head = b""
+        for piece in pieces:
+            head += piece
+            if len(head) >= HEADER_SIZE:
+                break
+        header = parse_header(head)
+        offset, need = _extent(header)
+        keep = offset + need
+        if keep > DEFLATE_MAX_RATIO * len(data):
+            # the stream cannot hold what the header declares, so it gets
+            # no buffer, only the count of what it does hold
+            raise _short(need, len(head) + sum(map(len, pieces)) - offset)
+        buf = np.empty(keep, dtype=np.uint8)
+        raw, stored = _target(buf, offset, header)
+        plane = raw.shape[0] * raw.shape[1] * raw.itemsize
+
+        def runs():
+            kept = done = 0  # bytes kept, planes handed out
+            for piece in itertools.chain([head], pieces):
+                n = min(len(piece), keep - kept)
+                if n:
+                    buf[kept:kept + n] = np.frombuffer(piece, dtype=np.uint8, count=n)
+                    kept += n
+                    whole = max(kept - offset, 0) // plane
+                    if whole > done:
+                        yield done, whole
+                        done = whole
+            if kept < keep:
+                raise _short(need, kept - offset)
+        parallel.overlap(runs(), lambda planes: _copy_planes(raw, stored, planes))
     except zlib.error as exc:
         raise DecompressError(str(exc)) from exc
-    return b"".join(parts)
+    return header, raw
 
 
 def read_raw(data):
     """Read header plus raw (unscaled) voxel array of shape (R, C, S).
 
-    `data` is the file's bytes, plain or gzipped. Never reads past the
-    declared data length; trailing bytes are ignored.
+    `data` is the file's bytes, plain or gzipped (a NIfTI-1 header never
+    starts with the gzip magic). Never reads past the declared data length;
+    trailing bytes are ignored. The pool's parts copy runs of the stored
+    planes into the array: for a plain file, one run each; for a gzipped
+    one, each run as soon as it is inflated (see _read_gzipped).
     """
-    data = _gunzipped(data)
+    if memoryview(data)[:2] == b"\x1f\x8b":
+        return _read_gzipped(data)
     header = parse_header(data)
-    offset = max(header.vox_offset, MIN_VOX_OFFSET)
-    need = header.data_length()
+    offset, need = _extent(header)
     if len(data) - offset < need:
-        raise DataLengthMismatch(
-            f"declared {need} data bytes, only {max(0, len(data) - offset)} present"
-        )
-    r, c, s = header.shape
-    flat = np.frombuffer(data, dtype=header.dtype, count=r * c * s, offset=offset)
-    # Stored order: first index fastest -> buffer is (slices, cols, rows) in C order.
-    raw = np.ascontiguousarray(flat.reshape((s, c, r)).transpose(2, 1, 0))
+        raise _short(need, len(data) - offset)
+    raw, stored = _target(data, offset, header)
+    cuts = parallel.cuts(raw.shape[2])
+    parallel.run(lambda p: _copy_planes(raw, stored, cuts[p:p + 2]), len(cuts) - 1)
     return header, raw
 
 
 def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarray:
-    """Apply the header scaling affine; slope 0 means unscaled data."""
-    if scl_slope == 0.0:
-        return raw.astype(np.float32)
-    return (raw.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
+    """Apply the header scaling affine; slope 0 means unscaled data. The
+    scaling runs in place on the float32 copy, with the same bits as the
+    expression (raw * slope) + inter."""
+    hu = raw.astype(np.float32)
+    if scl_slope != 0.0:
+        hu *= np.float32(scl_slope)
+        hu += np.float32(scl_inter)
+    return hu
 
 
 def read_volume(data, source_id: str = "") -> Volume:

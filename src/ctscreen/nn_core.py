@@ -87,6 +87,28 @@ def _interior(shape, padding):
     return tuple(slice(p, p + n) for n, p in zip(shape[2:], padding))
 
 
+# rows of the height axis _padded copies at a time: the rows of a transposed
+# scan stay in cache while their planes are gathered
+PAD_ROWS = 8
+
+
+def _padded(x, padding):
+    """Zero-padded copy of x. The pool's parts each take a run of the height
+    axis and copy it PAD_ROWS rows at a time, so a transposed view of a scan,
+    such as the model input, is gathered one cache-sized block at a time."""
+    xp = np.zeros(x.shape[:2] + tuple(n + 2 * p for n, p in zip(x.shape[2:], padding)),
+                  dtype=x.dtype)
+    inner = xp[(slice(None), slice(None)) + _interior(x.shape, padding)]
+    cuts = parallel.cuts(x.shape[3])
+
+    def part(p):
+        for h in range(cuts[p], cuts[p + 1], PAD_ROWS):
+            rows = slice(h, min(h + PAD_ROWS, cuts[p + 1]))
+            inner[:, :, :, rows] = x[:, :, :, rows]
+    parallel.run(part, len(cuts) - 1)
+    return xp
+
+
 def _pad_channels_last(x, padding):
     """Zero-padded copy of x as (batch, depth, height, width, channels)."""
     return np.pad(x.transpose(0, 2, 3, 4, 1),
@@ -115,7 +137,7 @@ def _one_channel_forward(x, kernel, bias, stride, padding, dims):
     """The ci == 1 forward, lowered on the flat padded input (see
     conv3d_forward); each part of the pool takes a run of chunks."""
     co = kernel.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    xp = _padded(x, padding)
     flat = xp.reshape(-1)
     dp, hp, wp = xp.shape[2:]
     # wide positions from one sample, output plane, output row, output voxel
@@ -212,7 +234,7 @@ def conv3d_backward(x, kernel, grad_out, stride=1, padding=0, input_grad=True):
                             f"{(b, co) + dims}")
     grad_k = np.zeros_like(kernel)
     if ci == 1:
-        xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+        xp = _padded(x, padding)
         grad_xp = np.zeros_like(xp) if input_grad else None
         for off, view in _offsets(kernel.shape[2:], stride, dims):
             sub = (Ellipsis,) + view

@@ -14,13 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .nifti_io import Volume
 from .segmentation import Mask, grown_box
 
 STANDARD_SHAPE = (512, 512, 36)
 HU_CLIP = (-1000.0, 400.0)
-# output rows (axis 0) that standardize_volume resamples at a time
-SLAB_ROWS = 32
+# output voxels standardize_volume resamples at a time, in whole rows of
+# axis 0: each float64 temporary of a slab then takes about 1 MiB, which a
+# part of the pool may allocate (see `parallel`)
+SLAB_VOXELS = 1 << 17
 
 # level -> ((rows, cols, slices), patches per scan)
 PATCH_TABLE = {
@@ -135,8 +138,9 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
     voxel sees the same float64 operations, in the same order, whatever box
     it is computed in: the axis order comes from the whole grid, and each
     axis reads only the input range its taps over the box use. The box is
-    filled SLAB_ROWS rows of axis 0 at a time, which bounds the float64
-    temporaries when it is the whole grid.
+    filled a slab of SLAB_VOXELS voxels' worth of rows of axis 0 at a time,
+    which bounds the float64 temporaries, and the pool's parts each take a
+    run of these slabs.
     """
     lo, hi = HU_CLIP
     shape_in = volume.voxels.shape
@@ -152,19 +156,25 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
     order = _axis_order(shape_in, out_shape)
     rows = box[0]
     out = np.empty([s.stop - s.start for s in box], dtype=np.float32)
-    for start in range(rows.start, rows.stop, SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, rows.stop)
-        read, taps = _box_taps(shape_in, out_shape, (slice(start, stop),) + box[1:])
-        vox = np.where(mask.bits[read], volume.voxels[read], np.float32(lo))
-        vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
-        for axis in order:
-            if taps[axis] is not None:
-                vox = _lerp(vox, axis, *taps[axis])
-        vox -= lo
-        vox /= hi - lo
-        # a blend of two equal clip values can round one ulp past them
-        np.clip(vox, 0.0, 1.0, out=vox)
-        out[start - rows.start:stop - rows.start] = vox
+    step = max(1, SLAB_VOXELS // out[0].size)
+    starts = range(rows.start, rows.stop, step)
+    cuts = parallel.cuts(len(starts))
+
+    def part(p):
+        for start in starts[cuts[p]:cuts[p + 1]]:
+            stop = min(start + step, rows.stop)
+            read, taps = _box_taps(shape_in, out_shape, (slice(start, stop),) + box[1:])
+            vox = np.where(mask.bits[read], volume.voxels[read], np.float32(lo))
+            vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
+            for axis in order:
+                if taps[axis] is not None:
+                    vox = _lerp(vox, axis, *taps[axis])
+            vox -= lo
+            vox /= hi - lo
+            # a blend of two equal clip values can round one ulp past them
+            np.clip(vox, 0.0, 1.0, out=vox)
+            out[start - rows.start:stop - rows.start] = vox
+    parallel.run(part, len(cuts) - 1)
     new_spacing = tuple(
         sp * ((n_in - 1) / (n_out - 1)) if n_out > 1 else sp * n_in
         for sp, n_in, n_out in zip(volume.spacing, shape_in, out_shape))

@@ -125,13 +125,17 @@ def _roots(n, a, b):
             root = root[root]
 
 
-def _border_connected(bits, connectivity):
-    """Voxels of `bits` whose component touches any of the six grid faces.
+def _label(bits, connectivity):
+    """Components of `bits`: (labels, slabs, first, root).
 
-    Each part of the pool labels one slab along axis 0 into its slice of one
-    label grid. The structure's offsets from one slab's last plane to the
-    next slab's first plane join labels across each seam, and a joined
-    component touches a face when any of its labels does.
+    Each part of the pool labels one slab of axis 0, slabs[p], into its
+    slice of one int32 label grid; node first[p] + l - 1 is slab p's label
+    l. The structure's offsets from one slab's last plane to the next slab's
+    first plane join nodes across each seam, and root[node] is the smallest
+    node of its component. scipy numbers each slab's labels in the C order of
+    their first voxels, and the slabs follow axis 0, so nodes follow that
+    order over the whole grid: a component's root is the node of its first
+    voxel, and roots sort as the components' first voxels do.
     """
     structure = _structure(connectivity)
     cuts = parallel.cuts(bits.shape[0])
@@ -143,15 +147,7 @@ def _border_connected(bits, connectivity):
         counts[p] = ndimage.label(bits[slabs[p]], structure, output=labels[slabs[p]])
     parallel.run(label, len(slabs))
 
-    # node first[p] + l - 1 is slab p's label l
     first = np.cumsum([0] + counts)
-    touches = np.zeros(first[-1], dtype=bool)
-    for p, slab in enumerate(slabs):
-        faces = [labels[slab, 0], labels[slab, -1], labels[slab, :, 0], labels[slab, :, -1]]
-        faces += [labels[0]] if p == 0 else []
-        faces += [labels[-1]] if p == len(slabs) - 1 else []
-        for face in faces:
-            touches[first[p] + face[face > 0] - 1] = True
     ends = ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)])
     n1, n2 = bits.shape[1:]
     for p, cut in enumerate(cuts[1:-1], 1):
@@ -161,18 +157,55 @@ def _border_connected(bits, connectivity):
             both = (lo > 0) & (hi > 0)
             ends[0].append(first[p - 1] + lo[both] - 1)
             ends[1].append(first[p] + hi[both] - 1)
-    root = _roots(first[-1], *map(np.concatenate, ends))
-    border = np.zeros(first[-1], dtype=bool)
-    border[root[touches]] = True
-    out = np.empty(bits.shape, dtype=bool)
+    return labels, slabs, first, _roots(first[-1], *map(np.concatenate, ends))
 
-    def mark(p):
-        lut = np.concatenate([[False], border[root[first[p]:first[p + 1]]]])
+
+def _painted(labels, slabs, first, keep):
+    """The voxels whose node is set in `keep`, one slab per part."""
+    out = np.empty(labels.shape, dtype=bool)
+
+    def part(p):
+        lut = np.concatenate([[False], keep[first[p]:first[p + 1]]])
         # plane by plane: np.take would first copy the labels as intp
         for i in range(slabs[p].start, slabs[p].stop):
             out[i] = lut[labels[i]]
-    parallel.run(mark, len(slabs))
+    parallel.run(part, len(slabs))
     return out
+
+
+# label voxels one np.bincount call takes, which copies them as intp
+COUNT_VOXELS = 1 << 17
+
+
+def _node_sizes(labels, slabs, first):
+    """Voxels of each node, one slab per part."""
+    sizes = np.empty(first[-1], dtype=np.int64)
+
+    def part(p):
+        rows = max(COUNT_VOXELS // labels[0].size, 1)
+        count = np.zeros(first[p + 1] - first[p] + 1, dtype=np.int64)
+        for i in range(slabs[p].start, slabs[p].stop, rows):
+            count += np.bincount(labels[i:min(i + rows, slabs[p].stop)].ravel(),
+                                 minlength=count.size)
+        sizes[first[p]:first[p + 1]] = count[1:]
+    parallel.run(part, len(slabs))
+    return sizes
+
+
+def _border_connected(bits, connectivity):
+    """Voxels of `bits` whose component touches any of the six grid faces;
+    a component touches a face when any of its slab labels does."""
+    labels, slabs, first, root = _label(bits, connectivity)
+    touches = np.zeros(first[-1], dtype=bool)
+    for p, slab in enumerate(slabs):
+        faces = [labels[slab, 0], labels[slab, -1], labels[slab, :, 0], labels[slab, :, -1]]
+        faces += [labels[0]] if p == 0 else []
+        faces += [labels[-1]] if p == len(slabs) - 1 else []
+        for face in faces:
+            touches[first[p] + face[face > 0] - 1] = True
+    border = np.zeros(first[-1], dtype=bool)
+    border[root[touches]] = True
+    return _painted(labels, slabs, first, border[root])
 
 
 def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
@@ -196,35 +229,16 @@ def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    labels, n = ndimage.label(mask.bits, structure=_structure(connectivity))
-    if n <= k:
+    labels, slabs, first, root = _label(mask.bits, connectivity)
+    # one per component, in scan order (see _label)
+    roots = np.flatnonzero(root == np.arange(root.size))
+    if roots.size <= k:
         return Mask(mask.bits.copy(), mask.source_id)
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes[0] = 0
-    keep = np.argsort(-sizes, kind="stable")[:k]
-    cut = sizes[keep[-1]]
-    tied = np.flatnonzero(sizes == cut)
-    if tied.size > np.count_nonzero(sizes[keep] == cut):
-        # the k-th place is shared, so scan order picks among the tied labels,
-        # not whatever ids the labeling backend happens to assign
-        keep = np.concatenate([np.flatnonzero(sizes > cut),
-                               _in_scan_order(labels, tied)])[:k]
-    lut = np.zeros(n + 1, dtype=bool)
-    lut[keep] = True
-    return Mask(lut[labels], mask.source_id)
-
-
-def _in_scan_order(labels, ids):
-    """`ids` sorted by each label's first voxel in C order, which lies in the
-    first plane of the label's bounding box."""
-    boxes = ndimage.find_objects(labels)
-
-    def first(lab):
-        rows, cols, slices = boxes[lab - 1]
-        plane = labels[rows.start, cols, slices] == lab
-        j, k = divmod(int(np.argmax(plane)), plane.shape[1])
-        return rows.start, cols.start + j, slices.start + k
-    return sorted(ids.tolist(), key=first)
+    sizes = np.bincount(root, weights=_node_sizes(labels, slabs, first))[roots]
+    keep = np.zeros(root.size, dtype=bool)
+    # a stable sort keeps tied components in scan order
+    keep[roots[np.argsort(-sizes, kind="stable")[:k]]] = True
+    return Mask(_painted(labels, slabs, first, keep[root]), mask.source_id)
 
 
 def _in_ball(n, radius):
@@ -368,5 +382,5 @@ def component_count(mask: Mask, connectivity: int = 26) -> int:
     box = grown_box(mask.bits, 0)
     if box is None:
         return 0
-    _, n = ndimage.label(mask.bits[box], structure=_structure(connectivity))
-    return int(n)
+    root = _label(mask.bits[box], connectivity)[3]
+    return int(np.count_nonzero(root == np.arange(root.size)))

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from ctscreen import cli, metrics, nifti_io, nn_core, parallel
 from ctscreen.augment import AugmentPolicy, transform_menu
 from ctscreen.nifti_io import Volume
-from ctscreen.patch_sampler import extract_patches, standardize_volume
+from ctscreen.patch_sampler import STANDARD_SHAPE, extract_patches, standardize_volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
 from ctscreen.train import TrainConfig, fit
@@ -1181,6 +1181,25 @@ def test_predict_fixture_healthy_scan(workspace, tmp_path, capsys):
 
     assert cli.main(args) == 0
     assert capsys.readouterr().out == out1
+
+
+def test_predict_does_not_depend_on_the_core_count(workspace, tmp_path, capsys,
+                                                  monkeypatch):
+    # a whole-grid checkpoint, so the stem pads the transposed scan
+    spec = nn_core.base_model((1,) + STANDARD_SHAPE[2:] + STANDARD_SHAPE[:2], 2,
+                              channels=(2,))
+    ck = tmp_path / "grid.ctck"
+    ck.write_bytes(nn_core.save_checkpoint(spec, nn_core.init_weights(spec, seed=3)))
+    scan = workspace["scan_paths"][1]
+    seen = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "CPUS", cpus)
+        assert cli.main(["predict", scan, "--checkpoint", str(ck),
+                         "--config", str(workspace["config"])]) == 0
+        work = cli._scoring_work(spec, nn_core.load_checkpoint(ck.read_bytes())[1],
+                                 cli.load_config(str(workspace["config"])).seg, None)
+        seen.append((capsys.readouterr().out, work(0, scan).tobytes()))
+    assert seen[0] == seen[1]
 
 
 def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):

@@ -132,8 +132,9 @@ def test_read_raw_layout_first_index_fastest():
 def test_read_raw_truncated_body():
     raw = np.zeros((4, 4, 4), dtype=np.int16)
     blob = pack_file(raw)
-    with pytest.raises(nio.DataLengthMismatch):
-        nio.read_raw(blob[:-10])
+    for short in (blob[:-10], gzip.compress(blob[:-10], mtime=0)):
+        with pytest.raises(nio.DataLengthMismatch, match="declared 128 data bytes, only 118"):
+            nio.read_raw(short)
 
 
 def test_read_raw_ignores_trailing_bytes():
@@ -204,6 +205,66 @@ def test_gzip_zero_padding_after_a_member_loads():
             + gzip.compress(plain[200:], mtime=0) + bytes(3))
     _, back = nio.read_raw(blob)
     assert np.array_equal(back, raw)
+
+
+def whole_buffer_decode(blob):
+    """read_raw's array by one decode of the whole file: the oracle."""
+    plain = gzip.decompress(blob) if blob[:2] == b"\x1f\x8b" else blob
+    hdr = nio.parse_header(plain)
+    r, c, s = hdr.shape
+    flat = np.frombuffer(plain, dtype=hdr.dtype, count=r * c * s,
+                         offset=max(hdr.vox_offset, nio.MIN_VOX_OFFSET))
+    return hdr, flat.reshape((s, c, r)).transpose(2, 1, 0)
+
+
+def code_of(dtype):
+    return next(code for code, (ch, _) in nio.DATATYPES.items() if np.dtype(ch) == dtype)
+
+
+def read_raw_cases(bo):
+    """Files of several shapes and datatypes, with extension bytes before
+    the voxels and trailing bytes after them."""
+    rng = np.random.default_rng(61)
+    for shape, dtype in [((5, 6, 7), np.int16), ((9, 4, 11), np.float32),
+                         ((1, 1, 5), np.uint8), ((13, 3, 2), np.int32), ((4, 4, 1), np.uint16)]:
+        raw = rng.integers(0, 250, size=shape).astype(dtype)
+        for gap, tail in ((0, b""), (60, b"\xff" * 9)):
+            hdr = pack_header(shape=shape, datatype=code_of(dtype),
+                              bitpix=8 * np.dtype(dtype).itemsize,
+                              vox_offset=float(nio.MIN_VOX_OFFSET + gap), bo=bo)
+            body = raw.astype(raw.dtype.newbyteorder(bo)).transpose(2, 1, 0).tobytes()
+            yield raw, hdr + bytes(4 + gap) + body + tail
+
+
+def gzip_members(plain, cuts):
+    return b"".join(gzip.compress(plain[a:b], mtime=0)
+                    for a, b in zip((0,) + cuts, cuts + (len(plain),)))
+
+
+@pytest.mark.parametrize("bo", ["<", ">"])
+# bytes per inflate call: under a plane, over one, across several, and the
+# module's own; every size but the last ends pieces inside planes
+@pytest.mark.parametrize("piece", [7, 61, 500, nio.GUNZIP_PIECE])
+def test_read_raw_matches_a_whole_buffer_decode(parts, bo, piece, monkeypatch):
+    monkeypatch.setattr(nio, "GUNZIP_PIECE", piece)
+    for raw, plain in read_raw_cases(bo):
+        # plain, one gzip member, and members that end inside the header
+        # and after it
+        for blob in (plain, gzip_members(plain, ()), gzip_members(plain, (100, 371))):
+            want_hdr, want = whole_buffer_decode(blob)
+            hdr, got = nio.read_raw(blob)
+            assert hdr == want_hdr
+            assert got.dtype == want.dtype == raw.dtype.newbyteorder(bo)
+            assert got.shape == raw.shape and got.tobytes() == want.tobytes()
+            assert np.array_equal(got, raw)
+
+
+def test_read_raw_rejects_a_header_the_stream_cannot_fill():
+    # 32767^3 int16 voxels from a few hundred bytes: no buffer is made for them
+    hdr = pack_header(shape=(32767, 32767, 32767))
+    blob = gzip.compress(hdr + bytes(4 + 100), mtime=0)
+    with pytest.raises(nio.DataLengthMismatch, match="only 100 present"):
+        nio.read_raw(blob)
 
 
 def test_hu_affine_applied():

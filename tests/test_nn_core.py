@@ -264,6 +264,19 @@ def test_slabbed_one_channel_forward_is_byte_equal_to_the_unblocked_loop(
                     assert same_bytes(got, want), (parts, b, co, stride)
 
 
+@pytest.mark.parametrize("rows", [1, 3, nn.PAD_ROWS])
+def test_padded_copy_is_np_pad_of_any_view(parts, rows, monkeypatch):
+    monkeypatch.setattr(nn, "PAD_ROWS", rows)
+    rng = np.random.default_rng(52)
+    grid = rng.standard_normal((9, 7, 5)).astype(np.float32)
+    batch = rng.standard_normal((2, 1, 5, 9, 7))
+    # a transposed scan as the model input makes it, a batch, and a strided view
+    for x in (grid.transpose(2, 0, 1)[None, None], batch, batch[:, :, ::2, 1:, ::-1]):
+        for padding in [(1, 1, 1), (0, 2, 1), (0, 0, 0)]:
+            want = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+            assert same_bytes(nn._padded(x, padding), want), (x.shape, padding)
+
+
 @pytest.mark.parametrize("ci", [1, 3])
 def test_conv_backward_can_skip_the_input_gradient(ci):
     rng = np.random.default_rng(51)

@@ -146,7 +146,7 @@ def same_bytes(a, b):
         a.view(np.uint32), b.view(np.uint32))
 
 
-SLAB = ps.SLAB_ROWS
+SLAB = 32  # output rows per slab of the whole grid (see slabs_of)
 STANDARDIZE_CASES = [
     # (input shape, output shape)
     ((20, 12, 9), (20, 12, 9)),                       # nothing resized
@@ -163,8 +163,15 @@ STANDARDIZE_CASES = [
 ]
 
 
+def slabs_of(monkeypatch, out_shape):
+    """Make standardize_volume cut the whole out_shape grid into slabs of
+    SLAB rows, the slabs the cases are shaped around."""
+    monkeypatch.setattr(ps, "SLAB_VOXELS", SLAB * out_shape[1] * out_shape[2])
+
+
 @pytest.mark.parametrize("in_shape,out_shape", STANDARDIZE_CASES)
-def test_standardize_matches_whole_grid_reference(in_shape, out_shape):
+def test_standardize_matches_whole_grid_reference(in_shape, out_shape, parts, monkeypatch):
+    slabs_of(monkeypatch, out_shape)
     rng = np.random.default_rng(sum(in_shape) * 31 + sum(out_shape))
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
@@ -195,7 +202,8 @@ def face_boxes(rng, shape):
 
 
 @pytest.mark.parametrize("in_shape,out_shape", STANDARDIZE_CASES)
-def test_standardize_box_matches_whole_grid(in_shape, out_shape):
+def test_standardize_box_matches_whole_grid(in_shape, out_shape, monkeypatch):
+    slabs_of(monkeypatch, out_shape)
     rng = np.random.default_rng(sum(in_shape) * 17 + sum(out_shape))
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6

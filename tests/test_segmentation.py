@@ -632,6 +632,41 @@ def test_largest_matches_full_grid_oracle_on_ties(connectivity):
 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
+def test_largest_does_not_depend_on_the_part_count(parts, connectivity):
+    rng = np.random.default_rng(21)
+    for shape in [(12, 9, 10), (7, 5, 9), (2, 6, 6), (1, 8, 8)]:
+        for density in (0.05, 0.15, 0.4):
+            bits = rng.random(shape) < density
+            for k in (1, 2, 3, 40):
+                m = seg.Mask(bits)
+                want = full_grid_largest_components(m, k, connectivity).bits
+                got = seg.largest_components(m, k, connectivity).bits
+                assert np.array_equal(got, want), (shape, density, k)
+            want = ndimage.label(bits, structure=seg._structure(connectivity))[1]
+            assert seg.component_count(seg.Mask(bits), connectivity) == want
+
+
+@pytest.mark.parametrize("bar_row", [0, 7])
+def test_largest_tie_with_a_u_across_the_seams(parts, bar_row):
+    # a 13-voxel U whose arms (rows 1-5) are joined only at row 5, across
+    # the cut of two parts (rows 3 | 4) and both cuts of three (1 | 2, 4 | 5),
+    # ties a 13-voxel bar that comes first in scan order in row 0 and last
+    # in row 7; the k-th place goes to the first
+    bits = np.zeros((8, 6, 12), dtype=bool)
+    bits[1:6, 2, 2] = True
+    bits[1:6, 2, 6] = True
+    bits[5, 2, 2:7] = True
+    bits[bar_row, 4, 0:12] = True
+    bits[bar_row, 5, 11] = True
+    for connectivity in (6, 26):
+        m = seg.Mask(bits)
+        got = seg.largest_components(m, 1, connectivity).bits
+        assert np.array_equal(got, full_grid_largest_components(m, 1, connectivity).bits)
+        assert got.sum() == 13 and got[bar_row, 4, 0] == (bar_row == 0)
+        assert seg.component_count(m, connectivity) == 2
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
 @pytest.mark.parametrize("keep_k", [1, 2, 3])
 def test_staged_segmentation_matches_full_grid_on_random_masks(keep_k, connectivity):
     rng = np.random.default_rng(30 + keep_k)
