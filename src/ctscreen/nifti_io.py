@@ -274,13 +274,19 @@ def read_raw(data):
 
 
 def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarray:
-    """Apply the header scaling affine; slope 0 means unscaled data. The
-    scaling runs in place on the float32 copy, with the same bits as the
-    expression (raw * slope) + inter."""
-    hu = raw.astype(np.float32)
-    if scl_slope != 0.0:
-        hu *= np.float32(scl_slope)
-        hu += np.float32(scl_inter)
+    """Apply the header scaling affine; slope 0 means unscaled data. Each
+    part of the pool casts a run of rows to float32 and scales it in place,
+    with the same bits as the expression (raw * slope) + inter."""
+    hu = np.empty(raw.shape, dtype=np.float32)
+    cuts = parallel.cuts(raw.shape[0])
+
+    def part(p):
+        rows = hu[cuts[p]:cuts[p + 1]]
+        np.copyto(rows, raw[cuts[p]:cuts[p + 1]], casting="unsafe")
+        if scl_slope != 0.0:
+            rows *= np.float32(scl_slope)
+            rows += np.float32(scl_inter)
+    parallel.run(part, len(cuts) - 1)
     return hu
 
 

@@ -338,10 +338,12 @@ def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
 def grown_box(bits, margin):
     """Slices of the smallest box holding every set voxel, grown by `margin`
     on each side and clipped to the grid; None when no voxel is set."""
-    plane = bits.any(axis=2)
+    # reduce over whole rows and whole planes: any() along the short last
+    # axis of a scan is many times slower
+    cols_slices = bits.any(axis=0)
     box = []
-    for present, n in zip((plane.any(axis=1), plane.any(axis=0),
-                           bits.any(axis=(0, 1))), bits.shape):
+    for present, n in zip((bits.any(axis=(1, 2)), cols_slices.any(axis=1),
+                           cols_slices.any(axis=0)), bits.shape):
         where = np.flatnonzero(present)
         if where.size == 0:
             return None

@@ -282,6 +282,18 @@ def test_hu_slope_zero_means_unscaled():
     assert np.array_equal(vol.voxels.ravel(), [-500.0, 40.0])
 
 
+@pytest.mark.parametrize("dtype", ["<i2", ">i2", "<i4", ">f4", "u1"])
+def test_hu_scaling_is_the_float32_affine_whatever_the_part_count(parts, dtype):
+    rng = np.random.default_rng(62)
+    raw = rng.integers(-3000, 3000, size=(7, 5, 3)).astype(dtype)
+    for slope, inter in ((1.0, -1024.0), (0.37, 12.5), (0.0, 99.0), (-2.5e-3, 0.0)):
+        want = raw.astype(np.float32)
+        if slope != 0.0:
+            want = (want * np.float32(slope)) + np.float32(inter)
+        got = nio.hu_from_raw(raw, slope, inter)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (slope, inter)
+
+
 @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4", "u2"])
 @pytest.mark.parametrize("gz", [False, True])
 def test_write_read_round_trip_bit_exact(dtype, gz):
