@@ -22,6 +22,10 @@ from .patch_sampler import Sample, trilinear_resample
 # float64 coordinates, weights and indices while its slab is gathered
 ELASTIC_SLAB_VOXELS = 1 << 15
 
+# the most control points an elastic grid may have on an axis: a warp draws
+# 3 * prod(grid) float64 offsets per slab, 6.3 MB at 64 on every axis
+MAX_ELASTIC_GRID = 64
+
 
 @dataclass
 class AugmentPolicy:
@@ -47,6 +51,8 @@ class AugmentPolicy:
             raise ValueError("gammas must be positive")
         if len(self.elastic_grid) != 3:
             raise ValueError("elastic_grid needs 3 values, one per axis")
+        if max(self.elastic_grid) > MAX_ELASTIC_GRID:
+            raise ValueError(f"elastic_grid {self.elastic_grid} is above {MAX_ELASTIC_GRID}")
         if self.elastic_sigma > 0 and min(self.elastic_grid) < 2:
             raise ValueError("elastic grid needs at least 2 control points per axis")
 

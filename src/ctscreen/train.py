@@ -90,7 +90,6 @@ class AdamState:
 class LevelResult:
     level: str
     spec: nn.ModelSpec
-    init_weights: dict
     best_weights: dict
     history: list
 
@@ -262,12 +261,11 @@ def progressive_fit(shapes, load, config: TrainConfig, class_count,
             spec, init = nn.build_progressive(prev_spec, prev_best,
                                               large_input=input_shape,
                                               seed=config.seed + li)
-        init_snapshot = {n: w.copy() for n, w in init.items()}
         level_log = None if log is None else (
             lambda stats, name=name: log(name, stats))
         best, history = fit(spec, init, train_set, val_set, config, log=level_log)
         del train_set, val_set  # before the next level loads
-        results.append(LevelResult(name, spec, init_snapshot, best, history))
+        results.append(LevelResult(name, spec, best, history))
         prev_spec, prev_best = spec, best
     return results[-1].best_weights, results
 

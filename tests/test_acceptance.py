@@ -13,6 +13,7 @@ from ctscreen import cli, nn_core as nn
 from ctscreen import train as tr
 from ctscreen.metrics import ConfusionMatrix, precision_recall_f1, roc_curve
 from ctscreen.nifti_io import DATATYPES, read_raw, write_nifti, Volume
+from ctscreen.packs import read_pack, write_pack
 from ctscreen.patch_sampler import PATCH_TABLE, Sample, extract_patches
 from ctscreen.phantoms import lung_phantom
 from ctscreen.rebalance import class_weights
@@ -384,7 +385,7 @@ def _final_auc(spec, weights, val_set):
     return roc_curve(probs[:, 1], y == 1)[1]
 
 
-def test_c09_progressive_ladder_smoke_and_direction():
+def test_c09_progressive_ladder_smoke_and_direction(monkeypatch):
     with criterion(9, "ladder transfers bit-exact and AUC >= baseline", 900):
         rng = np.random.default_rng(29)
         scans = [blob_tensor(rng, (32, 32, 32), 2 * (i % 2) + 1, radius=3)
@@ -399,14 +400,22 @@ def test_c09_progressive_ladder_smoke_and_direction():
                              batch_size=16, seed=21, weight_mode="uniform")
 
         shapes = {name: shape for name, shape, _ in ladder}
-        _, results = tr.progressive_fit(shapes, datasets.__getitem__, config, 2,
-                                        channels=(2, 4))
+        inits, fit = [], tr.fit
+
+        def recording(spec, weights_init, *args, **kwargs):
+            inits.append({n: w.copy() for n, w in weights_init.items()})
+            return fit(spec, weights_init, *args, **kwargs)
+        with monkeypatch.context() as patched:
+            patched.setattr(tr, "fit", recording)
+            _, results = tr.progressive_fit(shapes, datasets.__getitem__, config, 2,
+                                            channels=(2, 4))
         # carried tensors must be byte-for-byte the previous level's best,
         # re-keyed past the three stem layers
-        for prev, cur in zip(results, results[1:]):
+        assert len(inits) == len(ladder)
+        for prev, init in zip(results, inits[1:]):
             for name, tensor in prev.best_weights.items():
                 layer = int(name.split(".")[0][1:])
-                carried = cur.init_weights[f"L{layer + 3}.{name.split('.')[1]}"]
+                carried = init[f"L{layer + 3}.{name.split('.')[1]}"]
                 assert np.array_equal(tensor, carried), name
 
         ladder_auc = _final_auc(results[-1].spec, results[-1].best_weights,
@@ -474,14 +483,14 @@ def test_c10_cli_byte_determinism(tmp_path):
                              "--out", str(out)]) == 0
         assert (packs[0] / "P2.pack").read_bytes() == \
             (packs[1] / "P2.pack").read_bytes()
-        _, samples = cli.read_pack((packs[0] / "P2.pack").read_bytes())
+        _, samples = read_pack((packs[0] / "P2.pack").read_bytes())
         assert len(samples) == 4 * 32
 
         blob_packs = tmp_path / "blobpacks"
         blob_packs.mkdir()
-        (blob_packs / "P1.pack").write_bytes(cli.write_pack(
+        (blob_packs / "P1.pack").write_bytes(write_pack(
             "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
-        (blob_packs / "P2.pack").write_bytes(cli.write_pack(
+        (blob_packs / "P2.pack").write_bytes(write_pack(
             "P2", blob_dataset(16, seed=2, shape=(32, 32, 12), level="P2")))
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text(TRAIN_CFG)

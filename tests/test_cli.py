@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctscreen import cli, metrics, nifti_io, nn_core, parallel
+from ctscreen.config import ConfigError, RunConfig, dump_config, parse_config
 from ctscreen.augment import AugmentPolicy, transform_menu
 from ctscreen.nifti_io import Volume
+from ctscreen.packs import index_records, pack_index_csv, read_pack, write_pack
 from ctscreen.patch_sampler import STANDARD_SHAPE, extract_patches, standardize_volume
 from ctscreen.phantoms import lung_phantom
 from ctscreen.segmentation import Mask, segment_lung
@@ -135,8 +137,8 @@ def test_class_label_maps():
 
 def test_config_round_trip_and_reseed(tmp_path):
     default = cli.load_config()
-    assert default == cli.RunConfig()
-    assert cli.parse_config(cli.dump_config(default)) == default
+    assert default == RunConfig()
+    assert parse_config(dump_config(default)) == default
     p = tmp_path / "c.cfg"
     p.write_text(CFG_TEXT)
     cfg = dataclasses.replace(cli.load_config(str(p)), seed=9)
@@ -150,7 +152,7 @@ def test_config_round_trip_and_reseed(tmp_path):
 def test_readme_config_defaults_match_dump():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"Defaults:\n\n```\n(.*?)```", readme, re.S).group(1)
-    assert block == cli.dump_config(cli.load_config())
+    assert block == dump_config(cli.load_config())
 
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
@@ -218,23 +220,23 @@ def test_readme_pyramid_table_matches_patch_table():
 
 
 def test_config_errors_name_line_and_key():
-    with pytest.raises(cli.ConfigError, match="line 2.*train.lr'"):
-        cli.parse_config("seed = 1\ntrain.lr = 0.1\n")
-    with pytest.raises(cli.ConfigError, match="line 3.*duplicate"):
-        cli.parse_config("seed = 1\n# fine\nseed = 2\n")
-    with pytest.raises(cli.ConfigError, match="line 1.*bad value"):
-        cli.parse_config("seg.keep_k = two\n")
-    with pytest.raises(cli.ConfigError, match="line 1.*key = value"):
-        cli.parse_config("just words\n")
-    with pytest.raises(cli.ConfigError, match="protocol"):
-        cli.parse_config("protocol = ternary\n")
+    with pytest.raises(ConfigError, match="line 2.*train.lr'"):
+        parse_config("seed = 1\ntrain.lr = 0.1\n")
+    with pytest.raises(ConfigError, match="line 3.*duplicate"):
+        parse_config("seed = 1\n# fine\nseed = 2\n")
+    with pytest.raises(ConfigError, match="line 1.*bad value"):
+        parse_config("seg.keep_k = two\n")
+    with pytest.raises(ConfigError, match="line 1.*key = value"):
+        parse_config("just words\n")
+    with pytest.raises(ConfigError, match="protocol"):
+        parse_config("protocol = ternary\n")
 
 
 # ------------------------------------------------------------- patch packs
 
 def test_pack_round_trip_exact():
     samples = blob_dataset(6, seed=3, shape=(8, 8, 4), level="T1")
-    level, back = cli.read_pack(cli.write_pack("T1", samples))
+    level, back = read_pack(write_pack("T1", samples))
     assert level == "T1"
     assert len(back) == 6
     for a, b in zip(samples, back):
@@ -247,7 +249,7 @@ def test_write_pack_peak_memory_is_about_one_pack(tmp_path):
     samples = blob_dataset(8, seed=4, shape=(64, 64, 20), level="T1")
     tracemalloc.start()
     try:
-        blob = cli.write_pack("T1", samples)
+        blob = write_pack("T1", samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,12 +259,12 @@ def test_write_pack_peak_memory_is_about_one_pack(tmp_path):
 def test_pack_records_are_read_only_views():
     # records cost nothing beside the pack's bytes, and augmenting or
     # training on them never writes through to those bytes
-    blob = bytearray(cli.write_pack("P2", blob_dataset(
+    blob = bytearray(write_pack("P2", blob_dataset(
         8, seed=5, shape=(32, 32, 12), level="P2")))
     before = bytes(blob)
     tracemalloc.start()
     try:
-        _, samples = cli.read_pack(blob)
+        _, samples = read_pack(blob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,23 +286,23 @@ def test_pack_records_are_read_only_views():
 
 def test_pack_rejects_garbage():
     with pytest.raises(ValueError, match="not a patch pack"):
-        cli.read_pack(b"nope" + b"\x00" * 40)
+        read_pack(b"nope" + b"\x00" * 40)
     samples = blob_dataset(2, seed=0, shape=(6, 6, 4), level="T1")
-    blob = cli.write_pack("T1", samples)
+    blob = write_pack("T1", samples)
     with pytest.raises(ValueError, match="trailing"):
-        cli.read_pack(blob + b"\x00")
+        read_pack(blob + b"\x00")
     with pytest.raises(ValueError, match="empty"):
-        cli.write_pack("T1", [])
+        write_pack("T1", [])
     mixed = samples + blob_dataset(1, seed=1, shape=(8, 8, 4), level="T1")
     with pytest.raises(ValueError, match="one shape"):
-        cli.write_pack("T1", mixed)
+        write_pack("T1", mixed)
 
 
 def test_outputs_honour_the_umask(tmp_path):
     samples = blob_dataset(2, seed=0, shape=(4, 4, 2), level="T1")
     old = os.umask(0o027)
     try:
-        cli._atomic_write(str(tmp_path / "T1.pack"), cli.write_pack("T1", samples))
+        cli._atomic_write(str(tmp_path / "T1.pack"), write_pack("T1", samples))
     finally:
         os.umask(old)
     assert (tmp_path / "T1.pack").stat().st_mode & 0o777 == 0o666 & ~0o027
@@ -313,11 +315,11 @@ def _small_checkpoint():
 
 def _containers():
     ckpt = nn_core.save_checkpoint(*_small_checkpoint())
-    pack = cli.write_pack("T1", blob_dataset(2, seed=0, shape=(4, 4, 2),
+    pack = write_pack("T1", blob_dataset(2, seed=0, shape=(4, 4, 2),
                                              level="T1"))
     raw = np.random.default_rng(0).integers(-1024, 400, size=(3, 4, 5),
                                             dtype=np.int16)
-    return {"pack": (pack, cli.read_pack),
+    return {"pack": (pack, read_pack),
             "checkpoint": (ckpt, nn_core.load_checkpoint),
             "nifti": (nifti_io.write_nifti(raw, spacing=(0.8, 0.8, 2.5)),
                       nifti_io.read_volume),
@@ -353,7 +355,7 @@ def test_container_flipped_bytes_load_or_raise_value_error(fmt, flips):
         pass
 
 
-@pytest.mark.parametrize("read", [cli.read_pack, nn_core.load_checkpoint,
+@pytest.mark.parametrize("read", [read_pack, nn_core.load_checkpoint,
                                   nifti_io.read_raw, nifti_io.read_volume])
 def test_decoders_take_bytes_not_paths(read, tmp_path):
     path = tmp_path / "file"
@@ -474,7 +476,7 @@ def test_patch_count_law_and_determinism(workspace, tmp_path):
     blob1 = (out1 / "P1.pack").read_bytes()
     assert blob1 == (out2 / "P1.pack").read_bytes()
 
-    level, samples = cli.read_pack(blob1)
+    level, samples = read_pack(blob1)
     assert level == "P1"
     assert len(samples) == 4 * 64
     assert all(s.tensor.shape == (16, 16, 9) for s in samples)
@@ -520,7 +522,7 @@ def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys, level):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
-    _, samples = cli.read_pack((out / f"{level}.pack").read_bytes())
+    _, samples = read_pack((out / f"{level}.pack").read_bytes())
     assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
     assert len(samples) == 3 * cli.PATCH_TABLE[level][1]
 
@@ -633,8 +635,8 @@ def _expected_pack(scans, level, skip):
                               volume.shape)
         seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
         samples += extract_patches(volume, mask, level, seed, label=int(labels[index]))
-    return (cli.write_pack(level, samples),
-            cli.pack_index_csv(cli.index_records(samples)).encode())
+    return (write_pack(level, samples),
+            pack_index_csv(index_records(samples)).encode())
 
 
 @pytest.mark.parametrize("skip", [None, 0, 5, 11])
@@ -726,9 +728,9 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("train")
     packs = root / "packs"
     packs.mkdir()
-    (packs / "P1.pack").write_bytes(cli.write_pack(
+    (packs / "P1.pack").write_bytes(write_pack(
         "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
-    (packs / "P2.pack").write_bytes(cli.write_pack(
+    (packs / "P2.pack").write_bytes(write_pack(
         "P2", blob_dataset(16, seed=2, shape=(32, 32, 12), level="P2")))
     cfg = root / "train.cfg"
     cfg.write_text(TRAIN_CFG)
@@ -787,8 +789,8 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     for name, blob, says in (
             ("cut", cut, "bad pack"),
             ("text", b"plain text, not a pack\n", "bad pack"),
-            ("nan", cli.write_pack("P1", nan_samples), "bad pack"),
-            ("label", cli.write_pack("P1", samples), "label 5 outside")):
+            ("nan", write_pack("P1", nan_samples), "bad pack"),
+            ("label", write_pack("P1", samples), "label 5 outside")):
         packs = tmp_path / name
         packs.mkdir()
         (packs / "P1.pack").write_bytes(blob)
@@ -803,7 +805,7 @@ def test_train_bad_pack_exits_2(trained, tmp_path, capsys):
     # a P2 pack must hold P2-shaped patches
     packs = tmp_path / "shape"
     packs.mkdir()
-    (packs / "P2.pack").write_bytes(cli.write_pack(
+    (packs / "P2.pack").write_bytes(write_pack(
         "P2", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P2")))
     cfg = tmp_path / "p2.cfg"
     cfg.write_text(TRAIN_CFG.replace("P1,P2", "P2"))
@@ -839,7 +841,7 @@ def test_train_holds_one_level_of_records(tmp_path):
     packs.mkdir()
     for level, count in (("P1", 640), ("P2", 120)):
         shape = cli.PATCH_TABLE[level][0]
-        (packs / f"{level}.pack").write_bytes(cli.write_pack(
+        (packs / f"{level}.pack").write_bytes(write_pack(
             level, blob_dataset(count, seed=3, shape=shape, level=level)))
     pack_bytes = (packs / "P1.pack").stat().st_size
     peaks = {}
@@ -862,7 +864,7 @@ def test_train_non_finite_loss_exits_1(tmp_path, capsys):
     # legal input, but a step size that blows the weights up in one batch
     packs = tmp_path / "packs"
     packs.mkdir()
-    (packs / "P1.pack").write_bytes(cli.write_pack(
+    (packs / "P1.pack").write_bytes(write_pack(
         "P1", blob_dataset(16, seed=1, shape=(16, 16, 9), level="P1")))
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CFG.replace("P1,P2", "P1").replace(
@@ -882,6 +884,7 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
                    ("model.channels", "1000000,1000000"),
                    ("augment.elastic_grid", "4,4"),
                    ("augment.elastic_grid", "4,4,2,2"),
+                   ("augment.elastic_grid", "65,4,2"),
                    ("train.max_epochs", "-1"), ("train.patience", "-3"),
                    ("train.decay_rate", "-1"), ("train.decay_rate", "0"),
                    ("train.decay_rate", "1.5"), ("train.epsilon", "-1"),
@@ -891,7 +894,10 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
                    ("augment.gammas", "0.7,nan"), ("augment.rotation_angles", "nan"),
                    ("augment.shift_fraction", "nan"), ("seed", "-1")]
     cases = [("train.lr = 0.1\n", "train.lr", False),
-             (TRAIN_CFG.replace("P1,P2", "P2,P1"), "grow monotonically", False)]
+             (TRAIN_CFG.replace("P1,P2", "P2,P1"), "grow monotonically", False),
+             # an elastic draw this size would raise MemoryError mid-training
+             (TRAIN_CFG.replace("augment.enabled = false", "augment.enabled = true")
+              + "augment.elastic_grid = 100000,100000,100000\n", "elastic_grid", False)]
     for key, value in bad_values:
         kept = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key)]
         cases.append(("\n".join(kept + [f"{key} = {value}"]) + "\n",
@@ -905,6 +911,9 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
         assert out.exists() == writes
+    # the elastic grid's bound itself is allowed
+    bound = parse_config("augment.elastic_grid = 64,64,64\n")
+    assert bound.policy.elastic_grid == (64, 64, 64)
 
 
 @pytest.mark.parametrize("levels, says", [
@@ -912,8 +921,8 @@ def test_train_bad_config_key_exits_2(trained, tmp_path, capsys):
     ("P2,P2", "level 'P2' is listed twice")])
 def test_train_patch_levels_outside_the_table_exit_2(trained, tmp_path, capsys,
                                                      levels, says):
-    with pytest.raises(cli.ConfigError, match=re.escape(says)):
-        cli.parse_config(f"patch.levels = {levels}\n")
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        parse_config(f"patch.levels = {levels}\n")
     cfg = tmp_path / "levels.cfg"
     cfg.write_text(TRAIN_CFG.replace("P1,P2", levels))
     out = tmp_path / "o"
@@ -998,8 +1007,9 @@ def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
         volume = nifti_io.read_volume(Path(path).read_bytes())
         _, raw = nifti_io.read_raw(
             (workspace["masks"] / cli.mask_name(path)).read_bytes())
-        probs.append(cli._scan_probs(
-            spec, weights, standardize_volume(volume, Mask(raw > 0))))
+        std = standardize_volume(volume, Mask(raw > 0))
+        probs.append(nn_core.model_forward(spec, weights, cli._model_input(std, spec),
+                                           mode="infer")[0])
     labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
     report = metrics.evaluate_probs(np.stack(probs), labels)
     assert (out / "report.csv").read_bytes() == metrics.report_csv(
@@ -1196,9 +1206,10 @@ def test_predict_does_not_depend_on_the_core_count(workspace, tmp_path, capsys,
         monkeypatch.setattr(parallel, "CPUS", cpus)
         assert cli.main(["predict", scan, "--checkpoint", str(ck),
                          "--config", str(workspace["config"])]) == 0
-        work = cli._scoring_work(spec, nn_core.load_checkpoint(ck.read_bytes())[1],
-                                 cli.load_config(str(workspace["config"])).seg, None)
-        seen.append((capsys.readouterr().out, work(0, scan).tobytes()))
+        probs, = cli.score_scans(spec, nn_core.load_checkpoint(ck.read_bytes())[1],
+                                 cli.load_config(str(workspace["config"])).seg, [scan],
+                                 None, 1)
+        seen.append((capsys.readouterr().out, probs.tobytes()))
     assert seen[0] == seen[1]
 
 

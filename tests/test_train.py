@@ -387,16 +387,23 @@ def test_progressive_fit_single_level_equals_plain_fit():
         assert np.array_equal(final[n], best[n]), n
 
 
-def test_progressive_fit_carries_weights_bit_exact():
+def test_progressive_fit_carries_weights_bit_exact(monkeypatch):
     cfg = quick_config(max_epochs=2, patience=1, seed=4)
+    # a copy of the initial weights of every fit, in call order
+    inits, fit = [], tr.fit
+
+    def recording(spec, weights_init, *args, **kwargs):
+        inits.append({n: w.copy() for n, w in weights_init.items()})
+        return fit(spec, weights_init, *args, **kwargs)
+    monkeypatch.setattr(tr, "fit", recording)
     _, results = tr.progressive_fit(*in_memory(ladder_datasets()), cfg,
                                     class_count=2, channels=(4, 8))
-    assert [r.level for r in results] == ["T1", "T2", "T3"]
-    for prev, cur in zip(results, results[1:]):
+    assert [r.level for r in results] == ["T1", "T2", "T3"] and len(inits) == 3
+    for prev, cur, init in zip(results, results[1:], inits[1:]):
         for name, tensor in prev.best_weights.items():
             i, suffix = name[1:].split(".", 1)
             shifted = f"L{int(i) + nn.STEM_LAYER_COUNT}.{suffix}"
-            assert np.array_equal(cur.init_weights[shifted], tensor), (cur.level, name)
+            assert np.array_equal(init[shifted], tensor), (cur.level, name)
 
 
 def test_progressive_fit_rejects_shrinking_ladder():
