@@ -23,7 +23,7 @@ from .patch_sampler import Sample, trilinear_resample
 ELASTIC_SLAB_VOXELS = 1 << 15
 
 # the most control points an elastic grid may have on an axis: a warp draws
-# 3 * prod(grid) float64 offsets per slab, 6.3 MB at 64 on every axis
+# 3 * prod(grid) float64 offsets per warp, 6.3 MB at 64 on every axis
 MAX_ELASTIC_GRID = 64
 
 
@@ -169,18 +169,16 @@ def add_gaussian_noise(tensor, sigma, seed):
     return np.clip(noisy, 0.0, 1.0, out=noisy).astype(tensor.dtype)
 
 
-def elastic_field(shape, grid, sigma, seed, rows=None):
-    """Dense displacement field from seeded control-point offsets.
+def elastic_field(shape, control, rows=None):
+    """Dense displacement field from control-point offsets, (3,) + grid.
 
-    Control offsets are N(0, sigma) per axis, upsampled trilinearly to the
-    tensor grid. The through-plane component is attenuated by the depth/row
-    extent ratio since patches are much thinner than they are wide.
+    The offsets are upsampled trilinearly to the tensor grid. The
+    through-plane component is attenuated by the depth/row extent ratio
+    since patches are much thinner than they are wide.
 
     `rows`, a slice of axis 0, gives those rows of the field alone, with the
     same bytes as those rows of the whole field.
     """
-    rng = np.random.default_rng(seed)
-    control = rng.normal(0.0, sigma, size=(3,) + tuple(grid))
     box = None if rows is None else (rows, slice(0, shape[1]), slice(0, shape[2]))
     field = np.stack([trilinear_resample(control[a], shape, box) for a in range(3)])
     field[2] *= shape[2] / shape[0]
@@ -190,6 +188,7 @@ def elastic_field(shape, grid, sigma, seed, rows=None):
 def elastic_deform(tensor, grid, sigma, seed):
     """Warp: out(p) = in(p + d(p)) with trilinear sampling, zero fill.
 
+    The control offsets are N(0, sigma) per axis, drawn once from `seed`.
     The field and the gather run ELASTIC_SLAB_VOXELS output voxels' worth
     of rows of axis 0 at a time, and every voxel's float64 operations are
     those of the whole patch, so the slabs only bound the temporaries.
@@ -201,10 +200,11 @@ def elastic_deform(tensor, grid, sigma, seed):
     tensor = _aligned(tensor)
     R, C, S = tensor.shape
     step = max(1, ELASTIC_SLAB_VOXELS // (C * S))
+    control = np.random.default_rng(seed).normal(0.0, sigma, size=(3,) + tuple(grid))
     out = np.empty_like(tensor)
     for start in range(0, R, step):
         rows = slice(start, min(start + step, R))
-        coords = elastic_field(tensor.shape, grid, sigma, seed, rows)
+        coords = elastic_field(tensor.shape, control, rows)
         coords[0] += np.arange(rows.start, rows.stop, dtype=np.float64)[:, None, None]
         coords[1] += np.arange(C, dtype=np.float64)[:, None]
         coords[2] += np.arange(S, dtype=np.float64)

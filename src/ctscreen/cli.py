@@ -23,13 +23,12 @@ import numpy as np
 from . import metrics, nifti_io, nn_core
 from .config import (PROTOCOL_CLASSES, ConfigError, RunConfig, _check_levels,
                      dump_config, parse_config)
-from .nifti_io import Volume
 # bench/spans.py traces read_pack and write_pack under these names in cli
 from .packs import (count_amend, index_records, pack_chunks, pack_index_csv,
                     read_pack, write_pack)
 from .patch_sampler import (PATCH_TABLE, extract_patches, standardize_volume,
                             trilinear_resample)
-from .segmentation import Mask, component_count, segment_lung
+from .segmentation import component_count, segment_lung
 from .train import NonFiniteLoss, history_to_csv, progressive_fit
 
 LABELS = ("NOR", "MiNCP", "MoNCP", "SeNCP", "CrNCP")
@@ -175,7 +174,7 @@ def _read_mask(path, want_shape):
     _, raw = nifti_io.read_raw(_read_bytes(path))
     if raw.shape != want_shape:
         raise ValueError(f"mask shape {raw.shape} != scan shape {want_shape}")
-    return Mask(raw > 0)
+    return raw > 0
 
 
 def _load_model(path):
@@ -192,10 +191,10 @@ def _load_model(path):
                       f"no protocol has that many")
 
 
-def _model_input(std: Volume, spec: nn_core.ModelSpec):
-    """Standardized volume resampled to the checkpoint grid, batch of one."""
+def _model_input(std, spec: nn_core.ModelSpec):
+    """Standardized grid resampled to the checkpoint grid, batch of one."""
     _, d, h, w = spec.input_shape
-    tensor = trilinear_resample(std.voxels, (h, w, d))
+    tensor = trilinear_resample(std, (h, w, d))
     return tensor.transpose(2, 0, 1)[None, None].astype(np.float32, copy=False)
 
 
@@ -285,7 +284,7 @@ def cmd_segment(args):
         blob = nifti_io.write_mask(mask, volume, gzipped=True)
         _atomic_write(os.path.join(args.out, mask_name(path)), blob)
         parts = component_count(mask, cfg.seg.connectivity)
-        return volume.source_id, mask.count(), parts
+        return volume.source_id, int(np.count_nonzero(mask)), parts
 
     done = [ok for ok in _per_scan(work, [row.path for row in rows], args.jobs)
             if ok is not None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,33 +31,8 @@ class TooFewSamples(ValueError):
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (K, K) ints; [predicted, actual]
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def k(self):
-        return self.counts.shape[0]
-
-    def total(self):
-        return int(self.counts.sum())
-
-    def actual_support(self):
-        return self.counts.sum(axis=0)  # column sums
-
-    def predicted_support(self):
-        return self.counts.sum(axis=1)  # row sums
-
-
-@dataclass
 class EvalReport:
-    matrix: ConfusionMatrix
+    matrix: np.ndarray              # (K, K) int64 counts; [predicted, actual]
     recall: np.ndarray
     precision: np.ndarray
     f1: np.ndarray
@@ -70,7 +45,8 @@ class EvalReport:
     roc_points: list = None         # per-class [(fpr, tpr), ...]
 
 
-def confusion_matrix(predicted, actual, k) -> ConfusionMatrix:
+def confusion_matrix(predicted, actual, k) -> np.ndarray:
+    """(k, k) int64 counts: [predicted, actual]."""
     predicted = np.asarray(predicted, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
     if predicted.shape != actual.shape:
@@ -79,19 +55,24 @@ def confusion_matrix(predicted, actual, k) -> ConfusionMatrix:
         if arr.size and (arr.min() < 0 or arr.max() >= k):
             raise LabelOutOfRange(f"{name} labels outside [0,{k})")
     counts = np.bincount((predicted * k + actual).ravel(), minlength=k * k)
-    return ConfusionMatrix(counts.reshape(k, k))
+    return counts.reshape(k, k)
 
 
-def precision_recall_f1(matrix: ConfusionMatrix) -> EvalReport:
-    """Class-wise rates plus support-weighted averages.
+def precision_recall_f1(matrix) -> EvalReport:
+    """Class-wise rates plus support-weighted averages of a confusion matrix
+    (rows predicted, columns actual), which must be square and non-negative.
 
     A class never predicted has precision 0 with its flag raised rather
     than NaN, so downstream CSVs stay numeric.
     """
-    counts = matrix.counts
-    tp = np.diag(counts).astype(np.float64)
-    actual = matrix.actual_support().astype(np.float64)
-    predicted = matrix.predicted_support().astype(np.float64)
+    matrix = np.asarray(matrix, dtype=np.int64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("confusion matrix must be square")
+    if (matrix < 0).any():
+        raise ValueError("counts must be non-negative")
+    tp = np.diag(matrix).astype(np.float64)
+    actual = matrix.sum(axis=0).astype(np.float64)
+    predicted = matrix.sum(axis=1).astype(np.float64)
     recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
     undefined = predicted == 0
     precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
@@ -181,19 +162,19 @@ def evaluate_probs(probs, actual):
 # -------------------------------------------------------------- rendering
 
 def report_csv(report: EvalReport, class_names):
-    k = report.matrix.k
+    k = report.matrix.shape[0]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["class", "support", "recall", "precision", "f1",
                 "precision_undefined", "auc_ovr"])
-    support = report.matrix.actual_support()
+    support = report.matrix.sum(axis=0)
     for i in range(k):
         auc = "" if report.auc is None else repr(float(report.auc[i]))
         w.writerow([class_names[i], int(support[i]), repr(float(report.recall[i])),
                     repr(float(report.precision[i])), repr(float(report.f1[i])),
                     int(report.undefined_precision[i]), auc])
     macro = "" if report.macro_auc is None else repr(report.macro_auc)
-    w.writerow(["weighted", report.matrix.total(), repr(report.weighted_recall),
+    w.writerow(["weighted", int(report.matrix.sum()), repr(report.weighted_recall),
                 repr(report.weighted_precision), repr(report.weighted_f1), "", macro])
     return buf.getvalue()
 

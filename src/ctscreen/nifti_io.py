@@ -98,7 +98,8 @@ class NiftiHeader:
 
 @dataclass
 class Volume:
-    """A 3D grid of Hounsfield units with voxel spacing metadata."""
+    """A scan: a 3D grid of Hounsfield units with voxel spacing metadata.
+    Lung masks and standardized grids are plain arrays."""
 
     voxels: np.ndarray  # float32, shape (rows, cols, slices)
     spacing: tuple      # (mm, mm, mm)
@@ -341,11 +342,9 @@ def write_mask(mask, template, gzipped=False):
     """Write a binary mask as uint8 NIfTI with geometry copied from template.
 
     `template` is anything with `shape` and `spacing`, such as the scan's
-    Volume or NiftiHeader. `mask` may be a segmentation Mask or a boolean
-    array; its shape must match the template's.
+    Volume or NiftiHeader. `mask` is a boolean array of the template's shape.
     """
-    bits = np.asarray(getattr(mask, "bits", mask), dtype=bool)
-    if bits.shape != template.shape:
-        raise NiftiError(f"mask shape {bits.shape} != template {template.shape}")
-    return write_nifti(bits.astype(np.uint8), spacing=template.spacing,
+    if mask.shape != template.shape:
+        raise NiftiError(f"mask shape {mask.shape} != template {template.shape}")
+    return write_nifti(mask.astype(np.uint8), spacing=template.spacing,
                        scl_slope=1.0, scl_inter=0.0, gzipped=gzipped)

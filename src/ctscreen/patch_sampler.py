@@ -16,7 +16,7 @@ import numpy as np
 
 from . import parallel
 from .nifti_io import Volume
-from .segmentation import Mask, grown_box
+from .segmentation import grown_box
 
 STANDARD_SHAPE = (512, 512, 36)
 HU_CLIP = (-1000.0, 400.0)
@@ -39,7 +39,7 @@ LEVELS = tuple(PATCH_TABLE)
 
 
 class NoLungRegion(ValueError):
-    """Mask has no foreground; there is nothing to anchor patches to."""
+    """The mask has no foreground; there is nothing to anchor patches to."""
 
 
 @dataclass
@@ -124,11 +124,11 @@ def trilinear_resample(arr, out_shape, box=None):
     return arr
 
 
-def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
-                       box=None) -> Volume:
-    """Mask out non-lung tissue, clip HU, resample to `out_shape`, rescale to
-    [0,1], and return the sub-box `box` of that grid (three slices), by
-    default the whole grid.
+def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAPE,
+                       box=None) -> np.ndarray:
+    """Set non-lung voxels to the low clip, clip HU, resample to `out_shape`,
+    rescale to [0,1], and return the float32 sub-box `box` of that grid
+    (three slices), by default the whole grid.
 
     For the whole grid an all-zero mask raises NoLungRegion. A smaller box
     may hold no lung, so a caller that asks for boxes checks the mask once
@@ -144,11 +144,11 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
     """
     lo, hi = HU_CLIP
     shape_in = volume.voxels.shape
-    if mask.bits.shape != shape_in:
-        raise ValueError(f"mask {mask.bits.shape} does not align with volume {shape_in}")
+    if mask.shape != shape_in:
+        raise ValueError(f"mask {mask.shape} does not align with volume {shape_in}")
     if box is None:
-        if not mask.bits.any():
-            raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
+        if not mask.any():
+            raise NoLungRegion(f"empty mask for {volume.source_id or 'scan'}")
         box = tuple(slice(0, n) for n in out_shape)
     if len(box) != 3 or not all(0 <= s.start < s.stop <= n and s.step in (None, 1)
                                 for s, n in zip(box, out_shape)):
@@ -164,7 +164,7 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
         for start in starts[cuts[p]:cuts[p + 1]]:
             stop = min(start + step, rows.stop)
             read, taps = _box_taps(shape_in, out_shape, (slice(start, stop),) + box[1:])
-            vox = np.where(mask.bits[read], volume.voxels[read], np.float32(lo))
+            vox = np.where(mask[read], volume.voxels[read], np.float32(lo))
             vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
             for axis in order:
                 if taps[axis] is not None:
@@ -175,20 +175,17 @@ def standardize_volume(volume: Volume, mask: Mask, out_shape=STANDARD_SHAPE,
             np.clip(vox, 0.0, 1.0, out=vox)
             out[start - rows.start:stop - rows.start] = vox
     parallel.run(part, len(cuts) - 1)
-    new_spacing = tuple(
-        sp * ((n_in - 1) / (n_out - 1)) if n_out > 1 else sp * n_in
-        for sp, n_in, n_out in zip(volume.spacing, shape_in, out_shape))
-    return Volume(out, new_spacing, volume.source_id)
+    return out
 
 
-def _map_bbox(mask: Mask, out_shape):
-    """Mask bounding box in standardized index space, rounded outward; an
-    all-zero mask raises NoLungRegion."""
-    box = grown_box(mask.bits, 0)
+def _map_bbox(mask: np.ndarray, out_shape, source_id):
+    """The mask's bounding box in standardized index space, rounded outward;
+    an all-zero mask raises NoLungRegion naming the scan `source_id`."""
+    box = grown_box(mask, 0)
     if box is None:
-        raise NoLungRegion(f"empty mask for {mask.source_id or 'scan'}")
+        raise NoLungRegion(f"empty mask for {source_id or 'scan'}")
     lows, highs = [], []
-    for span, n_in, n_out in zip(box, mask.bits.shape, out_shape):
+    for span, n_in, n_out in zip(box, mask.shape, out_shape):
         scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0
         lows.append(int(np.floor(span.start * scale)))
         highs.append(int(np.ceil((span.stop - 1) * scale)) + 1)  # exclusive
@@ -202,7 +199,7 @@ def _overlap_1d(starts, extent, lo, hi):
     return np.maximum(right - left, 0)
 
 
-def extract_patches(volume: Volume, mask: Mask, level: str, seed: int,
+def extract_patches(volume: Volume, mask: np.ndarray, level: str, seed: int,
                     label: int = 0) -> list:
     """Cut the PATCH_TABLE count of seeded `level` patches from the scan's
     standardized STANDARD_SHAPE grid, standardizing only the windows it cuts.
@@ -217,7 +214,7 @@ def extract_patches(volume: Volume, mask: Mask, level: str, seed: int,
     """
     (pr, pc, ps), count = PATCH_TABLE[level]
     R, C, S = STANDARD_SHAPE
-    (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE)
+    (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE, volume.source_id)
     ov_r = _overlap_1d(np.arange(R - pr + 1), pr, br, er)
     ov_c = _overlap_1d(np.arange(C - pc + 1), pc, bc, ec)
     area = ov_r[:, None] * ov_c[None, :]
@@ -230,6 +227,6 @@ def extract_patches(volume: Volume, mask: Mask, level: str, seed: int,
     origins = sorted((int(eligible[i][0]), int(eligible[i][1]), int(z))
                      for i, z in zip(pick, s0))
     return [Sample(standardize_volume(volume, mask, box=(
-                       slice(r, r + pr), slice(c, c + pc), slice(s, s + ps))).voxels,
+                       slice(r, r + pr), slice(c, c + pc), slice(s, s + ps))),
                    label, volume.source_id, level, (r, c, s))
             for (r, c, s) in origins]

@@ -8,7 +8,6 @@ two lung ellipsoids at -800 HU inside the body. Optional "vessel" blobs at
 import numpy as np
 
 from .nifti_io import Volume
-from .segmentation import Mask
 
 AIR_HU = -1000.0
 BODY_HU = 40.0
@@ -26,7 +25,7 @@ def ellipsoid_bits(shape, center, semi_axes):
 
 def lung_phantom(shape=(120, 260, 90), lung_semi_axes=(42, 50, 32),
                  vessel_centers=(), vessel_radius=2, source_id="phantom"):
-    """Build (volume, ground-truth lung mask).
+    """Build (volume, ground-truth boolean lung mask).
 
     Lungs sit left/right of the mid-coronal plane; the body ellipsoid wraps
     both with margin but stays clear of the grid border so outside air stays
@@ -68,4 +67,4 @@ def lung_phantom(shape=(120, 260, 90), lung_semi_axes=(42, 50, 32),
             raise ValueError(f"vessel at {c} pokes out of the lungs")
         vox[blob] = BODY_HU
 
-    return Volume(vox, (1.0, 1.0, 1.0), source_id), Mask(lungs, source_id)
+    return Volume(vox, (1.0, 1.0, 1.0), source_id), lungs

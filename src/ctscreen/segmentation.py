@@ -1,7 +1,8 @@
 """Unsupervised lung segmentation.
 
 Pipeline: HU threshold, drop border-connected blobs, keep the two largest
-regions, erode, close, fill holes. All stages are pure functions on Mask.
+regions, erode, close, fill holes. Every stage takes and returns a boolean
+(R, C, S) array; none changes its input or returns a view of it.
 
 Morphology uses a discrete Euclidean ball, isotropic in voxel units;
 spacing is ignored. Offset (i, j, k) is in the ball iff
@@ -49,24 +50,6 @@ from .nifti_io import Volume
 
 class EmptySegmentation(ValueError):
     """No foreground survived the pipeline; scan is not a usable chest CT."""
-
-
-@dataclass
-class Mask:
-    bits: np.ndarray  # bool, shape (R, C, S)
-    source_id: str = ""
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.ndim != 3:
-            raise ValueError(f"mask must be 3D, got shape {self.bits.shape}")
-
-    @property
-    def shape(self):
-        return self.bits.shape
-
-    def count(self):
-        return int(self.bits.sum())
 
 
 # the largest erode_radius or close_radius a run may set: chords and time grow
@@ -208,20 +191,18 @@ def _border_connected(bits, connectivity):
     return _painted(labels, slabs, first, border[root])
 
 
-def threshold_lung(volume: Volume, params: SegmentationParams) -> Mask:
+def threshold_lung(volume: Volume, params: SegmentationParams) -> np.ndarray:
     """Bit set iff hu_low <= voxel <= hu_high (both inclusive)."""
     v = volume.voxels
-    bits = (v >= params.hu_low) & (v <= params.hu_high)
-    return Mask(bits, volume.source_id)
+    return (v >= params.hu_low) & (v <= params.hu_high)
 
 
-def remove_border_components(mask: Mask, connectivity: int = 26) -> Mask:
+def remove_border_components(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
     """Clear every component that touches any of the six grid faces."""
-    return Mask(mask.bits & ~_border_connected(mask.bits, connectivity),
-                mask.source_id)
+    return mask & ~_border_connected(mask, connectivity)
 
 
-def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
+def largest_components(mask: np.ndarray, k: int, connectivity: int = 26) -> np.ndarray:
     """Union of the k largest components by voxel count.
 
     Ties break toward the component encountered first in scan order
@@ -229,16 +210,16 @@ def largest_components(mask: Mask, k: int, connectivity: int = 26) -> Mask:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    labels, slabs, first, root = _label(mask.bits, connectivity)
+    labels, slabs, first, root = _label(mask, connectivity)
     # one per component, in scan order (see _label)
     roots = np.flatnonzero(root == np.arange(root.size))
     if roots.size <= k:
-        return Mask(mask.bits.copy(), mask.source_id)
+        return mask.copy()
     sizes = np.bincount(root, weights=_node_sizes(labels, slabs, first))[roots]
     keep = np.zeros(root.size, dtype=bool)
     # a stable sort keeps tied components in scan order
     keep[roots[np.argsort(-sizes, kind="stable")[:k]]] = True
-    return Mask(_painted(labels, slabs, first, keep[root]), mask.source_id)
+    return _painted(labels, slabs, first, keep[root])
 
 
 def _in_ball(n, radius):
@@ -309,22 +290,22 @@ def _dilate_bits(bits, radius):
     return ~_erode_bits(~bits, radius, outside=True)
 
 
-def morph_erode(mask: Mask, radius: float) -> Mask:
+def morph_erode(mask: np.ndarray, radius: float) -> np.ndarray:
     _check_radius(radius)
-    return Mask(_erode_bits(mask.bits, radius), mask.source_id)
+    return _erode_bits(mask, radius)
 
 
-def morph_close(mask: Mask, radius: float) -> Mask:
+def morph_close(mask: np.ndarray, radius: float) -> np.ndarray:
     """Dilate then erode with the same ball; dilation is clipped to the grid.
 
     With out-of-grid treated as background the composite is idempotent, which
     the tests check directly.
     """
     _check_radius(radius)
-    return Mask(_erode_bits(_dilate_bits(mask.bits, radius), radius), mask.source_id)
+    return _erode_bits(_dilate_bits(mask, radius), radius)
 
 
-def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
+def fill_holes(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
     """Set background components that cannot reach the grid border.
 
     `connectivity` is the foreground connectivity; the background flood uses
@@ -332,7 +313,7 @@ def fill_holes(mask: Mask, connectivity: int = 26) -> Mask:
     both a wall and a passage.
     """
     bg_conn = 6 if connectivity == 26 else 26
-    return Mask(~_border_connected(~mask.bits, bg_conn), mask.source_id)
+    return ~_border_connected(~mask, bg_conn)
 
 
 def grown_box(bits, margin):
@@ -351,7 +332,7 @@ def grown_box(bits, margin):
     return tuple(box)
 
 
-def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:
+def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarray:
     """Full pipeline; raises EmptySegmentation when nothing survives.
 
     Erosion can split a lung, so the k-largest filter runs again after
@@ -364,25 +345,24 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> Mask:
     conn = params.connectivity
     m = threshold_lung(volume, params)
     m = remove_border_components(m, conn)
-    box = grown_box(m.bits, max(math.ceil(params.close_radius), 1))
+    box = grown_box(m, max(math.ceil(params.close_radius), 1))
     if box is not None:
-        m = Mask(m.bits[box], m.source_id)
-        m = largest_components(m, params.keep_k, conn)
+        m = largest_components(m[box], params.keep_k, conn)
         m = morph_erode(m, params.erode_radius)
         m = morph_close(m, params.close_radius)
         m = largest_components(m, params.keep_k, conn)
         m = fill_holes(m, conn)
-    if box is None or not m.bits.any():
+    if box is None or not m.any():
         raise EmptySegmentation(f"no lung voxels found in {volume.source_id or 'volume'}")
     bits = np.zeros(volume.shape, dtype=bool)
-    bits[box] = m.bits
-    return Mask(bits, m.source_id)
+    bits[box] = m
+    return bits
 
 
-def component_count(mask: Mask, connectivity: int = 26) -> int:
+def component_count(mask: np.ndarray, connectivity: int = 26) -> int:
     """Connected components of the mask, labelled over its bounding box."""
-    box = grown_box(mask.bits, 0)
+    box = grown_box(mask, 0)
     if box is None:
         return 0
-    root = _label(mask.bits[box], connectivity)[3]
+    root = _label(mask[box], connectivity)[3]
     return int(np.count_nonzero(root == np.arange(root.size)))

@@ -31,9 +31,7 @@ def blob_dataset(n, seed, shape=(12, 12, 6), classes=2, level="T"):
 
 
 def dice(a, b):
-    """Dice overlap of two masks (Mask or boolean array); 1.0 when both are empty."""
-    a = np.asarray(getattr(a, "bits", a), dtype=bool)
-    b = np.asarray(getattr(b, "bits", b), dtype=bool)
+    """Dice overlap of two boolean masks; 1.0 when both are empty."""
     denom = a.sum() + b.sum()
     if denom == 0:
         return 1.0

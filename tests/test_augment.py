@@ -250,6 +250,11 @@ def test_elastic_rejects_tiny_grid():
         aug.elastic_deform(rand_tensor(14), (1, 4, 2), 1.0, 0)
 
 
+def _control(grid, sigma, seed):
+    """The control offsets elastic_deform draws from `seed`."""
+    return np.random.default_rng(seed).normal(0.0, sigma, size=(3,) + tuple(grid))
+
+
 def _sample_linear_oracle(vol, coords):
     """The corner-by-corner gather `_sample_linear` replaced, kept as its
     byte oracle: every corner recomputes its axes' floors and weights and
@@ -278,7 +283,7 @@ def test_sample_linear_matches_the_corner_by_corner_oracle(level):
     t = np.random.default_rng(15).random(shape, dtype=np.float32)
     grid = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
     for seed in range(5):
-        field = aug.elastic_field(shape, (4, 4, 2), 2.0, seed)
+        field = aug.elastic_field(shape, _control((4, 4, 2), 2.0, seed))
         coords = [c + d for c, d in zip(grid, field)]
         assert (aug._sample_linear(t, coords).tobytes()
                 == _sample_linear_oracle(t, coords).tobytes()), seed
@@ -296,7 +301,7 @@ def test_sample_linear_matches_the_corner_by_corner_oracle(level):
 
 def _whole_patch_warp(t, grid, sigma, seed):
     """elastic_deform as one gather over the whole patch's field and grid."""
-    field = aug.elastic_field(t.shape, grid, sigma, seed)
+    field = aug.elastic_field(t.shape, _control(grid, sigma, seed))
     coords = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in t.shape],
                          indexing="ij")
     out = aug._sample_linear(t, [c + d for c, d in zip(coords, field)])
@@ -325,10 +330,26 @@ def test_elastic_default_slabs_match_the_whole_patch_gather(shape):
 
 def test_elastic_field_rows_are_rows_of_the_whole_field():
     shape = (37, 20, 9)
-    whole = aug.elastic_field(shape, (4, 3, 2), 1.5, 6)
+    control = _control((4, 3, 2), 1.5, 6)
+    whole = aug.elastic_field(shape, control)
     for rows in (slice(0, 1), slice(5, 12), slice(36, 37), slice(0, 37)):
-        part = aug.elastic_field(shape, (4, 3, 2), 1.5, 6, rows)
+        part = aug.elastic_field(shape, control, rows)
         assert part.tobytes() == whole[:, rows].tobytes(), rows
+
+
+def test_elastic_draws_its_control_grid_once_per_warp(monkeypatch):
+    # three rows a slab, so this warp spans four slabs
+    monkeypatch.setattr(aug, "ELASTIC_SLAB_VOXELS", 3 * 10 * 4)
+    t = np.random.default_rng(19).random((11, 10, 4), dtype=np.float32)
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    aug.elastic_deform(t, (4, 4, 2), 2.0, 5)
+    assert draws == [(5,)]
 
 
 def test_elastic_memory_is_bounded_by_the_slab():

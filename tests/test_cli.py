@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import gzip
-import io
 import math
 import os
 import re
@@ -19,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 from ctscreen import cli, metrics, nifti_io, nn_core, parallel
 from ctscreen.config import ConfigError, RunConfig, dump_config, parse_config
 from ctscreen.augment import AugmentPolicy, transform_menu
-from ctscreen.nifti_io import Volume
 from ctscreen.packs import index_records, pack_index_csv, read_pack, write_pack
 from ctscreen.patch_sampler import STANDARD_SHAPE, extract_patches, standardize_volume
 from ctscreen.phantoms import lung_phantom
-from ctscreen.segmentation import Mask, segment_lung
+from ctscreen.segmentation import segment_lung
 from ctscreen.train import TrainConfig, fit
 
 from synth import blob_dataset
@@ -506,7 +504,7 @@ def _masks_with_scan1_empty(workspace, masks):
         name = cli.mask_name(path)
         (masks / name).write_bytes((workspace["masks"] / name).read_bytes())
     volume = nifti_io.read_volume(Path(workspace["scan_paths"][1]).read_bytes())
-    empty = Mask(np.zeros(volume.shape, dtype=bool))
+    empty = np.zeros(volume.shape, dtype=bool)
     (masks / cli.mask_name(workspace["scan_paths"][1])).write_bytes(
         nifti_io.write_mask(empty, volume, gzipped=True))
     return masks
@@ -521,7 +519,7 @@ def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys, level):
                    "--masks", str(masks), "--level", level, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan1\n"
     _, samples = read_pack((out / f"{level}.pack").read_bytes())
     assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
     assert len(samples) == 3 * cli.PATCH_TABLE[level][1]
@@ -1007,7 +1005,7 @@ def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
         volume = nifti_io.read_volume(Path(path).read_bytes())
         _, raw = nifti_io.read_raw(
             (workspace["masks"] / cli.mask_name(path)).read_bytes())
-        std = standardize_volume(volume, Mask(raw > 0))
+        std = standardize_volume(volume, raw > 0)
         probs.append(nn_core.model_forward(spec, weights, cli._model_input(std, spec),
                                            mode="infer")[0])
     labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
@@ -1040,7 +1038,7 @@ def test_eval_fails_a_scan_with_an_empty_mask(workspace, trained, tmp_path,
                    "--masks", str(masks), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan\n"
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan1\n"
     assert sorted(os.listdir(out)) == ["effective.cfg"]
 
 
@@ -1140,7 +1138,7 @@ def test_scoring_frees_the_scan_before_the_forward(workspace, tmp_path, monkeypa
     standardize, forward = cli.standardize_volume, nn_core.model_forward
 
     def recording(volume, mask, *args, **kwargs):
-        refs.extend([weakref.ref(volume.voxels), weakref.ref(mask.bits)])
+        refs.extend([weakref.ref(volume.voxels), weakref.ref(mask)])
         return standardize(volume, mask, *args, **kwargs)
 
     def checking(*args, **kwargs):
@@ -1165,7 +1163,7 @@ def test_model_input_at_the_standard_grid_makes_no_float64_copy():
     spec = nn_core.base_model((1, 36, 512, 512), 2, channels=(2,))
     tracemalloc.start()
     try:
-        tensor = cli._model_input(Volume(voxels, (1.0, 1.0, 1.0), "a"), spec)
+        tensor = cli._model_input(voxels, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctscreen import metrics
-from ctscreen.metrics import (ConfusionMatrix, LabelOutOfRange, MissingClass,
+from ctscreen.metrics import (LabelOutOfRange, MissingClass,
                               SingleClassInput, TooFewSamples,
                               confusion_matrix, evaluate_probs, kfold_split,
                               precision_recall_f1, report_csv, roc_curve,
@@ -33,15 +33,16 @@ def auc_pair_oracle(scores, labels):
 def test_confusion_orientation_rows_are_predicted():
     # one sample predicted 2 while actually 0 must land at [2, 0]
     m = confusion_matrix([2], [0], k=3)
-    assert m.counts[2, 0] == 1
-    assert m.counts.sum() == 1
+    assert m.dtype == np.int64 and m.shape == (3, 3)
+    assert m[2, 0] == 1
+    assert m.sum() == 1
 
 
 def test_confusion_supports():
     m = confusion_matrix([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], k=2)
-    assert list(m.actual_support()) == [2, 3]
-    assert list(m.predicted_support()) == [2, 3]
-    assert m.total() == 5
+    assert list(m.sum(axis=0)) == [2, 3]
+    assert list(m.sum(axis=1)) == [2, 3]
+    assert m.sum() == 5
 
 
 def test_confusion_label_out_of_range():
@@ -52,15 +53,21 @@ def test_confusion_label_out_of_range():
 
 
 def test_confusion_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(np.array([[1, -1], [0, 2]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        precision_recall_f1(np.array([[1, -1], [0, 2]]))
+
+
+def test_rates_reject_a_matrix_that_is_not_square():
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match="square"):
+            precision_recall_f1(bad)
 
 
 # -------------------------------------------------------- rates and means
 
 def test_rates_on_published_binary_matrix():
     # 1110-scan binary split: 254 class-0 and 856 class-1 actuals
-    m = ConfusionMatrix(np.array([[167, 8], [87, 848]]))
+    m = np.array([[167, 8], [87, 848]])
     r = precision_recall_f1(m)
     assert abs(r.recall[0] - 167 / 254) < 1e-12
     assert abs(r.recall[1] - 848 / 856) < 1e-12
@@ -75,7 +82,7 @@ def test_rates_on_published_binary_matrix():
 
 
 def test_f1_closed_form():
-    m = ConfusionMatrix(np.array([[8, 2], [4, 6]]))
+    m = np.array([[8, 2], [4, 6]])
     r = precision_recall_f1(m)
     p0, rec0 = 8 / 10, 8 / 12
     assert abs(r.f1[0] - 2 * p0 * rec0 / (p0 + rec0)) < 1e-12
@@ -218,7 +225,7 @@ def test_evaluate_probs_end_to_end():
     logits[np.arange(n), labels] += 0.8
     probs = logits / logits.sum(axis=1, keepdims=True)
     rep = evaluate_probs(probs, labels)
-    assert rep.matrix.total() == n
+    assert rep.matrix.sum() == n
     assert rep.auc is not None and len(rep.auc) == k
     assert abs(rep.macro_auc - rep.auc.mean()) < 1e-12
     assert len(rep.roc_points) == k
@@ -231,7 +238,7 @@ def test_evaluate_probs_degrades_without_all_classes():
 
 
 def test_report_csv_round_trip():
-    m = ConfusionMatrix(np.array([[167, 8], [87, 848]]))
+    m = np.array([[167, 8], [87, 848]])
     rep = precision_recall_f1(m)
     rows = list(csv.reader(io.StringIO(report_csv(rep, ["NOR", "NCP"]))))
     assert rows[0][0] == "class"

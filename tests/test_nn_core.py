@@ -343,7 +343,7 @@ from ctscreen import nn_core as nn, segmentation as seg
 x = np.ones((2, 1, 6, 8, 8), dtype=np.float32)
 y = nn.conv3d_forward(x, np.ones((1, 1, 3, 3, 3), dtype=np.float32), None, 1, 1)
 nn.maxpool3d_forward(y, 2)
-seg.morph_close(seg.remove_border_components(seg.Mask(x[0, 0] > 0)), 1)
+seg.morph_close(seg.remove_border_components(x[0, 0] > 0), 1)
 print(threading.active_count())
 """
 

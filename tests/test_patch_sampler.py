@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ctscreen.nifti_io import Volume
-from ctscreen.segmentation import Mask
 from ctscreen import parallel, patch_sampler as ps
 
 
@@ -35,7 +34,7 @@ def trilinear_point_oracle(arr, pos):
 
 
 def full_mask(shape):
-    return Mask(np.ones(shape, dtype=bool))
+    return np.ones(shape, dtype=bool)
 
 
 # ----------------------------------------------------------- standardize
@@ -43,14 +42,14 @@ def full_mask(shape):
 def test_standardize_floor_maps_to_zero():
     v = Volume(np.full(ps.STANDARD_SHAPE, -1000.0, dtype=np.float32), (1, 1, 1), "a")
     out = ps.standardize_volume(v, full_mask(ps.STANDARD_SHAPE))
-    assert out.voxels.shape == ps.STANDARD_SHAPE
-    assert np.all(out.voxels == 0.0)
+    assert out.shape == ps.STANDARD_SHAPE
+    assert np.all(out == 0.0)
 
 
 def test_standardize_ceiling_maps_to_one():
     v = Volume(np.full((8, 8, 8), 400.0, dtype=np.float32), (1, 1, 1), "a")
     out = ps.standardize_volume(v, full_mask((8, 8, 8)), out_shape=(8, 8, 8))
-    assert np.all(out.voxels == 1.0)
+    assert np.all(out == 1.0)
 
 
 def test_standardize_clips_and_masks():
@@ -59,12 +58,12 @@ def test_standardize_clips_and_masks():
     arr[1, 1, 1] = -2000.0  # below air, clipped to -1000
     bits = np.ones((6, 6, 6), dtype=bool)
     bits[2, 2, 2] = False   # outside mask -> forced to air
-    out = ps.standardize_volume(Volume(arr, (1, 1, 1), "a"), Mask(bits),
+    out = ps.standardize_volume(Volume(arr, (1, 1, 1), "a"), bits,
                                 out_shape=(6, 6, 6))
-    assert out.voxels[0, 0, 0] == 1.0
-    assert out.voxels[1, 1, 1] == 0.0
-    assert out.voxels[2, 2, 2] == 0.0
-    assert np.isclose(out.voxels[4, 4, 4], (40.0 + 1000.0) / 1400.0)
+    assert out[0, 0, 0] == 1.0
+    assert out[1, 1, 1] == 0.0
+    assert out[2, 2, 2] == 0.0
+    assert np.isclose(out[4, 4, 4], (40.0 + 1000.0) / 1400.0)
 
 
 def test_standardize_depth_resample_matches_point_oracle():
@@ -76,7 +75,7 @@ def test_standardize_depth_resample_matches_point_oracle():
     for (r, c, s) in [(10, 10, 18), (0, 0, 0), (19, 19, 35), (5, 13, 7)]:
         pos = (r * 19 / 19, c * 19 / 19, s * 40 / 35)
         want = (trilinear_point_oracle(arr, pos) + 1000.0) / 1400.0
-        assert abs(float(out.voxels[r, c, s]) - want) < 1e-6
+        assert abs(float(out[r, c, s]) - want) < 1e-6
 
 
 def test_resample_general_grid_matches_point_oracle():
@@ -134,7 +133,7 @@ def trilinear_reference(arr, out_shape):
 
 def standardize_reference(volume, mask, out_shape=ps.STANDARD_SHAPE):
     lo, hi = ps.HU_CLIP
-    vox = np.where(mask.bits, volume.voxels, np.float32(lo))
+    vox = np.where(mask, volume.voxels, np.float32(lo))
     vox = np.clip(vox, lo, hi)
     vox = trilinear_reference(vox, out_shape)
     vox = (vox - lo) / (hi - lo)
@@ -176,12 +175,12 @@ def test_standardize_matches_whole_grid_reference(in_shape, out_shape, monkeypat
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
-    vol, mask = Volume(arr, (1, 1, 1), "a"), Mask(bits)
+    vol, mask = Volume(arr, (1, 1, 1), "a"), bits
     want = standardize_reference(vol, mask, out_shape)
     # the pool's parts take runs of slabs; no byte depends on their count
     for parts in (1, 2, 3):
         monkeypatch.setattr(parallel, "CPUS", parts)
-        got = ps.standardize_volume(vol, mask, out_shape=out_shape).voxels
+        got = ps.standardize_volume(vol, mask, out_shape=out_shape)
         assert same_bytes(got, want), parts
 
 
@@ -212,7 +211,7 @@ def test_standardize_box_matches_whole_grid(in_shape, out_shape, monkeypatch):
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
-    vol, mask = Volume(arr, (1, 1, 1), "a"), Mask(bits)
+    vol, mask = Volume(arr, (1, 1, 1), "a"), bits
     whole = ps.standardize_volume(vol, mask, out_shape=out_shape)
     row = int(rng.integers(0, out_shape[0]))
     boxes = face_boxes(rng, out_shape) + [
@@ -221,8 +220,7 @@ def test_standardize_box_matches_whole_grid(in_shape, out_shape, monkeypatch):
     ] + [random_box(rng, out_shape) for _ in range(8)]
     for box in boxes:
         got = ps.standardize_volume(vol, mask, out_shape=out_shape, box=box)
-        assert same_bytes(got.voxels, whole.voxels[box]), box
-        assert got.spacing == whole.spacing
+        assert same_bytes(got, whole[box]), box
 
 
 def test_standardize_box_without_lung_is_air():
@@ -230,8 +228,8 @@ def test_standardize_box_without_lung_is_air():
     bits[0, 0, 0] = True
     vol = Volume(np.full(bits.shape, 100.0, dtype=np.float32), (1, 1, 1), "a")
     box = (slice(200, 216), slice(300, 316), slice(20, 29))
-    out = ps.standardize_volume(vol, Mask(bits), box=box)
-    assert out.voxels.shape == (16, 16, 9) and not out.voxels.any()
+    out = ps.standardize_volume(vol, bits, box=box)
+    assert out.shape == (16, 16, 9) and not out.any()
 
 
 @pytest.mark.parametrize("box", [
@@ -317,7 +315,7 @@ def center_mask(shape, frac=0.5):
     bits = np.zeros(shape, dtype=bool)
     sl = tuple(slice(int(n * (1 - frac) / 2), int(n * (1 + frac) / 2)) for n in shape)
     bits[sl] = True
-    return Mask(bits)
+    return bits
 
 
 def window(sample):
@@ -329,7 +327,7 @@ def test_whole_volume_level_returns_standardized_grid():
     m = center_mask(v.shape)
     out = ps.extract_patches(v, m, "P6", seed=3)
     assert len(out) == 1
-    assert same_bytes(out[0].tensor, ps.standardize_volume(v, m).voxels)
+    assert same_bytes(out[0].tensor, ps.standardize_volume(v, m))
     assert out[0].origin == (0, 0, 0)
 
 
@@ -340,11 +338,10 @@ def test_every_level_matches_whole_grid_windows(in_shape):
                (1, 1, 1), "a")
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
-    m = Mask(bits)
-    whole = ps.standardize_volume(v, m).voxels
+    whole = ps.standardize_volume(v, bits)
     assert whole.min() >= 0.0 and whole.max() <= 1.0
     for level in ps.LEVELS:
-        for s in ps.extract_patches(v, m, level, seed=29):
+        for s in ps.extract_patches(v, bits, level, seed=29):
             assert same_bytes(s.tensor, whole[window(s)]), (level, s.origin)
 
 
@@ -366,10 +363,10 @@ def test_p1_extract_peak_memory_is_far_below_one_grid():
 def map_bbox_reference(mask, out_shape):
     """The lung box from np.nonzero, as _map_bbox took it before it read
     per-axis projections."""
-    idx = np.nonzero(mask.bits)
+    idx = np.nonzero(mask)
     lows, highs = [], []
     for ax in range(3):
-        n_in, n_out = mask.bits.shape[ax], out_shape[ax]
+        n_in, n_out = mask.shape[ax], out_shape[ax]
         scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0
         lows.append(int(np.floor(idx[ax].min() * scale)))
         highs.append(int(np.ceil(idx[ax].max() * scale)) + 1)
@@ -399,8 +396,8 @@ def test_map_bbox_matches_nonzero_box(shape):
             masks.append(bits)
     for bits in masks:
         for out_shape in (ps.STANDARD_SHAPE, (7, 3, 50)):
-            assert ps._map_bbox(Mask(bits), out_shape) == \
-                map_bbox_reference(Mask(bits), out_shape)
+            assert ps._map_bbox(bits, out_shape, "a") == \
+                map_bbox_reference(bits, out_shape)
 
 
 def test_per_scan_counts_and_shapes_all_levels():
@@ -418,7 +415,7 @@ def test_per_scan_counts_and_shapes_all_levels():
 def test_patches_lie_inside_volume_and_match_slices():
     v = std_volume(3, shape=(100, 90, 30))
     m = center_mask(v.shape)
-    whole = ps.standardize_volume(v, m).voxels
+    whole = ps.standardize_volume(v, m)
     out = ps.extract_patches(v, m, "P3", seed=5)
     pr, pc, psz = ps.PATCH_TABLE["P3"][0]
     R, C, S = ps.STANDARD_SHAPE
@@ -456,7 +453,7 @@ def test_output_sorted_by_origin():
 def test_origin_overlap_constraint():
     v = std_volume(7)
     m = center_mask(v.shape, frac=0.5)
-    idx = np.nonzero(m.bits)
+    idx = np.nonzero(m)
     br, er = idx[0].min(), idx[0].max() + 1
     bc, ec = idx[1].min(), idx[1].max() + 1
     for level in ("P1", "P2", "P3", "P4"):
@@ -474,7 +471,7 @@ def test_small_box_falls_back_to_best_overlap():
     v = std_volume(8)
     bits = np.zeros(v.shape, dtype=bool)
     bits[250:260, 250:260, 10:20] = True
-    out = ps.extract_patches(v, Mask(bits), "P5", seed=17)
+    out = ps.extract_patches(v, bits, "P5", seed=17)
     assert len(out) == 4
     pr, pc, _ = ps.PATCH_TABLE["P5"][0]
     for s in out:
@@ -490,7 +487,7 @@ def test_mask_in_native_grid_is_mapped():
     v = std_volume(9, shape=(64, 64, 20))
     native = np.zeros(v.shape, dtype=bool)
     native[16:48, 16:48, 5:15] = True
-    out = ps.extract_patches(v, Mask(native), "P4", seed=19)
+    out = ps.extract_patches(v, native, "P4", seed=19)
     lo = int(np.floor(16 * 511 / 63))
     hi = int(np.ceil(47 * 511 / 63)) + 1
     pr, pc, _ = ps.PATCH_TABLE["P4"][0]
@@ -504,7 +501,7 @@ def test_mask_in_native_grid_is_mapped():
 def test_empty_mask_raises():
     v = std_volume(10)
     with pytest.raises(ps.NoLungRegion):
-        ps.extract_patches(v, Mask(np.zeros(v.shape, dtype=bool)),
+        ps.extract_patches(v, np.zeros(v.shape, dtype=bool),
                            "P1", seed=0)
 
 

@@ -154,13 +154,13 @@ def label_oracle(bits, connectivity):
 def test_threshold_window_membership():
     v = vol(np.array([-700.0, 40.0, -1000.0, -400.0, -399.9, -1000.1]).reshape(1, 2, 3))
     m = seg.threshold_lung(v, seg.SegmentationParams())
-    assert m.bits.ravel().tolist() == [True, False, True, True, False, False]
+    assert m.ravel().tolist() == [True, False, True, True, False, False]
 
 
 def test_threshold_inclusive_upper_bound():
     v = vol(np.full((3, 3, 3), -400.0))
     m = seg.threshold_lung(v, seg.SegmentationParams())
-    assert m.bits.all()
+    assert m.all()
 
 
 def test_threshold_matches_elementwise_oracle():
@@ -170,18 +170,18 @@ def test_threshold_matches_elementwise_oracle():
     for r in range(6):
         for c in range(7):
             for s in range(8):
-                assert m.bits[r, c, s] == (-1000.0 <= arr[r, c, s] <= -400.0)
+                assert m[r, c, s] == (-1000.0 <= arr[r, c, s] <= -400.0)
 
 
 def test_threshold_invariant_to_shifting_outside_voxels():
     rng = np.random.default_rng(1)
     arr = rng.uniform(-1400, 300, size=(5, 5, 5)).astype(np.float32)
     p = seg.SegmentationParams()
-    base = seg.threshold_lung(vol(arr), p).bits
+    base = seg.threshold_lung(vol(arr), p)
     shifted = arr.copy()
     shifted[arr > p.hu_high] += 137.0   # stays above the window
     shifted[arr < p.hu_low] -= 137.0    # stays below
-    assert np.array_equal(seg.threshold_lung(vol(shifted), p).bits, base)
+    assert np.array_equal(seg.threshold_lung(vol(shifted), p), base)
 
 
 def test_params_validation():
@@ -201,7 +201,7 @@ def test_non_finite_radius_rejected(radius):
         seg.SegmentationParams(erode_radius=radius)
     with pytest.raises(ValueError, match="finite"):
         seg.SegmentationParams(close_radius=radius)
-    m = seg.Mask(np.ones((4, 4, 4), dtype=bool))
+    m = np.ones((4, 4, 4), dtype=bool)
     with pytest.raises(ValueError, match="finite"):
         seg.morph_erode(m, radius)
     with pytest.raises(ValueError, match="finite"):
@@ -213,8 +213,8 @@ def test_non_finite_radius_rejected(radius):
 def test_border_component_cleared():
     bits = np.zeros((6, 6, 6), dtype=bool)
     bits[0:3, 2:4, 2:4] = True  # touches face r=0
-    out = seg.remove_border_components(seg.Mask(bits), 26)
-    assert not out.bits.any()
+    out = seg.remove_border_components(bits, 26)
+    assert not out.any()
 
 
 def test_interior_kept_border_dropped_matches_flood_oracle():
@@ -222,9 +222,9 @@ def test_interior_kept_border_dropped_matches_flood_oracle():
     for _ in range(5):
         bits = rng.random((20, 20, 20)) < 0.18
         for conn in (6, 26):
-            out = seg.remove_border_components(seg.Mask(bits), conn)
+            out = seg.remove_border_components(bits, conn)
             expect = bits & ~flood_from_border(bits, conn)
-            assert np.array_equal(out.bits, expect)
+            assert np.array_equal(out, expect)
 
 
 def one_call_border_connected(bits, connectivity):
@@ -287,8 +287,8 @@ def test_seam_on_grids_one_and_two_rows_deep(parts, depth):
 
 
 def test_border_removal_empty_identity():
-    m = seg.Mask(np.zeros((4, 4, 4), dtype=bool))
-    assert not seg.remove_border_components(m, 26).bits.any()
+    m = np.zeros((4, 4, 4), dtype=bool)
+    assert not seg.remove_border_components(m, 26).any()
 
 
 # ------------------------------------------------------ largest components
@@ -298,24 +298,24 @@ def test_largest_keeps_top_k_by_size():
     bits[1:6, 1:6, 1:5] = True       # 100 voxels
     bits[10:14, 1:6, 1:5] = True     # 80 voxels
     bits[20:21, 1:2, 1:6] = True     # 5 voxels
-    out = seg.largest_components(seg.Mask(bits), 2, 26)
-    assert out.bits.sum() == 180
-    assert not out.bits[20:21].any()
+    out = seg.largest_components(bits, 2, 26)
+    assert out.sum() == 180
+    assert not out[20:21].any()
 
 
 def test_largest_single_component_unchanged():
     bits = np.zeros((5, 5, 5), dtype=bool)
     bits[1:4, 1:4, 1:4] = True
-    out = seg.largest_components(seg.Mask(bits), 2, 26)
-    assert np.array_equal(out.bits, bits)
+    out = seg.largest_components(bits, 2, 26)
+    assert np.array_equal(out, bits)
 
 
 def test_largest_tie_breaks_on_scan_order():
     bits = np.zeros((9, 4, 4), dtype=bool)
     bits[1:3, 1:3, 1:3] = True  # 8 voxels, earlier in scan order
     bits[6:8, 1:3, 1:3] = True  # 8 voxels
-    out = seg.largest_components(seg.Mask(bits), 1, 26)
-    assert out.bits[1:3].any() and not out.bits[6:8].any()
+    out = seg.largest_components(bits, 1, 26)
+    assert out[1:3].any() and not out[6:8].any()
 
 
 def test_largest_matches_labeling_oracle():
@@ -330,8 +330,8 @@ def test_largest_matches_labeling_oracle():
                 for _, _, voxels in keep:
                     for v in voxels:
                         expect[v] = True
-                out = seg.largest_components(seg.Mask(bits), k, conn)
-                assert np.array_equal(out.bits, expect), (trial, conn, k)
+                out = seg.largest_components(bits, k, conn)
+                assert np.array_equal(out, expect), (trial, conn, k)
 
 
 def test_component_count_matches_the_full_grid_label():
@@ -342,8 +342,8 @@ def test_component_count_matches_the_full_grid_label():
         bits[2 + trial:12, 3:15 - trial, 1:9] = rng.random((10 - trial, 12 - trial, 8)) < 0.2
         for conn in (6, 26):
             want = ndimage.label(bits, structure=seg._structure(conn))[1]
-            assert seg.component_count(seg.Mask(bits), conn) == want, (trial, conn)
-    assert seg.component_count(seg.Mask(np.zeros((4, 5, 6), dtype=bool))) == 0
+            assert seg.component_count(bits, conn) == want, (trial, conn)
+    assert seg.component_count(np.zeros((4, 5, 6), dtype=bool)) == 0
 
 
 # ------------------------------------------------------------- morphology
@@ -351,37 +351,37 @@ def test_component_count_matches_the_full_grid_label():
 def test_erode_radius_zero_identity():
     rng = np.random.default_rng(5)
     bits = rng.random((8, 8, 8)) < 0.4
-    assert np.array_equal(seg.morph_erode(seg.Mask(bits), 0).bits, bits)
+    assert np.array_equal(seg.morph_erode(bits, 0), bits)
 
 
 def test_erode_cube_shrinks_by_one():
     bits = np.zeros((9, 9, 9), dtype=bool)
     bits[2:7, 2:7, 2:7] = True
-    out = seg.morph_erode(seg.Mask(bits), 1)
+    out = seg.morph_erode(bits, 1)
     expect = np.zeros_like(bits)
     expect[3:6, 3:6, 3:6] = True
-    assert np.array_equal(out.bits, expect)
+    assert np.array_equal(out, expect)
 
 
 def test_erode_removes_isolated_voxel():
     bits = np.zeros((5, 5, 5), dtype=bool)
     bits[2, 2, 2] = True
-    assert not seg.morph_erode(seg.Mask(bits), 1).bits.any()
+    assert not seg.morph_erode(bits, 1).any()
 
 
 def test_erode_matches_minkowski_oracle():
     rng = np.random.default_rng(6)
     for radius in (1, 2):
         bits = rng.random((12, 12, 12)) < 0.6
-        out = seg.morph_erode(seg.Mask(bits), radius)
-        assert np.array_equal(out.bits, erode_oracle(bits, radius))
+        out = seg.morph_erode(bits, radius)
+        assert np.array_equal(out, erode_oracle(bits, radius))
 
 
 def test_erode_shaves_border_touching_structure():
     bits = np.zeros((6, 6, 6), dtype=bool)
     bits[0:3] = True  # slab on the r=0 face
-    out = seg.morph_erode(seg.Mask(bits), 1)
-    assert not out.bits[0].any()  # face layer gone: outside is background
+    out = seg.morph_erode(bits, 1)
+    assert not out[0].any()  # face layer gone: outside is background
 
 
 def test_morphology_does_not_depend_on_the_part_count(parts):
@@ -389,17 +389,17 @@ def test_morphology_does_not_depend_on_the_part_count(parts):
     for shape in [(10, 11, 9), (6, 2, 7), (5, 1, 6)]:
         for radius in (1, 2):
             bits = rng.random(shape) < 0.6
-            assert np.array_equal(seg.morph_erode(seg.Mask(bits), radius).bits,
+            assert np.array_equal(seg.morph_erode(bits, radius),
                                   erode_oracle(bits, radius)), (shape, radius)
             bits = rng.random(shape) < 0.35
-            assert np.array_equal(seg.morph_close(seg.Mask(bits), radius).bits,
+            assert np.array_equal(seg.morph_close(bits, radius),
                                   close_oracle(bits, radius)), (shape, radius)
 
 
 def test_close_radius_zero_identity():
     rng = np.random.default_rng(7)
     bits = rng.random((8, 8, 8)) < 0.4
-    assert np.array_equal(seg.morph_close(seg.Mask(bits), 0).bits, bits)
+    assert np.array_equal(seg.morph_close(bits, 0), bits)
 
 
 def test_close_bridges_plate_gap():
@@ -410,9 +410,9 @@ def test_close_bridges_plate_gap():
     bits = np.zeros((5, 9, 9), dtype=bool)
     bits[1, 1:8, 1:8] = True
     bits[3, 1:8, 1:8] = True
-    out = seg.morph_close(seg.Mask(bits), 1)
-    assert np.array_equal(out.bits, close_oracle(bits, 1))
-    assert out.bits[2, 2:7, 2:7].all()  # interior of the gap filled
+    out = seg.morph_close(bits, 1)
+    assert np.array_equal(out, close_oracle(bits, 1))
+    assert out[2, 2:7, 2:7].all()  # interior of the gap filled
     assert seg.component_count(out, 26) == 1
 
 
@@ -420,8 +420,8 @@ def test_close_matches_brute_force_oracle():
     rng = np.random.default_rng(8)
     for radius in (1, 2):
         bits = rng.random((10, 10, 10)) < 0.35
-        out = seg.morph_close(seg.Mask(bits), radius)
-        assert np.array_equal(out.bits, close_oracle(bits, radius))
+        out = seg.morph_close(bits, radius)
+        assert np.array_equal(out, close_oracle(bits, radius))
 
 
 def test_close_idempotent_on_random_masks():
@@ -429,9 +429,9 @@ def test_close_idempotent_on_random_masks():
     for trial in range(6):
         bits = rng.random((16, 16, 16)) < rng.uniform(0.2, 0.5)
         for radius in (1, 2):
-            once = seg.morph_close(seg.Mask(bits), radius)
+            once = seg.morph_close(bits, radius)
             twice = seg.morph_close(once, radius)
-            assert np.array_equal(once.bits, twice.bits), (trial, radius)
+            assert np.array_equal(once, twice), (trial, radius)
 
 
 # the radii where the sqrt(n) <= radius rule and a squared-length test
@@ -445,15 +445,14 @@ def test_morphology_matches_edt_on_random_masks(radius):
     for _ in range(4):
         shape = tuple(int(n) for n in rng.integers(1, 24, size=3))
         bits = rng.random(shape) < rng.uniform(0.2, 0.9)
-        m = seg.Mask(bits)
-        assert np.array_equal(seg.morph_erode(m, radius).bits, edt_erode(bits, radius))
-        assert np.array_equal(seg.morph_close(m, radius).bits, edt_close(bits, radius))
+        assert np.array_equal(seg.morph_erode(bits, radius), edt_erode(bits, radius))
+        assert np.array_equal(seg.morph_close(bits, radius), edt_close(bits, radius))
         # a ball that does not fit the grid empties the closing's erosion, so
         # the dilation is checked on its own too
         assert np.array_equal(seg._dilate_bits(bits, radius), edt_dilate(bits, radius))
     # a full slab one voxel thick: only offsets past the grid's extent erode it
     slab = np.ones((9, 1, 9), dtype=bool)
-    assert np.array_equal(seg.morph_erode(seg.Mask(slab), radius).bits,
+    assert np.array_equal(seg.morph_erode(slab, radius),
                           edt_erode(slab, radius))
 
 
@@ -464,19 +463,18 @@ def test_morphology_matches_edt_on_phantom_at_default_radii():
     m = seg.remove_border_components(m, p.connectivity)
     m = seg.largest_components(m, p.keep_k, p.connectivity)
     eroded = seg.morph_erode(m, p.erode_radius)
-    assert eroded.bits.any()
-    assert np.array_equal(eroded.bits, edt_erode(m.bits, p.erode_radius))
+    assert eroded.any()
+    assert np.array_equal(eroded, edt_erode(m, p.erode_radius))
     closed = seg.morph_close(eroded, p.close_radius)
-    assert np.array_equal(closed.bits, edt_close(eroded.bits, p.close_radius))
+    assert np.array_equal(closed, edt_close(eroded, p.close_radius))
 
 
 def test_radius_far_beyond_the_grid_matches_edt():
     rng = np.random.default_rng(11)
     for density in (0.05, 0.5, 1.0):
         bits = rng.random((8, 8, 8)) < density
-        m = seg.Mask(bits)
-        assert np.array_equal(seg.morph_erode(m, 1e6).bits, edt_erode(bits, 1e6))
-        assert np.array_equal(seg.morph_close(m, 1e6).bits, edt_close(bits, 1e6))
+        assert np.array_equal(seg.morph_erode(bits, 1e6), edt_erode(bits, 1e6))
+        assert np.array_equal(seg.morph_close(bits, 1e6), edt_close(bits, 1e6))
         assert np.array_equal(seg._dilate_bits(bits, 1e6), edt_dilate(bits, 1e6))
     # one voxel: its dilation clipped to a flat grid is a ball's cross-section
     bits = np.zeros((9, 30, 3), dtype=bool)
@@ -490,9 +488,9 @@ def test_fill_hollow_shell():
     bits = np.zeros((11, 11, 11), dtype=bool)
     bits[2:9, 2:9, 2:9] = True
     bits[3:8, 3:8, 3:8] = False
-    out = seg.fill_holes(seg.Mask(bits), 26)
-    assert out.bits[2:9, 2:9, 2:9].all()
-    assert out.bits.sum() == 7 ** 3
+    out = seg.fill_holes(bits, 26)
+    assert out[2:9, 2:9, 2:9].all()
+    assert out.sum() == 7 ** 3
 
 
 def test_fill_preserves_tunnel_to_border():
@@ -500,15 +498,15 @@ def test_fill_preserves_tunnel_to_border():
     bits[2:9, 2:9, 2:9] = True
     bits[3:8, 3:8, 3:8] = False
     bits[5, 5, 8:] = False  # drill through the wall to the s face
-    out = seg.fill_holes(seg.Mask(bits), 26)
+    out = seg.fill_holes(bits, 26)
     expect = bits | (~bits & ~flood_from_border(~bits, 6))
-    assert np.array_equal(out.bits, expect)
-    assert not out.bits[5, 5, 10]  # tunnel mouth still open
+    assert np.array_equal(out, expect)
+    assert not out[5, 5, 10]  # tunnel mouth still open
 
 
 def test_fill_solid_identity():
     bits = np.ones((5, 5, 5), dtype=bool)
-    assert np.array_equal(seg.fill_holes(seg.Mask(bits), 26).bits, bits)
+    assert np.array_equal(seg.fill_holes(bits, 26), bits)
 
 
 # ---------------------------------------------------------- full pipeline
@@ -538,14 +536,14 @@ def test_segment_fills_vessel_holes():
     volume, truth = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
     out = seg.segment_lung(volume, SMALL_PARAMS)
     for c in centers:
-        assert out.bits[c]  # vessel voxel ends up inside the mask
+        assert out[c]  # vessel voxel ends up inside the mask
 
 
 def test_segment_deterministic():
     volume, _ = lung_phantom(**PHANTOM_KW)
     a = seg.segment_lung(volume, SMALL_PARAMS)
     b = seg.segment_lung(volume, SMALL_PARAMS)
-    assert np.array_equal(a.bits, b.bits)
+    assert np.array_equal(a, b)
 
 
 def test_segment_component_cap_holds():
@@ -559,8 +557,37 @@ def test_segment_component_cap_holds():
 def test_segment_avoids_axial_faces():
     volume, _ = lung_phantom(**PHANTOM_KW)
     out = seg.segment_lung(volume, SMALL_PARAMS)
-    assert not out.bits[0].any() and not out.bits[-1].any()
-    assert not out.bits[:, 0].any() and not out.bits[:, -1].any()
+    assert not out[0].any() and not out[-1].any()
+    assert not out[:, 0].any() and not out[:, -1].any()
+
+
+def test_stages_leave_their_input_alone():
+    # masks are plain mutable arrays: a stage that wrote to its input, or
+    # returned a view of it, would let a later stage change an earlier result
+    rng = np.random.default_rng(44)
+    volume, _ = lung_phantom(**PHANTOM_KW)
+    volume.voxels += rng.normal(0, 60, volume.shape).astype(np.float32)
+    before = volume.voxels.copy()
+    for out in (seg.threshold_lung(volume, SMALL_PARAMS),
+                seg.segment_lung(volume, SMALL_PARAMS)):
+        assert not np.shares_memory(out, volume.voxels)
+    assert volume.voxels.tobytes() == before.tobytes()
+    for density in (0.05, 0.3, 0.7):
+        bits = rng.random((14, 17, 11)) < density
+        before = bits.copy()
+        for conn in (6, 26):
+            outs = [seg.remove_border_components(bits, conn),
+                    seg.largest_components(bits, 2, conn),
+                    # more places than components: every component is kept
+                    seg.largest_components(bits, bits.size, conn),
+                    seg.fill_holes(bits, conn)]
+            outs += [stage(bits, radius) for stage in (seg.morph_erode, seg.morph_close)
+                     for radius in (0.0, 1.5)]
+            seg.component_count(bits, conn)
+            for out in outs:
+                assert out.dtype == bool and out.shape == bits.shape
+                assert not np.shares_memory(out, bits)
+            assert bits.tobytes() == before.tobytes(), (density, conn)
 
 
 # --------------------------------------- the lung box against the full grid
@@ -571,15 +598,15 @@ def test_segment_avoids_axial_faces():
 # are kept here as byte oracles.
 
 def full_grid_largest_components(mask, k, connectivity=26):
-    labels, n = ndimage.label(mask.bits, structure=seg._structure(connectivity))
+    labels, n = ndimage.label(mask, structure=seg._structure(connectivity))
     if n <= k:
-        return seg.Mask(mask.bits.copy(), mask.source_id)
+        return mask.copy()
     ids, first = np.unique(labels, return_index=True)
     fg = ids != 0
     scan_ids = ids[fg][np.argsort(first[fg])].tolist()
     sizes = np.bincount(labels.ravel())
     keep = sorted(scan_ids, key=lambda lab: -int(sizes[lab]))[:k]
-    return seg.Mask(np.isin(labels, keep), mask.source_id)
+    return np.isin(labels, keep)
 
 
 def full_grid_segment_lung(volume, params):
@@ -591,7 +618,7 @@ def full_grid_segment_lung(volume, params):
     m = seg.morph_close(m, params.close_radius)
     m = full_grid_largest_components(m, params.keep_k, conn)
     m = seg.fill_holes(m, conn)
-    return m.bits
+    return m
 
 
 def assert_staged_equals_full_grid(bits, **params):
@@ -605,8 +632,8 @@ def assert_staged_equals_full_grid(bits, **params):
             seg.segment_lung(volume, p)
         return
     got = seg.segment_lung(volume, p)
-    assert got.bits.shape == bits.shape
-    assert np.array_equal(got.bits, want), params
+    assert got.shape == bits.shape
+    assert np.array_equal(got, want), params
 
 
 def blobs(rng, shape, density):
@@ -625,9 +652,8 @@ def test_largest_matches_full_grid_oracle_on_ties(connectivity):
         for r in rng.permutation(4)[:3]:
             bits[2 * r:2 * r + 2, 8:10, 7:9] = True
         for k in (1, 2, 3, 5, 40):
-            m = seg.Mask(bits)
-            want = full_grid_largest_components(m, k, connectivity).bits
-            got = seg.largest_components(m, k, connectivity).bits
+            want = full_grid_largest_components(bits, k, connectivity)
+            got = seg.largest_components(bits, k, connectivity)
             assert np.array_equal(got, want), (trial, k)
 
 
@@ -638,12 +664,11 @@ def test_largest_does_not_depend_on_the_part_count(parts, connectivity):
         for density in (0.05, 0.15, 0.4):
             bits = rng.random(shape) < density
             for k in (1, 2, 3, 40):
-                m = seg.Mask(bits)
-                want = full_grid_largest_components(m, k, connectivity).bits
-                got = seg.largest_components(m, k, connectivity).bits
+                want = full_grid_largest_components(bits, k, connectivity)
+                got = seg.largest_components(bits, k, connectivity)
                 assert np.array_equal(got, want), (shape, density, k)
             want = ndimage.label(bits, structure=seg._structure(connectivity))[1]
-            assert seg.component_count(seg.Mask(bits), connectivity) == want
+            assert seg.component_count(bits, connectivity) == want
 
 
 @pytest.mark.parametrize("bar_row", [0, 7])
@@ -659,11 +684,10 @@ def test_largest_tie_with_a_u_across_the_seams(parts, bar_row):
     bits[bar_row, 4, 0:12] = True
     bits[bar_row, 5, 11] = True
     for connectivity in (6, 26):
-        m = seg.Mask(bits)
-        got = seg.largest_components(m, 1, connectivity).bits
-        assert np.array_equal(got, full_grid_largest_components(m, 1, connectivity).bits)
+        got = seg.largest_components(bits, 1, connectivity)
+        assert np.array_equal(got, full_grid_largest_components(bits, 1, connectivity))
         assert got.sum() == 13 and got[bar_row, 4, 0] == (bar_row == 0)
-        assert seg.component_count(m, connectivity) == 2
+        assert seg.component_count(bits, connectivity) == 2
 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
@@ -752,7 +776,7 @@ def test_staged_segmentation_matches_full_grid_on_phantoms(close):
                     p = seg.SegmentationParams(keep_k=k, erode_radius=erode,
                                                close_radius=close, connectivity=conn)
                     got = seg.segment_lung(v, p)
-                    assert np.array_equal(got.bits, full_grid_segment_lung(v, p)), \
+                    assert np.array_equal(got, full_grid_segment_lung(v, p)), \
                         (v.source_id, k, erode, conn)
 
 
@@ -768,5 +792,5 @@ def test_segment_lung_peak_memory_on_a_512_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mask.bits.any()
+    assert mask.any()
     assert peak < 100e6
