@@ -26,16 +26,12 @@ from .config import (PROTOCOL_CLASSES, ConfigError, RunConfig, _check_levels,
 # bench/spans.py traces read_pack and write_pack under these names in cli
 from .packs import (count_amend, index_records, pack_chunks, pack_index_csv,
                     read_pack, write_pack)
-from .patch_sampler import (PATCH_TABLE, extract_patches, standardize_volume,
-                            trilinear_resample)
+from .patch_sampler import (PATCH_TABLE, STANDARD_SHAPE, extract_patches,
+                            standardize_volume, trilinear_resample)
 from .segmentation import component_count, segment_lung
 from .train import NonFiniteLoss, history_to_csv, progressive_fit
 
 LABELS = ("NOR", "MiNCP", "MoNCP", "SeNCP", "CrNCP")
-
-
-class ManifestError(Exception):
-    pass
 
 
 ManifestRow = collections.namedtuple("ManifestRow", "path label")
@@ -43,27 +39,28 @@ ManifestRow = collections.namedtuple("ManifestRow", "path label")
 
 def load_manifest(path):
     """Headerless CSV rows of path,label; labels known, and no two paths
-    with one stem, the source_id that names a scan's outputs."""
+    with one stem, the source_id that names a scan's outputs. A manifest
+    that breaks these rules, or cannot be read, is a ConfigError."""
     rows, seen = [], {}
-    text = _read_text(path, ManifestError)
+    text = _read_text(path)
     for ln, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not rec or (len(rec) == 1 and not rec[0].strip()):
             continue
         if len(rec) != 2:
-            raise ManifestError(f"{path} line {ln}: expected path,label")
+            raise ConfigError(f"{path} line {ln}: expected path,label")
         scan, label = rec[0].strip(), rec[1].strip()
         if label not in LABELS:
-            raise ManifestError(
+            raise ConfigError(
                 f"{path} line {ln}: unknown label '{label}' "
                 f"(expected one of {', '.join(LABELS)})")
         stem = _stem(scan)
         if stem in seen:
-            raise ManifestError(f"{path} line {ln}: duplicate source_id '{stem}' "
-                                f"of '{scan}', first at line {seen[stem]}")
+            raise ConfigError(f"{path} line {ln}: duplicate source_id '{stem}' "
+                              f"of '{scan}', first at line {seen[stem]}")
         seen[stem] = ln
         rows.append(ManifestRow(scan, label))
     if not rows:
-        raise ManifestError(f"{path}: empty manifest")
+        raise ConfigError(f"{path}: empty manifest")
     return rows
 
 
@@ -77,7 +74,7 @@ def class_labels(rows, protocol):
 
 def load_config(path: str | None = None) -> RunConfig:
     """The config file at `path`; no file is an empty one, all defaults."""
-    return parse_config("" if path is None else _read_text(path, ConfigError))
+    return parse_config("" if path is None else _read_text(path))
 
 
 # --------------------------------------------------------------- helpers
@@ -100,14 +97,14 @@ def _read_bytes(path):
         return fh.read()
 
 
-def _read_text(path, error):
-    """The file's UTF-8 text; a read or decode failure raises `error`."""
+def _read_text(path):
+    """The file's UTF-8 text; a read or decode failure is a ConfigError."""
     try:
         return _read_bytes(path).decode("utf-8")
     except OSError as exc:
-        raise error(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _atomic_write(path, data, amend=None):
@@ -179,11 +176,18 @@ def _read_mask(path, want_shape):
 
 def _load_model(path):
     """(spec, weights, protocol, class names) of the checkpoint at `path`; its
-    protocol is the one with its class count: binary has 2, multiclass 4."""
+    protocol is the one with its class count: binary has 2, multiclass 4.
+    Its input is one channel no larger than the standard grid on any axis,
+    the grid _model_input resamples."""
     try:
         spec, weights = nn_core.load_checkpoint(_read_bytes(path))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
+    rows, cols, slices = STANDARD_SHAPE
+    largest = (1, slices, rows, cols)
+    if any(n > most for n, most in zip(spec.input_shape, largest)):
+        raise ConfigError(f"bad checkpoint {path}: input {spec.input_shape} "
+                          f"exceeds {largest}")
     for protocol, names in PROTOCOL_CLASSES.items():
         if len(names) == spec.class_count:
             return spec, weights, protocol, names
@@ -268,7 +272,7 @@ def train_ladder(cfg, shapes, load):
 
     try:
         return progressive_fit(shapes, load, cfg.train, len(PROTOCOL_CLASSES[cfg.protocol]),
-                               channels=cfg.channels, log=log)[1]
+                               channels=cfg.channels, log=log)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -358,7 +362,7 @@ def _read_level(cfg, packs_dir, name):
             f"{path} holds {shape} patches, level {name} needs {want}")
     try:
         folds = metrics.kfold_split([smp.label for smp in samples], k=k, seed=cfg.seed)
-    except metrics.TooFewSamples as exc:
+    except ValueError as exc:
         raise ConfigError(f"level {name}: {exc}") from exc
     train_set = [smp for smp, f in zip(samples, folds) if f != 0]
     val_set = [smp for smp, f in zip(samples, folds) if f == 0]
@@ -509,6 +513,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ManifestError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,20 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import LabelOutOfRange
-
-
-class SingleClassInput(ValueError):
-    """ROC needs at least one positive and one negative sample."""
-
-
-class MissingClass(ValueError):
-    pass
-
-
-class TooFewSamples(ValueError):
-    pass
-
 
 @dataclass
 class EvalReport:
@@ -53,7 +39,7 @@ def confusion_matrix(predicted, actual, k) -> np.ndarray:
         raise ValueError("predicted/actual length mismatch")
     for name, arr in (("predicted", predicted), ("actual", actual)):
         if arr.size and (arr.min() < 0 or arr.max() >= k):
-            raise LabelOutOfRange(f"{name} labels outside [0,{k})")
+            raise ValueError(f"{name} labels outside [0,{k})")
     counts = np.bincount((predicted * k + actual).ravel(), minlength=k * k)
     return counts.reshape(k, k)
 
@@ -97,7 +83,7 @@ def roc_curve(scores, labels):
     p = int(pos.sum())
     n = scores.size - p
     if p == 0 or n == 0:
-        raise SingleClassInput("need both a positive and a negative sample")
+        raise ValueError("need both a positive and a negative sample")
     order = np.argsort(-scores, kind="stable")
     y = pos[order]
     s = scores[order]
@@ -123,7 +109,7 @@ def _ovr_roc_curves(probs, labels, k):
     present = np.unique(labels)
     if len(present) < k or present.min() < 0 or present.max() >= k:
         missing = sorted(set(range(k)) - set(present.tolist()))
-        raise MissingClass(f"classes {missing} absent from labels")
+        raise ValueError(f"classes {missing} absent from labels")
     curves = [roc_curve(probs[:, c], labels == c) for c in range(k)]
     return [points for points, _ in curves], np.array([auc for _, auc in curves])
 
@@ -138,23 +124,23 @@ def kfold_split(labels, k=5, seed=0):
     for c in np.unique(labels):  # sorted, so the draw order is fixed
         idx = np.nonzero(labels == c)[0]
         if idx.size < k:
-            raise TooFewSamples(f"class {c} has {idx.size} samples for {k} folds")
+            raise ValueError(f"class {c} has {idx.size} samples for {k} folds")
         perm = rng.permutation(idx.size)
         folds[idx[perm]] = np.arange(idx.size) % k
     return folds
 
 
 def evaluate_probs(probs, actual):
-    """Full report from probability rows: argmax labels, rates, OvR AUCs."""
+    """Full report from probability rows: argmax labels, rates, and the OvR
+    AUCs when every class appears in `actual`."""
     probs = np.asarray(probs, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.int64)
     k = probs.shape[1]
     predicted = probs.argmax(axis=1)
     report = precision_recall_f1(confusion_matrix(predicted, actual, k))
-    try:
-        report.roc_points, report.auc = _ovr_roc_curves(probs, actual, k)
-    except (MissingClass, SingleClassInput):
-        return report
+    if k < 2 or not report.matrix.sum(axis=0).all():
+        return report  # one-vs-rest ROC needs every class and a rest
+    report.roc_points, report.auc = _ovr_roc_curves(probs, actual, k)
     report.macro_auc = float(report.auc.mean())
     return report
 

@@ -35,37 +35,6 @@ DATATYPES = {
     512: ("u2", 16),  # unsigned short
 }
 
-MASK_DATATYPE_CODE = 2
-
-
-class NiftiError(ValueError):
-    """Base class for NIfTI parsing/writing failures."""
-
-
-class BadMagic(NiftiError):
-    pass
-
-
-class UnsupportedDatatype(NiftiError):
-    pass
-
-
-class TruncatedHeader(NiftiError):
-    pass
-
-
-class InvalidHeader(NiftiError):
-    """Header parsed but violates a NIfTI-1 invariant."""
-
-
-class DataLengthMismatch(NiftiError):
-    pass
-
-
-class DecompressError(NiftiError):
-    pass
-
-
 @dataclass
 class NiftiHeader:
     """The subset of the 348-byte NIfTI-1 header this pipeline uses."""
@@ -117,21 +86,21 @@ class Volume:
 def parse_header(buf: bytes) -> NiftiHeader:
     """Decode a NIfTI-1 header, auto-detecting byte order from sizeof_hdr.
 
-    Raises TruncatedHeader, BadMagic, UnsupportedDatatype or InvalidHeader.
+    Raises ValueError for a short, foreign or inconsistent header.
     """
     if len(buf) < HEADER_SIZE:
-        raise TruncatedHeader(f"need {HEADER_SIZE} header bytes, got {len(buf)}")
+        raise ValueError(f"need {HEADER_SIZE} header bytes, got {len(buf)}")
     magic = bytes(buf[344:348])
     if magic == MAGIC_PAIR:
-        raise InvalidHeader("paired .hdr/.img files are not supported")
+        raise ValueError("paired .hdr/.img files are not supported")
     if magic != MAGIC_SINGLE:
-        raise BadMagic(f"magic {magic!r} is not 'n+1'")
+        raise ValueError(f"magic {magic!r} is not 'n+1'")
     if struct.unpack_from("<i", buf, 0)[0] == HEADER_SIZE:
         bo = "<"
     elif struct.unpack_from(">i", buf, 0)[0] == HEADER_SIZE:
         bo = ">"
     else:
-        raise InvalidHeader("sizeof_hdr is not 348 under either byte order")
+        raise ValueError("sizeof_hdr is not 348 under either byte order")
 
     dim = struct.unpack_from(bo + "8h", buf, 40)
     datatype_code, bitpix = struct.unpack_from(bo + "2h", buf, 70)
@@ -139,19 +108,19 @@ def parse_header(buf: bytes) -> NiftiHeader:
     vox_offset, scl_slope, scl_inter = struct.unpack_from(bo + "3f", buf, 108)
 
     if datatype_code not in DATATYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype_code} not supported")
+        raise ValueError(f"datatype code {datatype_code} not supported")
     if bitpix != DATATYPES[datatype_code][1]:
-        raise InvalidHeader(f"bitpix {bitpix} inconsistent with datatype {datatype_code}")
+        raise ValueError(f"bitpix {bitpix} inconsistent with datatype {datatype_code}")
     if dim[0] not in (3, 4):
-        raise InvalidHeader(f"dim[0]={dim[0]}, expected 3 or 4")
+        raise ValueError(f"dim[0]={dim[0]}, expected 3 or 4")
     if dim[0] == 4 and dim[4] > 1:
-        raise InvalidHeader("multi-frame 4D volumes are not supported")
+        raise ValueError("multi-frame 4D volumes are not supported")
     if min(dim[1:4]) < 1:
-        raise InvalidHeader(f"non-positive spatial dims {dim[1:4]}")
+        raise ValueError(f"non-positive spatial dims {dim[1:4]}")
     if not all(0 < p < math.inf for p in pixdim[1:4]):
-        raise InvalidHeader(f"voxel spacing {pixdim[1:4]} is not finite and positive")
+        raise ValueError(f"voxel spacing {pixdim[1:4]} is not finite and positive")
     if not math.isfinite(vox_offset):
-        raise InvalidHeader(f"vox_offset {vox_offset} is not finite")
+        raise ValueError(f"vox_offset {vox_offset} is not finite")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in dim),
@@ -181,7 +150,7 @@ def _inflated(data):
             piece = inflate.decompress(pending, GUNZIP_PIECE)
             pending = inflate.unconsumed_tail
             if not (piece or pending or inflate.eof):
-                raise DecompressError("compressed stream ended early")
+                raise ValueError("compressed stream ended early")
             yield piece
         # gzip lets zero bytes pad the space after a member
         pending = inflate.unused_data.lstrip(b"\0")
@@ -193,7 +162,7 @@ def _extent(header):
 
 
 def _short(need, present):
-    return DataLengthMismatch(f"declared {need} data bytes, only {max(0, present)} present")
+    return ValueError(f"declared {need} data bytes, only {max(0, present)} present")
 
 
 def _target(buf, offset, header):
@@ -249,7 +218,7 @@ def _read_gzipped(data):
                 raise _short(need, kept - offset)
         parallel.overlap(runs(), lambda planes: _copy_planes(raw, stored, planes))
     except zlib.error as exc:
-        raise DecompressError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     return header, raw
 
 
@@ -277,7 +246,9 @@ def read_raw(data):
 def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarray:
     """Apply the header scaling affine; slope 0 means unscaled data. Each
     part of the pool casts a run of rows to float32 and scales it in place,
-    with the same bits as the expression (raw * slope) + inter."""
+    with the same bits as the expression (raw * slope) + inter. Overflow
+    is silent here: read_volume rejects the non-finite result. numpy's
+    error state is per thread, so each part sets its own."""
     hu = np.empty(raw.shape, dtype=np.float32)
     cuts = parallel.cuts(raw.shape[0])
 
@@ -285,8 +256,9 @@ def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarr
         rows = hu[cuts[p]:cuts[p + 1]]
         np.copyto(rows, raw[cuts[p]:cuts[p + 1]], casting="unsafe")
         if scl_slope != 0.0:
-            rows *= np.float32(scl_slope)
-            rows += np.float32(scl_inter)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows *= np.float32(scl_slope)
+                rows += np.float32(scl_inter)
     parallel.run(part, len(cuts) - 1)
     return hu
 
@@ -296,7 +268,7 @@ def read_volume(data, source_id: str = "") -> Volume:
     header, raw = read_raw(data)
     hu = hu_from_raw(raw, header.scl_slope, header.scl_inter)
     if not np.all(np.isfinite(hu)):
-        raise InvalidHeader("scaling produced non-finite voxel values")
+        raise ValueError("scaling produced non-finite voxel values")
     return Volume(voxels=hu, spacing=header.spacing, source_id=source_id)
 
 
@@ -319,18 +291,18 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     """Serialize a raw (R, C, S) array as a little-endian single-file NIfTI-1.
 
     The array dtype selects the datatype code; unsupported dtypes raise
-    UnsupportedDatatype. Returns the byte string. Gzip output uses mtime=0
+    ValueError. Returns the byte string. Gzip output uses mtime=0
     so identical inputs give identical bytes.
     """
     if raw.ndim != 3:
-        raise NiftiError(f"expected 3D array, got shape {raw.shape}")
+        raise ValueError(f"expected 3D array, got shape {raw.shape}")
     code = None
     for c, (ch, _) in DATATYPES.items():
         if np.dtype(ch) == raw.dtype.newbyteorder("="):
             code = c
             break
     if code is None:
-        raise UnsupportedDatatype(f"dtype {raw.dtype} has no supported NIfTI code")
+        raise ValueError(f"dtype {raw.dtype} has no supported NIfTI code")
     buf = _build_header_bytes(raw.shape, spacing, code, scl_slope, scl_inter)
     le = raw.astype(raw.dtype.newbyteorder("<"), copy=False)
     buf += le.transpose(2, 1, 0).tobytes()  # restore first-index-fastest order
@@ -345,6 +317,6 @@ def write_mask(mask, template, gzipped=False):
     Volume or NiftiHeader. `mask` is a boolean array of the template's shape.
     """
     if mask.shape != template.shape:
-        raise NiftiError(f"mask shape {mask.shape} != template {template.shape}")
+        raise ValueError(f"mask shape {mask.shape} != template {template.shape}")
     return write_nifti(mask.astype(np.uint8), spacing=template.spacing,
                        scl_slope=1.0, scl_inter=0.0, gzipped=gzipped)

@@ -33,14 +33,6 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class LabelOutOfRange(ValueError):
-    pass
-
-
-class DegenerateBatch(ValueError):
-    """Batch statistics need at least two values per channel."""
-
-
 def _triple(v):
     if v is None:
         return None
@@ -330,7 +322,7 @@ def batchnorm3d_forward(x, gamma, beta, mode, running_mean, running_var,
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         if n < 2:
-            raise DegenerateBatch("need at least 2 values per channel to normalize")
+            raise ValueError("need at least 2 values per channel to normalize")
         mean, var = x.mean(axis=axes), x.var(axis=axes)
         running_mean = (1 - momentum) * running_mean + momentum * mean
         running_var = (1 - momentum) * running_var + momentum * var
@@ -677,8 +669,8 @@ def weighted_cross_entropy(probs, labels, weights):
     labels = np.asarray(labels, dtype=np.int64)
     k = probs.shape[1]
     if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0,{k}), got "
-                              f"[{labels.min()},{labels.max()}]")
+        raise ValueError(f"labels must lie in [0,{k}), got "
+                         f"[{labels.min()},{labels.max()}]")
     w = np.asarray(weights, dtype=np.float64)
     b = probs.shape[0]
     picked = probs[np.arange(b), labels]

@@ -38,10 +38,6 @@ PATCH_TABLE = {
 LEVELS = tuple(PATCH_TABLE)
 
 
-class NoLungRegion(ValueError):
-    """The mask has no foreground; there is nothing to anchor patches to."""
-
-
 @dataclass
 class Sample:
     tensor: np.ndarray  # float32 in [0,1]
@@ -130,7 +126,7 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
     rescale to [0,1], and return the float32 sub-box `box` of that grid
     (three slices), by default the whole grid.
 
-    For the whole grid an all-zero mask raises NoLungRegion. A smaller box
+    For the whole grid an all-zero mask raises ValueError. A smaller box
     may hold no lung, so a caller that asks for boxes checks the mask once
     per scan itself, as extract_patches does.
 
@@ -148,7 +144,7 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
         raise ValueError(f"mask {mask.shape} does not align with volume {shape_in}")
     if box is None:
         if not mask.any():
-            raise NoLungRegion(f"empty mask for {volume.source_id or 'scan'}")
+            raise ValueError(f"empty mask for {volume.source_id or 'scan'}")
         box = tuple(slice(0, n) for n in out_shape)
     if len(box) != 3 or not all(0 <= s.start < s.stop <= n and s.step in (None, 1)
                                 for s, n in zip(box, out_shape)):
@@ -180,10 +176,10 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
 
 def _map_bbox(mask: np.ndarray, out_shape, source_id):
     """The mask's bounding box in standardized index space, rounded outward;
-    an all-zero mask raises NoLungRegion naming the scan `source_id`."""
+    an all-zero mask raises ValueError naming the scan `source_id`."""
     box = grown_box(mask, 0)
     if box is None:
-        raise NoLungRegion(f"empty mask for {source_id or 'scan'}")
+        raise ValueError(f"empty mask for {source_id or 'scan'}")
     lows, highs = [], []
     for span, n_in, n_out in zip(box, mask.shape, out_shape):
         scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0

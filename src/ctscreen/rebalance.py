@@ -18,17 +18,13 @@ MODES = ("paper_formula", "inverse_frequency", "uniform")
 DEFAULT_MODE = "inverse_frequency"
 
 
-class ZeroClassCount(ValueError):
-    """A class with zero samples cannot be weighted."""
-
-
 def class_weights(counts, mode: str = DEFAULT_MODE) -> np.ndarray:
     """One positive float64 weight per class, from per-class sample counts."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError("counts must be a non-empty 1D vector")
     if np.any(counts < 1):
-        raise ZeroClassCount(f"every class needs at least one sample, got {counts.tolist()}")
+        raise ValueError(f"every class needs at least one sample, got {counts.tolist()}")
     n = counts.sum()
     k = counts.size
     if mode == "paper_formula":

@@ -48,10 +48,6 @@ from . import parallel
 from .nifti_io import Volume
 
 
-class EmptySegmentation(ValueError):
-    """No foreground survived the pipeline; scan is not a usable chest CT."""
-
-
 # the largest erode_radius or close_radius a run may set: chords and time grow
 # as radius**2 (closing a 345x455x36 lung box takes 0.09 s at 4, 1.1 s at 16)
 MAX_RADIUS = 16
@@ -333,7 +329,7 @@ def grown_box(bits, margin):
 
 
 def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarray:
-    """Full pipeline; raises EmptySegmentation when nothing survives.
+    """Full pipeline; raises ValueError when nothing survives.
 
     Erosion can split a lung, so the k-largest filter runs again after
     closing to restore the at-most-keep_k guarantee before holes are filled
@@ -353,7 +349,7 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarra
         m = largest_components(m, params.keep_k, conn)
         m = fill_holes(m, conn)
     if box is None or not m.any():
-        raise EmptySegmentation(f"no lung voxels found in {volume.source_id or 'volume'}")
+        raise ValueError(f"no lung voxels found in {volume.source_id or 'volume'}")
     bits = np.zeros(volume.shape, dtype=bool)
     bits[box] = m
     return bits

@@ -19,16 +19,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .augment import AugmentPolicy, augment_sample
-from .nn_core import LabelOutOfRange
 from .rebalance import class_weights, DEFAULT_MODE
-
-
-class EmptyDataset(ValueError):
-    pass
-
-
-class IncompatibleSpec(ValueError):
-    """Progressive enlargement cannot map the old model onto the new input."""
 
 
 class NonFiniteLoss(Exception):
@@ -144,10 +135,10 @@ def to_batch(samples):
 
 def _check_dataset(dataset, class_count, name):
     if not dataset:
-        raise EmptyDataset(f"{name} dataset is empty")
+        raise ValueError(f"{name} dataset is empty")
     for s in dataset:
         if not 0 <= s.label < class_count:
-            raise LabelOutOfRange(f"{name} label {s.label} outside [0,{class_count})")
+            raise ValueError(f"{name} label {s.label} outside [0,{class_count})")
 
 
 def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
@@ -233,26 +224,26 @@ def progressive_fit(shapes, load, config: TrainConfig, class_count,
     of each level. load(level) gives that level's (train, val) when its
     turn comes, and they are dropped before the next level loads, so one
     level's datasets are resident at a time. Level n+1 starts from level
-    n's best weights behind a fresh stem block. Returns (final best
-    weights, [LevelResult per level]). `log`, when given, is called with
-    (level name, EpochStats) per finished epoch.
+    n's best weights behind a fresh stem block. Returns a LevelResult per
+    level; the last one's best_weights are the final model. `log`, when
+    given, is called with (level name, EpochStats) per finished epoch.
     """
     if not shapes:
-        raise EmptyDataset("no levels given")
+        raise ValueError("no levels given")
     ladder = list(shapes.values())
     for a, b in zip(ladder, ladder[1:]):
         if any(x > y for x, y in zip(a, b)):
-            raise IncompatibleSpec(f"ladder must grow monotonically, got {a} -> {b}")
+            raise ValueError(f"ladder must grow monotonically, got {a} -> {b}")
 
     results = []
     prev_spec, prev_best = None, None
     for li, (name, (r, c, s)) in enumerate(shapes.items()):
         train_set, val_set = load(name)
         if not train_set:
-            raise EmptyDataset(f"level {name}: train dataset is empty")
+            raise ValueError(f"level {name}: train dataset is empty")
         if train_set[0].tensor.shape != (r, c, s):
-            raise IncompatibleSpec(f"level {name} holds {train_set[0].tensor.shape} "
-                                   f"patches, not {(r, c, s)}")
+            raise ValueError(f"level {name} holds {train_set[0].tensor.shape} "
+                             f"patches, not {(r, c, s)}")
         input_shape = (1, s, r, c)
         if prev_spec is None:
             spec = nn.base_model(input_shape, class_count, channels=channels)
@@ -267,7 +258,7 @@ def progressive_fit(shapes, load, config: TrainConfig, class_count,
         del train_set, val_set  # before the next level loads
         results.append(LevelResult(name, spec, best, history))
         prev_spec, prev_best = spec, best
-    return results[-1].best_weights, results
+    return results
 
 
 def history_to_csv(histories):

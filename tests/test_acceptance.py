@@ -405,8 +405,8 @@ def test_c09_progressive_ladder_smoke_and_direction(monkeypatch):
             return fit(spec, weights_init, *args, **kwargs)
         with monkeypatch.context() as patched:
             patched.setattr(tr, "fit", recording)
-            _, results = tr.progressive_fit(shapes, datasets.__getitem__, config, 2,
-                                            channels=(2, 4))
+            results = tr.progressive_fit(shapes, datasets.__getitem__, config, 2,
+                                         channels=(2, 4))
         # carried tensors must be byte-for-byte the previous level's best,
         # re-keyed past the three stem layers
         assert len(inits) == len(ladder)

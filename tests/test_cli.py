@@ -79,18 +79,18 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("a.nii,NOR\nb.nii,BAD\n")
-    with pytest.raises(cli.ManifestError, match="line 2.*BAD"):
+    with pytest.raises(ConfigError, match="line 2.*BAD"):
         cli.load_manifest(str(p))
     p.write_text("a.nii,NOR\na.nii,MiNCP\n")
-    with pytest.raises(cli.ManifestError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate"):
         cli.load_manifest(str(p))
     # a third column is an error: ignoring it would hide a fold someone meant to pin
     for row in ("b.nii,NOR,0", "b.nii,NOR,x", "b.nii,NOR,", "b.nii"):
         p.write_text(f"a.nii,NOR\n{row}\n")
-        with pytest.raises(cli.ManifestError, match="line 2: expected path,label$"):
+        with pytest.raises(ConfigError, match="line 2: expected path,label$"):
             cli.load_manifest(str(p))
     p.write_text("")
-    with pytest.raises(cli.ManifestError, match="empty"):
+    with pytest.raises(ConfigError, match="empty"):
         cli.load_manifest(str(p))
 
 
@@ -1222,9 +1222,13 @@ def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):
                                  nn_core.LayerSpec("softmax"))
     wide = nn_core.ModelSpec(spec.input_shape, layers, 2)
     wide_head = nn_core.save_checkpoint(wide, nn_core.init_weights(wide))
+    # inputs no scan is resampled to: an axis of 2**40 (8 TiB of taps), two channels
+    outsized = [nn_core.base_model(shape, 2, channels=(2,))
+                for shape in ((1, 4, 2**40, 8), (2, 4, 8, 8))]
     junk = tmp_path / "junk.ctck"
     for blob in (b"not a checkpoint at all", good[:7], good + b"\0\0", reshaped,
-                 wide_head):
+                 wide_head, *(nn_core.save_checkpoint(s, nn_core.init_weights(s))
+                              for s in outsized)):
         junk.write_bytes(blob)
         rc = cli.main(["predict", workspace["scan_paths"][0],
                        "--checkpoint", str(junk)])

@@ -1,6 +1,8 @@
-"""Every name a ctscreen module imports is used in that module."""
+"""Every name a ctscreen module imports is used in that module, and every
+exception class it defines is caught by name somewhere in the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ctscreen
@@ -32,3 +34,32 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
               for name in _unused_imports(path.read_text(encoding="utf-8"))}
     assert unused == set(KEPT), f"imported and never used: {sorted(unused)}"
+
+
+def _exception_classes_and_caught_names():
+    """(every exception class a ctscreen module defines, as (module file,
+    name); every name an `except` clause of the package names)."""
+    defined, caught = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        if classes:  # __main__ has none, and importing it would run the CLI
+            module = importlib.import_module(f"ctscreen.{path.stem}")
+            defined.update((path.name, name) for name in classes
+                           if issubclass(getattr(module, name), BaseException))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, ast.Name):
+                        caught.add(name.id)
+                    elif isinstance(name, ast.Attribute):
+                        caught.add(name.attr)
+    return defined, caught
+
+
+def test_every_exception_class_is_caught_by_name():
+    # a class no handler tells apart from its base is one more name to learn
+    # for no change in behaviour: raise the base with the message instead
+    defined, caught = _exception_classes_and_caught_names()
+    idle = sorted((module, name) for module, name in defined if name not in caught)
+    assert not idle, f"exception classes no except clause names: {idle}"

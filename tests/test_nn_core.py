@@ -559,7 +559,7 @@ def test_batchnorm_backward_infer_matches_finite_differences():
 
 
 def test_batchnorm_degenerate_batch_raises():
-    with pytest.raises(nn.DegenerateBatch):
+    with pytest.raises(ValueError, match="need at least 2 values per channel"):
         nn.batchnorm3d_forward(np.zeros((1, 2, 1, 1, 1)), np.ones(2), np.zeros(2),
                                "train", np.zeros(2), np.ones(2))
 
@@ -892,7 +892,7 @@ def legacy_batchnorm3d_forward(x, gamma, beta, mode, running_mean, running_var,
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         if n < 2:
-            raise nn.DegenerateBatch("need at least 2 values per channel to normalize")
+            raise ValueError("need at least 2 values per channel to normalize")
         mean = x.mean(axis=(0, 2, 3, 4))
         var = x.var(axis=(0, 2, 3, 4))
         inv = 1.0 / np.sqrt(var + eps)

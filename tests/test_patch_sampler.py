@@ -500,7 +500,7 @@ def test_mask_in_native_grid_is_mapped():
 
 def test_empty_mask_raises():
     v = std_volume(10)
-    with pytest.raises(ps.NoLungRegion):
+    with pytest.raises(ValueError, match="empty mask for"):
         ps.extract_patches(v, np.zeros(v.shape, dtype=bool),
                            "P1", seed=0)
 

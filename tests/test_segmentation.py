@@ -526,7 +526,7 @@ def test_segment_phantom_recovers_lungs():
 
 def test_segment_uniform_body_raises():
     v = vol(np.full((16, 16, 16), 40.0))
-    with pytest.raises(seg.EmptySegmentation):
+    with pytest.raises(ValueError, match="no lung voxels found"):
         seg.segment_lung(v, seg.SegmentationParams())
 
 
@@ -628,7 +628,7 @@ def assert_staged_equals_full_grid(bits, **params):
     volume = vol(np.where(bits, -800.0, 40.0))
     want = full_grid_segment_lung(volume, p)
     if not want.any():
-        with pytest.raises(seg.EmptySegmentation):
+        with pytest.raises(ValueError, match="no lung voxels found"):
             seg.segment_lung(volume, p)
         return
     got = seg.segment_lung(volume, p)
