@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import io
+import math
 import os
 import secrets
 import sys
@@ -174,11 +175,18 @@ def _read_mask(path, want_shape):
     return raw > 0
 
 
+# the most values one layer of a checkpoint may output per scan: 1 GiB of
+# float32. base_model at the standard grid with the default channels, the
+# pyramid's largest model, outputs 151M (604 MB) from its first conv
+MAX_ACTIVATION = 1 << 28
+
+
 def _load_model(path):
     """(spec, weights, protocol, class names) of the checkpoint at `path`; its
     protocol is the one with its class count: binary has 2, multiclass 4.
     Its input is one channel no larger than the standard grid on any axis,
-    the grid _model_input resamples."""
+    the grid _model_input resamples, and no layer outputs more than
+    MAX_ACTIVATION values."""
     try:
         spec, weights = nn_core.load_checkpoint(_read_bytes(path))
     except (OSError, ValueError) as exc:
@@ -188,6 +196,10 @@ def _load_model(path):
     if any(n > most for n, most in zip(spec.input_shape, largest)):
         raise ConfigError(f"bad checkpoint {path}: input {spec.input_shape} "
                           f"exceeds {largest}")
+    values = max(math.prod(shape) for shape in nn_core.model_shapes(spec))
+    if values > MAX_ACTIVATION:
+        raise ConfigError(f"bad checkpoint {path}: a layer outputs {values} values, "
+                          f"more than {MAX_ACTIVATION}")
     for protocol, names in PROTOCOL_CLASSES.items():
         if len(names) == spec.class_count:
             return spec, weights, protocol, names
@@ -343,8 +355,8 @@ def cmd_patch(args):
 def _read_level(cfg, packs_dir, name):
     """(train, val) of level `name`: its pack's records, read-only views of
     the pack's bytes, in a deterministic stratified split. A missing or bad
-    pack, one of another level or shape, or too few records to split is a
-    ConfigError."""
+    pack, one of another level or shape, one whose labels are not exactly
+    the protocol's classes, or too few records to split is a ConfigError."""
     k = max(2, int(round(1.0 / cfg.val_fraction)))
     path = os.path.join(packs_dir, f"{name}.pack")
     if not os.path.exists(path):
@@ -360,6 +372,13 @@ def _read_level(cfg, packs_dir, name):
     if shape != want:
         raise ConfigError(
             f"{path} holds {shape} patches, level {name} needs {want}")
+    labels = {smp.label for smp in samples}
+    classes = len(PROTOCOL_CLASSES[cfg.protocol])
+    if max(labels) >= classes:
+        raise ConfigError(f"{path} holds label {max(labels)} outside [0,{classes})")
+    if len(labels) < classes:
+        raise ConfigError(f"{path} holds no patch of class "
+                          f"{min(set(range(classes)) - labels)}")
     try:
         folds = metrics.kfold_split([smp.label for smp in samples], k=k, seed=cfg.seed)
     except ValueError as exc:

@@ -99,21 +99,6 @@ def roc_curve(scores, labels):
     return points, auc
 
 
-def _ovr_roc_curves(probs, labels, k):
-    """One-vs-rest ROC points and AUCs, one roc_curve per class; every class
-    must appear."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or probs.shape[1] != k:
-        raise ValueError(f"probability matrix must be (n,{k})")
-    present = np.unique(labels)
-    if len(present) < k or present.min() < 0 or present.max() >= k:
-        missing = sorted(set(range(k)) - set(present.tolist()))
-        raise ValueError(f"classes {missing} absent from labels")
-    curves = [roc_curve(probs[:, c], labels == c) for c in range(k)]
-    return [points for points, _ in curves], np.array([auc for _, auc in curves])
-
-
 def kfold_split(labels, k=5, seed=0):
     """Fold id per sample, stratified: per-class fold sizes stay within 1."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -140,7 +125,9 @@ def evaluate_probs(probs, actual):
     report = precision_recall_f1(confusion_matrix(predicted, actual, k))
     if k < 2 or not report.matrix.sum(axis=0).all():
         return report  # one-vs-rest ROC needs every class and a rest
-    report.roc_points, report.auc = _ovr_roc_curves(probs, actual, k)
+    curves = [roc_curve(probs[:, c], actual == c) for c in range(k)]
+    report.roc_points = [points for points, _ in curves]
+    report.auc = np.array([auc for _, auc in curves])
     report.macro_auc = float(report.auc.mean())
     return report
 

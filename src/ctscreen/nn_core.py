@@ -9,7 +9,10 @@ classifier head.
 
 Each layer kind is dispatched once, in `_layer`: the forward pass can record,
 per layer, the function that inverts it, and `loss_and_grads` runs those in
-reverse. `param_shapes` is the one table of tensor names and shapes that
+reverse. conv3d, maxpool3d and batchnorm3d are named forward/backward kernel
+pairs; relu, gap, dense, dropout and softmax are written in `_layer` itself.
+Softmax records no backward: `loss_and_grads` folds it into the gradient at
+the logits. `param_shapes` is the one table of tensor names and shapes that
 `init_weights` fills and `load_checkpoint` checks files against.
 
 Everything is dtype-polymorphic: float32 for training, float64 when the
@@ -350,66 +353,6 @@ def batchnorm3d_backward(grad_out, cache):
     return (gamma * inv).reshape(shape) * grad_out, grad_gamma, grad_beta
 
 
-def gap_forward(x):
-    """Mean over (depth, height, width) per channel: the bridge layer."""
-    if x.ndim != 5:
-        raise ShapeMismatch("gap expects 5D input")
-    return x.mean(axis=(2, 3, 4)), x.shape
-
-
-def gap_backward(grad_out, x_shape):
-    n = x_shape[2] * x_shape[3] * x_shape[4]
-    return np.broadcast_to(grad_out[:, :, None, None, None] / n, x_shape).astype(
-        grad_out.dtype).copy()
-
-
-def relu_forward(x):
-    return np.maximum(x, 0), x > 0
-
-
-def relu_backward(grad_out, mask):
-    return grad_out * mask
-
-
-def dense_forward(x, weight, bias):
-    if x.ndim != 2 or x.shape[1] != weight.shape[0]:
-        raise ShapeMismatch(f"dense: input {x.shape} vs weight {weight.shape}")
-    return x @ weight + bias, x
-
-
-def dense_backward(grad_out, weight, x):
-    return grad_out @ weight.T, x.T @ grad_out, grad_out.sum(axis=0)
-
-
-def dropout_forward(x, rate, mode, seed):
-    """Inverted dropout: train-time scaling by 1/(1-rate), infer is identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0,1)")
-    if mode != "train" or rate == 0.0:
-        return x.copy(), None
-    rng = np.random.default_rng(seed)
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask.astype(x.dtype)
-
-
-def dropout_backward(grad_out, mask):
-    if mask is None:
-        return grad_out.copy()
-    return grad_out * mask
-
-
-def softmax_forward(x):
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p, p
-
-
-def softmax_backward(grad_out, p):
-    inner = (grad_out * p).sum(axis=1, keepdims=True)
-    return p * (grad_out - inner)
-
-
 # ------------------------------------------------------------------- specs
 
 KINDS = ("conv3d", "relu", "maxpool3d", "batchnorm3d", "gap", "dense",
@@ -588,7 +531,8 @@ def trainable_names(weights):
 
 def _layer(i, layer, weights, x, mode, seed):
     """Layer i's output for input x, and the function grad_out -> (grad_in,
-    {tensor name: grad}) that inverts it.
+    {tensor name: grad}) that inverts it; softmax has none, as
+    `loss_and_grads` folds it into the gradient at the logits.
 
     Train mode commits batchnorm running stats back into `weights`.
     """
@@ -604,8 +548,8 @@ def _layer(i, layer, weights, x, mode, seed):
             return g, {name + "kernel": gk, name + "bias": gb}
         return conv3d_forward(x, kernel, weights[name + "bias"], stride, padding), back
     if k == "relu":
-        out, mask = relu_forward(x)
-        return out, lambda g: (relu_backward(g, mask), {})
+        mask = x > 0
+        return np.maximum(x, 0), lambda g: (g * mask, {})
     if k == "maxpool3d":
         out, cache = maxpool3d_forward(x, *_pool_geometry(x.shape[2:], layer))
         return out, lambda g: (maxpool3d_backward(g, cache), {})
@@ -624,26 +568,31 @@ def _layer(i, layer, weights, x, mode, seed):
             return g, {name + "gamma": gg, name + "beta": gb}
         return out, back
     if k == "gap":
-        out, x_shape = gap_forward(x)
-        return out, lambda g: (gap_backward(g, x_shape), {})
+        shape = x.shape
+        n = shape[2] * shape[3] * shape[4]
+        return x.mean(axis=(2, 3, 4)), lambda g: (
+            np.broadcast_to(g[:, :, None, None, None] / n, shape).copy(), {})
     if k == "dense":
         weight = weights[name + "weight"]
-        out, x_in = dense_forward(x, weight, weights[name + "bias"])
 
         def back(g):
-            g, gw, gb = dense_backward(g, weight, x_in)
-            return g, {name + "weight": gw, name + "bias": gb}
-        return out, back
+            return g @ weight.T, {name + "weight": x.T @ g, name + "bias": g.sum(axis=0)}
+        return x @ weight + weights[name + "bias"], back
     if k == "dropout":
-        out, mask = dropout_forward(x, layer.rate, mode, [int(seed), i])
-        return out, lambda g: (dropout_backward(g, mask), {})
-    out, p = softmax_forward(x)
-    return out, lambda g: (softmax_backward(g, p), {})
+        if mode != "train" or layer.rate == 0.0:
+            return x, lambda g: (g, {})
+        # inverted dropout; the float64 keep mask makes the head float64
+        keep = ((np.random.default_rng([int(seed), i]).random(x.shape) >= layer.rate)
+                / (1.0 - layer.rate))
+        mask = keep.astype(x.dtype)
+        return x * keep, lambda g: (g * mask, {})
+    e = np.exp(x - x.max(axis=1, keepdims=True))  # softmax
+    return e / e.sum(axis=1, keepdims=True), None
 
 
 def _forward(spec, weights, x, mode, seed, backward=None):
     """Run all layers; when `backward` is a list, each layer appends to it
-    the function that inverts it (see `_layer`)."""
+    the function that inverts it, or None for softmax (see `_layer`)."""
     if x.ndim != 5 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeMismatch(f"batch shape {x.shape[1:]} != model input "
                             f"{spec.input_shape}")

@@ -105,53 +105,48 @@ def test_c01_layer_and_model_gradients():
                         max_rel_err(gg, fd_grad(j_bn, gamma)),
                         max_rel_err(gbe, fd_grad(j_bn, beta)))
 
+        def small(kind, x, weights=None, seed=0, **fields):
+            # relu, gap, dense and dropout live in the engine's dispatch
+            return nn._layer(0, nn.LayerSpec(kind, **fields), weights or {}, x,
+                             "train", seed)
+
         xr = rng.standard_normal((4, 3, 2, 2, 2))
         xr += np.sign(xr) * 1e-2  # step over the kink at zero
-        _, mask = nn.relu_forward(xr)
         projr = rng.standard_normal(xr.shape)
 
         def j_relu():
-            return float((nn.relu_forward(xr)[0] * projr).sum())
-        worst = max(worst, max_rel_err(nn.relu_backward(projr, mask),
+            return float((small("relu", xr)[0] * projr).sum())
+        worst = max(worst, max_rel_err(small("relu", xr)[1](projr)[0],
                                        fd_grad(j_relu, xr)))
 
         xg = rng.standard_normal((2, 3, 2, 2, 2))
         projg = rng.standard_normal((2, 3))
 
         def j_gap():
-            return float((nn.gap_forward(xg)[0] * projg).sum())
-        worst = max(worst, max_rel_err(nn.gap_backward(projg, xg.shape),
+            return float((small("gap", xg)[0] * projg).sum())
+        worst = max(worst, max_rel_err(small("gap", xg)[1](projg)[0],
                                        fd_grad(j_gap, xg)))
 
         xd = rng.standard_normal((3, 4))
         wd = rng.standard_normal((4, 5))
         bd = rng.standard_normal(5)
         projd = rng.standard_normal((3, 5))
+        dense_w = {"L0.weight": wd, "L0.bias": bd}
 
         def j_dense():
-            return float((nn.dense_forward(xd, wd, bd)[0] * projd).sum())
-        gx, gw, gb2 = nn.dense_backward(projd, wd, xd)
+            return float((small("dense", xd, dense_w, units=5)[0] * projd).sum())
+        gx, gd = small("dense", xd, dense_w, units=5)[1](projd)
         worst = max(worst, max_rel_err(gx, fd_grad(j_dense, xd)),
-                    max_rel_err(gw, fd_grad(j_dense, wd)),
-                    max_rel_err(gb2, fd_grad(j_dense, bd)))
+                    max_rel_err(gd["L0.weight"], fd_grad(j_dense, wd)),
+                    max_rel_err(gd["L0.bias"], fd_grad(j_dense, bd)))
 
         xo = rng.standard_normal((3, 6))
-        _, mask = nn.dropout_forward(xo, 0.4, "train", 5)
         projo = rng.standard_normal(xo.shape)
 
         def j_drop():
-            return float((nn.dropout_forward(xo, 0.4, "train", 5)[0] * projo).sum())
-        worst = max(worst, max_rel_err(nn.dropout_backward(projo, mask),
+            return float((small("dropout", xo, seed=5, rate=0.4)[0] * projo).sum())
+        worst = max(worst, max_rel_err(small("dropout", xo, seed=5, rate=0.4)[1](projo)[0],
                                        fd_grad(j_drop, xo)))
-
-        xs = rng.standard_normal((4, 3))
-        p, _ = nn.softmax_forward(xs)
-        projs = rng.standard_normal(xs.shape)
-
-        def j_soft():
-            return float((nn.softmax_forward(xs)[0] * projs).sum())
-        worst = max(worst, max_rel_err(nn.softmax_backward(projs, p),
-                                       fd_grad(j_soft, xs)))
 
         # end-to-end tiny model at 64-bit, every trainable coordinate
         spec = nn.base_model((1, 4, 6, 6), 3, channels=(2,))

@@ -832,6 +832,30 @@ def test_train_checks_every_pack_before_any_epoch(trained, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("labels, says", [
+    ([0] * 16, "holds no patch of class 1"),
+    ([0, 1, 3] * 7, "holds label 3 outside [0,2)"),
+], ids=["one-class", "outside"])
+def test_train_checks_every_pack_s_labels_before_any_epoch(trained, tmp_path, capsys,
+                                                           labels, says):
+    # P2's labels are not the binary protocol's classes: P1 would train
+    # first, so only the check pass can fail the run before any epoch
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    (packs / "P1.pack").write_bytes(trained["packs"].joinpath("P1.pack").read_bytes())
+    samples = blob_dataset(len(labels), seed=2, shape=(32, 32, 12), level="P2")
+    for smp, label in zip(samples, labels):
+        smp.label = label
+    (packs / "P2.pack").write_bytes(write_pack("P2", samples))
+    rc = cli.main(["train", "--config", str(trained["cfg"]), "--packs", str(packs),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "[P1] epoch" not in out
+    assert err == f"error: {packs / 'P2.pack'} {says}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_holds_one_level_of_records(tmp_path):
     # two levels' packs of one size: training them in turn peaks near
     # training the larger alone, not one pack higher as holding both did
@@ -1236,6 +1260,36 @@ def test_predict_bad_checkpoint_exits_2(workspace, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bad checkpoint") and err.count("\n") == 1
+
+
+def test_predict_checkpoint_of_outsized_activations_exits_2(workspace, tmp_path,
+                                                             capsys, monkeypatch):
+    # a 1.6 MB file whose first conv asks for 4096 x 36 x 512 x 512 values
+    # (144 GiB of float32); the forward must never start
+    def forward(*args, **kwargs):
+        raise AssertionError("the checkpoint was not rejected at load")
+    monkeypatch.setattr(nn_core, "model_forward", forward)
+    spec = nn_core.base_model((1, 36, 512, 512), 2, channels=(4096,))
+    ck = tmp_path / "wide.ctck"
+    ck.write_bytes(nn_core.save_checkpoint(spec, nn_core.init_weights(spec)))
+    rc = cli.main(["predict", workspace["scan_paths"][0], "--checkpoint", str(ck)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: bad checkpoint {ck}: a layer outputs 38654705664 values, "
+                   f"more than {cli.MAX_ACTIVATION}\n")
+
+    # the pyramid's largest model, and a whole-grid model of two stems over
+    # a P4 base model, as the screen benchmark's, still load
+    p6 = nn_core.base_model((1, 36, 512, 512), 2)
+    screen = nn_core.base_model((1, 9, 128, 128), 2)
+    weights = nn_core.init_weights(screen)
+    for _ in range(2):
+        screen, weights = nn_core.build_progressive(screen, weights)
+    for spec, values in ((p6, 150_994_944), (screen, 9_437_184)):
+        assert max(math.prod(shape) for shape in nn_core.model_shapes(spec)) == values
+        ck.write_bytes(nn_core.save_checkpoint(spec, nn_core.init_weights(spec)))
+        assert cli._load_model(str(ck))[0] == spec
 
 
 def test_predict_checkpoint_without_a_protocol_exits_2(workspace, tmp_path,

@@ -1,5 +1,6 @@
-"""Every name a ctscreen module imports is used in that module, and every
-exception class it defines is caught by name somewhere in the package."""
+"""Every name a ctscreen module imports is used in that module, every
+exception class it defines is caught by name somewhere in the package, and
+every top-level function it defines is used by the package."""
 
 import ast
 import importlib
@@ -11,6 +12,10 @@ PACKAGE = Path(ctscreen.__file__).parent
 # (module file, name): why the import stays although the module never uses it
 KEPT = {
     ("cli.py", "write_pack"): "bench/spans.py traces write_pack under cli's name",
+}
+# (module file, function): why the package keeps a function it never calls
+UNCALLED = {
+    ("phantoms.py", "lung_phantom"): "the README quickstart makes its scans with it",
 }
 
 
@@ -63,3 +68,30 @@ def test_every_exception_class_is_caught_by_name():
     defined, caught = _exception_classes_and_caught_names()
     idle = sorted((module, name) for module, name in defined if name not in caught)
     assert not idle, f"exception classes no except clause names: {idle}"
+
+
+def _functions_and_references():
+    """(every top-level function of a ctscreen module, as (module file, name);
+    every name the package reads, outside the body of the function of that
+    name, so a recursive call does not count)."""
+    defined, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add((path.name, node.name))
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and owner.get(id(node)) != name:
+                read.add(name)
+    return defined, read
+
+
+def test_every_function_is_used_by_the_package():
+    # src/ holds the pipeline: a function only tests call belongs in tests/
+    defined, read = _functions_and_references()
+    unused = {(module, name) for module, name in defined if name not in read}
+    assert unused == set(UNCALLED), f"functions the package never uses: {sorted(unused)}"

@@ -564,13 +564,19 @@ def test_batchnorm_degenerate_batch_raises():
                                "train", np.zeros(2), np.ones(2))
 
 
-# -------------------------------------------------- gap / dense / dropout
+# ------------------------------------ relu / gap / dense / dropout / softmax
+
+def small_layer(kind, x, weights=None, mode="train", seed=0, **fields):
+    """(output, backward) of one layer written in the engine's dispatch,
+    as layer 0 of a model."""
+    return nn._layer(0, nn.LayerSpec(kind, **fields), weights or {}, x, mode, seed)
+
 
 def test_gap_constant_and_mean_oracle():
-    assert np.allclose(nn.gap_forward(np.full((2, 3, 2, 2, 2), 4.0))[0], 4.0)
+    assert np.allclose(small_layer("gap", np.full((2, 3, 2, 2, 2), 4.0))[0], 4.0)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 3, 4, 5, 5))
-    out, _ = nn.gap_forward(x)
+    out, _ = small_layer("gap", x)
     for b in range(2):
         for c in range(3):
             assert abs(out[b, c] - x[b, c].mean()) < 1e-12
@@ -582,9 +588,9 @@ def test_gap_backward_uniform_and_fd():
     proj = rng.standard_normal((2, 2))
 
     def objective():
-        return float((nn.gap_forward(x)[0] * proj).sum())
+        return float((small_layer("gap", x)[0] * proj).sum())
 
-    gx = nn.gap_backward(proj, x.shape)
+    gx, _ = small_layer("gap", x)[1](proj)
     assert np.allclose(gx, proj[:, :, None, None, None] / 27, atol=1e-15)
     assert max_rel_err(gx, fd_grad(objective, x)) < 1e-6
 
@@ -595,15 +601,15 @@ def test_dense_backward_matches_finite_differences():
     w = rng.standard_normal((4, 5))
     b = rng.standard_normal(5)
     proj = rng.standard_normal((3, 5))
+    weights = {"L0.weight": w, "L0.bias": b}
 
     def objective():
-        return float((nn.dense_forward(x, w, b)[0] * proj).sum())
+        return float((small_layer("dense", x, weights, units=5)[0] * proj).sum())
 
-    _, ctx = nn.dense_forward(x, w, b)
-    gx, gw, gb = nn.dense_backward(proj, w, ctx)
+    gx, grads = small_layer("dense", x, weights, units=5)[1](proj)
     assert max_rel_err(gx, fd_grad(objective, x)) < 1e-6
-    assert max_rel_err(gw, fd_grad(objective, w)) < 1e-6
-    assert max_rel_err(gb, fd_grad(objective, b)) < 1e-6
+    assert max_rel_err(grads["L0.weight"], fd_grad(objective, w)) < 1e-6
+    assert max_rel_err(grads["L0.bias"], fd_grad(objective, b)) < 1e-6
 
 
 def test_relu_backward_matches_finite_differences():
@@ -613,24 +619,24 @@ def test_relu_backward_matches_finite_differences():
     proj = rng.standard_normal(x.shape)
 
     def objective():
-        return float((nn.relu_forward(x)[0] * proj).sum())
+        return float((small_layer("relu", x)[0] * proj).sum())
 
-    _, mask = nn.relu_forward(x)
-    assert max_rel_err(nn.relu_backward(proj, mask), fd_grad(objective, x)) < 1e-6
+    gx, _ = small_layer("relu", x)[1](proj)
+    assert max_rel_err(gx, fd_grad(objective, x)) < 1e-6
 
 
 def test_dropout_rate_zero_and_infer_identity():
     x = np.random.default_rng(17).standard_normal((3, 5))
-    for out, _ in (nn.dropout_forward(x, 0.0, "train", 1),
-                   nn.dropout_forward(x, 0.5, "infer", 1)):
+    for out, _ in (small_layer("dropout", x, mode="train", seed=1, rate=0.0),
+                   small_layer("dropout", x, mode="infer", seed=1, rate=0.5)):
         assert np.array_equal(out, x)
 
 
 def test_dropout_seed_determinism():
     x = np.ones((4, 8))
-    a, _ = nn.dropout_forward(x, 0.5, "train", 42)
-    b, _ = nn.dropout_forward(x, 0.5, "train", 42)
-    c, _ = nn.dropout_forward(x, 0.5, "train", 43)
+    a, _ = small_layer("dropout", x, seed=42, rate=0.5)
+    b, _ = small_layer("dropout", x, seed=42, rate=0.5)
+    c, _ = small_layer("dropout", x, seed=43, rate=0.5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -641,7 +647,7 @@ def test_dropout_expectation_approaches_identity():
     draws = 10000
     total = 0.0
     for s in range(draws):
-        out, _ = nn.dropout_forward(x, 0.5, "train", s)
+        out, _ = small_layer("dropout", x, seed=s, rate=0.5)
         total += float(out[0, 0])
     mean = total / draws
     se = c * 1.0 / np.sqrt(draws)  # std of c*Bern(0.5)/0.5 is exactly c
@@ -649,23 +655,12 @@ def test_dropout_expectation_approaches_identity():
 
 
 def test_softmax_symmetry_and_rows():
-    p, _ = nn.softmax_forward(np.array([[0.0, 0.0]]))
+    p, back = small_layer("softmax", np.array([[0.0, 0.0]]))
     assert np.allclose(p, 0.5, atol=1e-15)
+    assert back is None  # loss_and_grads folds softmax into the logits gradient
     z = np.random.default_rng(18).standard_normal((5, 4)) * 10
-    p, _ = nn.softmax_forward(z)
+    p, _ = small_layer("softmax", z)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_softmax_backward_matches_finite_differences():
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((3, 4))
-    proj = rng.standard_normal((3, 4))
-
-    def objective():
-        return float((nn.softmax_forward(x)[0] * proj).sum())
-
-    _, p = nn.softmax_forward(x)
-    assert max_rel_err(nn.softmax_backward(proj, p), fd_grad(objective, x)) < 1e-6
 
 
 # ------------------------------------------------------------ model specs
@@ -727,29 +722,9 @@ def test_shape_algebra_matches_observed_shapes():
         shapes = nn.model_shapes(spec)
         weights = nn.init_weights(spec, seed=trial, dtype=np.float64)
 
-        x = rng.standard_normal((2, ci, d, h, w))
-        cur = x
+        cur = rng.standard_normal((2, ci, d, h, w))
         for i, layer in enumerate(spec.layers):
-            if layer.kind == "conv3d":
-                cur = nn.conv3d_forward(cur, weights[f"L{i}.kernel"],
-                                        weights[f"L{i}.bias"], layer.stride or 1,
-                                        layer.padding or 0)
-            elif layer.kind == "relu":
-                cur = nn.relu_forward(cur)[0]
-            elif layer.kind == "maxpool3d":
-                win, st = nn._pool_geometry(cur.shape[2:], layer)
-                cur = nn.maxpool3d_forward(cur, win, st)[0]
-            elif layer.kind == "batchnorm3d":
-                cur = nn.batchnorm3d_forward(
-                    cur, weights[f"L{i}.gamma"], weights[f"L{i}.beta"], "infer",
-                    weights[f"L{i}.running_mean"], weights[f"L{i}.running_var"])[0]
-            elif layer.kind == "gap":
-                cur = nn.gap_forward(cur)[0]
-            elif layer.kind == "dense":
-                cur = nn.dense_forward(cur, weights[f"L{i}.weight"],
-                                       weights[f"L{i}.bias"])[0]
-            else:
-                cur = nn.softmax_forward(cur)[0]
+            cur, _ = nn._layer(i, layer, weights, cur, "infer", 0)
             assert cur.shape[1:] == shapes[i], (trial, i, layer.kind)
 
 
@@ -925,6 +900,24 @@ def legacy_batchnorm3d_backward(grad_out, cache):
         grad_out.sum(axis=(0, 2, 3, 4))
 
 
+def legacy_gap_backward(grad_out, x_shape):
+    n = x_shape[2] * x_shape[3] * x_shape[4]
+    return np.broadcast_to(grad_out[:, :, None, None, None] / n, x_shape).astype(
+        grad_out.dtype).copy()
+
+
+def legacy_dropout_forward(x, rate, mode, seed):
+    if mode != "train" or rate == 0.0:
+        return x.copy(), None
+    mask = (np.random.default_rng(seed).random(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, mask.astype(x.dtype)
+
+
+def legacy_softmax_forward(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def legacy_forward(spec, weights, x, mode, seed, caches=None):
     cur = x
     for i, layer in enumerate(spec.layers):
@@ -936,8 +929,8 @@ def legacy_forward(spec, weights, x, mode, seed, caches=None):
                                     stride, padding)
             ctx = (cur,)
         elif k == "relu":
-            out, m = nn.relu_forward(cur)
-            ctx = (m,)
+            out = np.maximum(cur, 0)
+            ctx = (cur > 0,)
         elif k == "maxpool3d":
             window, stride = nn._pool_geometry(cur.shape[2:], layer)
             out, pc = nn.maxpool3d_forward(cur, window, stride)
@@ -953,17 +946,17 @@ def legacy_forward(spec, weights, x, mode, seed, caches=None):
                 weights[f"L{i}.running_var"] = rv.astype(dt)
             ctx = (bc,)
         elif k == "gap":
-            out, xs = nn.gap_forward(cur)
-            ctx = (xs,)
+            out = cur.mean(axis=(2, 3, 4))
+            ctx = (cur.shape,)
         elif k == "dense":
-            out, xin = nn.dense_forward(cur, weights[f"L{i}.weight"], weights[f"L{i}.bias"])
-            ctx = (xin,)
+            out = cur @ weights[f"L{i}.weight"] + weights[f"L{i}.bias"]
+            ctx = (cur,)
         elif k == "dropout":
-            out, m = nn.dropout_forward(cur, layer.rate, mode, [int(seed), i])
+            out, m = legacy_dropout_forward(cur, layer.rate, mode, [int(seed), i])
             ctx = (m,)
         else:
-            out, p = nn.softmax_forward(cur)
-            ctx = (p,)
+            out = legacy_softmax_forward(cur)
+            ctx = ()
         if caches is not None:
             caches.append(ctx)
         cur = out
@@ -983,21 +976,20 @@ def legacy_backward_from(spec, weights, caches, grad, start):
                                               stride, padding)
             grads[f"L{i}.kernel"], grads[f"L{i}.bias"] = gk, gb
         elif k == "relu":
-            grad = nn.relu_backward(grad, ctx[0])
+            grad = grad * ctx[0]
         elif k == "maxpool3d":
             grad = nn.maxpool3d_backward(grad, ctx[0])
         elif k == "batchnorm3d":
             grad, gg, gb = legacy_batchnorm3d_backward(grad, ctx[0])
             grads[f"L{i}.gamma"], grads[f"L{i}.beta"] = gg, gb
         elif k == "gap":
-            grad = nn.gap_backward(grad, ctx[0])
+            grad = legacy_gap_backward(grad, ctx[0])
         elif k == "dense":
-            grad, gw, gb = nn.dense_backward(grad, weights[f"L{i}.weight"], ctx[0])
+            w = weights[f"L{i}.weight"]
+            grad, gw, gb = grad @ w.T, ctx[0].T @ grad, grad.sum(axis=0)
             grads[f"L{i}.weight"], grads[f"L{i}.bias"] = gw, gb
         elif k == "dropout":
-            grad = nn.dropout_backward(grad, ctx[0])
-        elif k == "softmax":
-            grad = nn.softmax_backward(grad, ctx[0])
+            grad = grad.copy() if ctx[0] is None else grad * ctx[0]
     return grads, grad
 
 
