@@ -2,8 +2,8 @@
 
 Each call applies at most one transform, drawn uniformly from the menu the
 policy defines (identity is always on the menu). Per-sample determinism
-comes from seeding a fresh generator with (policy seed, epoch seed, sample
-index), so workers can augment in parallel without sharing RNG state.
+comes from seeding a fresh generator with (run seed, epoch, sample index),
+so workers can augment in parallel without sharing RNG state.
 
 All transforms keep shape, keep the label, and map [0,1] into [0,1].
 """
@@ -35,7 +35,6 @@ class AugmentPolicy:
     noise_sigma: float = 0.02
     elastic_grid: tuple = (4, 4, 2)
     elastic_sigma: float = 2.0   # control-point displacement scale, voxels
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("rotation_angles", "shift_fraction", "gammas", "noise_sigma",
@@ -235,10 +234,10 @@ def transform_menu(policy: AugmentPolicy):
     return menu
 
 
-def augment_sample(sample: Sample, policy: AugmentPolicy, epoch_seed: int,
-                   index: int = 0) -> Sample:
+def augment_sample(sample: Sample, policy: AugmentPolicy, seed: int, epoch: int,
+                   index: int) -> Sample:
     """Apply one uniformly drawn transform; label and metadata unchanged."""
     menu = transform_menu(policy)
-    rng = np.random.default_rng([int(policy.seed), int(epoch_seed), int(index)])
+    rng = np.random.default_rng([int(seed), int(epoch), int(index)])
     _, fn = menu[int(rng.integers(len(menu)))]
     return replace(sample, tensor=fn(sample.tensor, rng))

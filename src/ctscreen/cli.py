@@ -257,13 +257,13 @@ def score_scans(spec, weights, seg, paths, masks, jobs):
     that failed (named on stderr), run on `jobs` threads: its mask is read
     from the `masks` directory or, when that is None, segmented with `seg`."""
     def work(_, path):
-        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
+        _, hu = nifti_io.read_volume(_read_bytes(path))
         if masks is None:
-            mask = segment_lung(volume, seg)
+            mask = segment_lung(hu, seg)
         else:
-            mask = _read_mask(os.path.join(masks, mask_name(path)), volume.shape)
-        std = standardize_volume(volume, mask)
-        del volume, mask  # before the forward
+            mask = _read_mask(os.path.join(masks, mask_name(path)), hu.shape)
+        std = standardize_volume(hu, mask)
+        del hu, mask  # before the forward
         probs = nn_core.model_forward(spec, weights, _model_input(std, spec),
                                       mode="infer")[0]
         if not np.isfinite(probs).all():
@@ -295,12 +295,12 @@ def cmd_segment(args):
     cfg, rows = _manifest_run(args)
 
     def work(_, path):
-        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
-        mask = segment_lung(volume, cfg.seg)
-        blob = nifti_io.write_mask(mask, volume, gzipped=True)
+        header, hu = nifti_io.read_volume(_read_bytes(path))
+        mask = segment_lung(hu, cfg.seg)
+        blob = nifti_io.write_mask(mask, header.spacing, gzipped=True)
         _atomic_write(os.path.join(args.out, mask_name(path)), blob)
         parts = component_count(mask, cfg.seg.connectivity)
-        return volume.source_id, int(np.count_nonzero(mask)), parts
+        return _stem(path), int(np.count_nonzero(mask)), parts
 
     done = [ok for ok in _per_scan(work, [row.path for row in rows], args.jobs)
             if ok is not None]
@@ -319,11 +319,11 @@ def cmd_patch(args):
     labels = class_labels(rows, cfg.protocol)
 
     def work(index, path):
-        volume = nifti_io.read_volume(_read_bytes(path), source_id=_stem(path))
-        mask = _read_mask(os.path.join(args.masks, mask_name(path)), volume.shape)
+        _, hu = nifti_io.read_volume(_read_bytes(path))
+        mask = _read_mask(os.path.join(args.masks, mask_name(path)), hu.shape)
         scan_seed = int(np.random.SeedSequence(
             [cfg.seed, index]).generate_state(1)[0])
-        return extract_patches(volume, mask, args.level, scan_seed,
+        return extract_patches(hu, mask, args.level, scan_seed, _stem(path),
                                label=int(labels[index]))
 
     # the scans' records join into one pack as they finish, in manifest order

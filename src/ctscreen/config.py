@@ -45,9 +45,8 @@ def _check_levels(levels):
 class RunConfig:
     """A run's whole configuration; the field defaults are the config defaults.
 
-    `seed` is the run's one seed: construction copies it into the policy and
-    the training config, and training gets the policy only while
-    `augment_enabled`.
+    `seed` is the run's one seed: construction copies it into the training
+    config, and training gets the policy only while `augment_enabled`.
     """
     protocol: str = "binary"
     seed: int = 0
@@ -80,7 +79,6 @@ class RunConfig:
             raise ValueError(f"model.channels {self.channels} make {size} parameters, "
                              f"more than {MAX_PARAMETERS}")
         _check_levels(self.levels)
-        self.policy = dataclasses.replace(self.policy, seed=self.seed)
         self.train = dataclasses.replace(
             self.train, seed=self.seed,
             augment=self.policy if self.augment_enabled else None)

@@ -3,7 +3,10 @@
 Reads and writes single-file NIfTI-1 volumes (``.nii``, ``.nii.gz``).
 Voxel order follows the stored grid: the first stored index varies fastest,
 so arrays are returned with shape ``(rows, cols, slices)``. Orientation
-matrices are not applied; data is used exactly as stored.
+matrices are not applied; data is used exactly as stored. A scan reads as
+its header and a float32 array of Hounsfield units. The pipeline's stages
+take the array alone; `cli`, the one module that imports this one, passes
+the header's voxel spacing on to the masks it writes.
 """
 
 from __future__ import annotations
@@ -63,24 +66,6 @@ class NiftiHeader:
     def data_length(self):
         r, c, s = self.shape
         return r * c * s * (self.bitpix // 8)
-
-
-@dataclass
-class Volume:
-    """A scan: a 3D grid of Hounsfield units with voxel spacing metadata.
-    Lung masks and standardized grids are plain arrays."""
-
-    voxels: np.ndarray  # float32, shape (rows, cols, slices)
-    spacing: tuple      # (mm, mm, mm)
-    source_id: str
-
-    def __post_init__(self):
-        if self.voxels.ndim != 3 or min(self.voxels.shape) < 1:
-            raise ValueError(f"volume shape must be 3D positive, got {self.voxels.shape}")
-
-    @property
-    def shape(self):
-        return self.voxels.shape
 
 
 def parse_header(buf: bytes) -> NiftiHeader:
@@ -263,13 +248,14 @@ def hu_from_raw(raw: np.ndarray, scl_slope: float, scl_inter: float) -> np.ndarr
     return hu
 
 
-def read_volume(data, source_id: str = "") -> Volume:
-    """Read a volume from the file's bytes; stored values become Hounsfield units."""
+def read_volume(data):
+    """(header, float32 (R, C, S) Hounsfield units) of the file's bytes: the
+    stored values through the header's scaling."""
     header, raw = read_raw(data)
     hu = hu_from_raw(raw, header.scl_slope, header.scl_inter)
     if not np.all(np.isfinite(hu)):
         raise ValueError("scaling produced non-finite voxel values")
-    return Volume(voxels=hu, spacing=header.spacing, source_id=source_id)
+    return header, hu
 
 
 def _build_header_bytes(shape, spacing, datatype_code, scl_slope, scl_inter) -> bytearray:
@@ -310,13 +296,8 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     return gzip.compress(out, mtime=0) if gzipped else out
 
 
-def write_mask(mask, template, gzipped=False):
-    """Write a binary mask as uint8 NIfTI with geometry copied from template.
-
-    `template` is anything with `shape` and `spacing`, such as the scan's
-    Volume or NiftiHeader. `mask` is a boolean array of the template's shape.
-    """
-    if mask.shape != template.shape:
-        raise ValueError(f"mask shape {mask.shape} != template {template.shape}")
-    return write_nifti(mask.astype(np.uint8), spacing=template.spacing,
+def write_mask(mask, spacing, gzipped=False):
+    """Write a boolean (R, C, S) mask as uint8 NIfTI with the scan's voxel
+    spacing (mm, mm, mm)."""
+    return write_nifti(mask.astype(np.uint8), spacing=spacing,
                        scl_slope=1.0, scl_inter=0.0, gzipped=gzipped)

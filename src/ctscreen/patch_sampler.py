@@ -1,8 +1,9 @@
 """Patch pyramid over standardized lung volumes.
 
-Scans are normalized to a fixed 512x512x36 grid in [0,1], then each pyramid
-level cuts a fixed number of fixed-size 3D patches whose in-plane window
-covers at least half of the lung bounding box footprint. Placement is
+A scan, given as its float32 (R, C, S) Hounsfield units and its boolean
+lung mask, is normalized to a fixed 512x512x36 grid in [0,1], then each
+pyramid level cuts a fixed number of fixed-size 3D patches whose in-plane
+window covers at least half of the lung bounding box footprint. Placement is
 seeded, so a (scan, seed) pair always yields the same patches. The origins
 come from the mask alone, and each patch is standardized from only its own
 window of the grid, with the same bytes as that window of the whole grid.
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .nifti_io import Volume
 from .segmentation import grown_box
 
 STANDARD_SHAPE = (512, 512, 36)
@@ -120,7 +120,7 @@ def trilinear_resample(arr, out_shape, box=None):
     return arr
 
 
-def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAPE,
+def standardize_volume(hu: np.ndarray, mask: np.ndarray, out_shape=STANDARD_SHAPE,
                        box=None) -> np.ndarray:
     """Set non-lung voxels to the low clip, clip HU, resample to `out_shape`,
     rescale to [0,1], and return the float32 sub-box `box` of that grid
@@ -139,12 +139,12 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
     run of these slabs.
     """
     lo, hi = HU_CLIP
-    shape_in = volume.voxels.shape
+    shape_in = hu.shape
     if mask.shape != shape_in:
         raise ValueError(f"mask {mask.shape} does not align with volume {shape_in}")
     if box is None:
         if not mask.any():
-            raise ValueError(f"empty mask for {volume.source_id or 'scan'}")
+            raise ValueError("empty mask")
         box = tuple(slice(0, n) for n in out_shape)
     if len(box) != 3 or not all(0 <= s.start < s.stop <= n and s.step in (None, 1)
                                 for s, n in zip(box, out_shape)):
@@ -160,7 +160,7 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
         for start in starts[cuts[p]:cuts[p + 1]]:
             stop = min(start + step, rows.stop)
             read, taps = _box_taps(shape_in, out_shape, (slice(start, stop),) + box[1:])
-            vox = np.where(mask[read], volume.voxels[read], np.float32(lo))
+            vox = np.where(mask[read], hu[read], np.float32(lo))
             vox = np.clip(vox, lo, hi, out=vox).astype(np.float64)
             for axis in order:
                 if taps[axis] is not None:
@@ -174,12 +174,12 @@ def standardize_volume(volume: Volume, mask: np.ndarray, out_shape=STANDARD_SHAP
     return out
 
 
-def _map_bbox(mask: np.ndarray, out_shape, source_id):
+def _map_bbox(mask: np.ndarray, out_shape):
     """The mask's bounding box in standardized index space, rounded outward;
-    an all-zero mask raises ValueError naming the scan `source_id`."""
+    an all-zero mask raises ValueError."""
     box = grown_box(mask, 0)
     if box is None:
-        raise ValueError(f"empty mask for {source_id or 'scan'}")
+        raise ValueError("empty mask")
     lows, highs = [], []
     for span, n_in, n_out in zip(box, mask.shape, out_shape):
         scale = (n_out - 1) / (n_in - 1) if n_in > 1 else 0.0
@@ -195,10 +195,11 @@ def _overlap_1d(starts, extent, lo, hi):
     return np.maximum(right - left, 0)
 
 
-def extract_patches(volume: Volume, mask: np.ndarray, level: str, seed: int,
-                    label: int = 0) -> list:
+def extract_patches(hu: np.ndarray, mask: np.ndarray, level: str, seed: int,
+                    source_id: str, label: int = 0) -> list:
     """Cut the PATCH_TABLE count of seeded `level` patches from the scan's
     standardized STANDARD_SHAPE grid, standardizing only the windows it cuts.
+    Each Sample records the scan as `source_id`.
 
     Origins come from the mask alone. Eligible origins are those whose (R,C)
     window covers >= 50% of its own footprint with the lung bounding box;
@@ -210,7 +211,7 @@ def extract_patches(volume: Volume, mask: np.ndarray, level: str, seed: int,
     """
     (pr, pc, ps), count = PATCH_TABLE[level]
     R, C, S = STANDARD_SHAPE
-    (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE, volume.source_id)
+    (br, bc, _), (er, ec, _) = _map_bbox(mask, STANDARD_SHAPE)
     ov_r = _overlap_1d(np.arange(R - pr + 1), pr, br, er)
     ov_c = _overlap_1d(np.arange(C - pc + 1), pc, bc, ec)
     area = ov_r[:, None] * ov_c[None, :]
@@ -222,7 +223,7 @@ def extract_patches(volume: Volume, mask: np.ndarray, level: str, seed: int,
     s0 = rng.integers(0, S - ps + 1, size=count)
     origins = sorted((int(eligible[i][0]), int(eligible[i][1]), int(z))
                      for i, z in zip(pick, s0))
-    return [Sample(standardize_volume(volume, mask, box=(
+    return [Sample(standardize_volume(hu, mask, box=(
                        slice(r, r + pr), slice(c, c + pc), slice(s, s + ps))),
-                   label, volume.source_id, level, (r, c, s))
+                   label, source_id, level, (r, c, s))
             for (r, c, s) in origins]

@@ -2,12 +2,12 @@
 
 A phantom is air at -1000 HU, a soft-tissue body ellipsoid at +40 HU, and
 two lung ellipsoids at -800 HU inside the body. Optional "vessel" blobs at
-+40 HU sit inside the lungs so hole filling has something to do.
++40 HU sit inside the lungs so hole filling has something to do. A
+phantom's voxels are 1 mm cubes, the spacing `nifti_io.write_nifti` writes
+by default.
 """
 
 import numpy as np
-
-from .nifti_io import Volume
 
 AIR_HU = -1000.0
 BODY_HU = 40.0
@@ -24,8 +24,9 @@ def ellipsoid_bits(shape, center, semi_axes):
 
 
 def lung_phantom(shape=(120, 260, 90), lung_semi_axes=(42, 50, 32),
-                 vessel_centers=(), vessel_radius=2, source_id="phantom"):
-    """Build (volume, ground-truth boolean lung mask).
+                 vessel_centers=(), vessel_radius=2):
+    """Build (float32 Hounsfield units, ground-truth boolean lung mask),
+    both of `shape`.
 
     Lungs sit left/right of the mid-coronal plane; the body ellipsoid wraps
     both with margin but stays clear of the grid border so outside air stays
@@ -67,4 +68,4 @@ def lung_phantom(shape=(120, 260, 90), lung_semi_axes=(42, 50, 32),
             raise ValueError(f"vessel at {c} pokes out of the lungs")
         vox[blob] = BODY_HU
 
-    return Volume(vox, (1.0, 1.0, 1.0), source_id), lungs
+    return vox, lungs

@@ -1,8 +1,9 @@
 """Unsupervised lung segmentation.
 
 Pipeline: HU threshold, drop border-connected blobs, keep the two largest
-regions, erode, close, fill holes. Every stage takes and returns a boolean
-(R, C, S) array; none changes its input or returns a view of it.
+regions, erode, close, fill holes. The threshold takes the scan's float32
+(R, C, S) Hounsfield units, and every later stage takes and returns a
+boolean (R, C, S) array; none changes its input or returns a view of it.
 
 Morphology uses a discrete Euclidean ball, isotropic in voxel units;
 spacing is ignored. Offset (i, j, k) is in the ball iff
@@ -45,7 +46,6 @@ import numpy as np
 from scipy import ndimage
 
 from . import parallel
-from .nifti_io import Volume
 
 
 # the largest erode_radius or close_radius a run may set: chords and time grow
@@ -187,10 +187,9 @@ def _border_connected(bits, connectivity):
     return _painted(labels, slabs, first, border[root])
 
 
-def threshold_lung(volume: Volume, params: SegmentationParams) -> np.ndarray:
+def threshold_lung(hu: np.ndarray, params: SegmentationParams) -> np.ndarray:
     """Bit set iff hu_low <= voxel <= hu_high (both inclusive)."""
-    v = volume.voxels
-    return (v >= params.hu_low) & (v <= params.hu_high)
+    return (hu >= params.hu_low) & (hu <= params.hu_high)
 
 
 def remove_border_components(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
@@ -328,8 +327,9 @@ def grown_box(bits, margin):
     return tuple(box)
 
 
-def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarray:
-    """Full pipeline; raises ValueError when nothing survives.
+def segment_lung(hu: np.ndarray, params: SegmentationParams = None) -> np.ndarray:
+    """The lung mask of the scan's Hounsfield units `hu`; raises ValueError
+    when nothing survives.
 
     Erosion can split a lung, so the k-largest filter runs again after
     closing to restore the at-most-keep_k guarantee before holes are filled
@@ -339,7 +339,7 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarra
     if params is None:
         params = SegmentationParams()
     conn = params.connectivity
-    m = threshold_lung(volume, params)
+    m = threshold_lung(hu, params)
     m = remove_border_components(m, conn)
     box = grown_box(m, max(math.ceil(params.close_radius), 1))
     if box is not None:
@@ -349,8 +349,8 @@ def segment_lung(volume: Volume, params: SegmentationParams = None) -> np.ndarra
         m = largest_components(m, params.keep_k, conn)
         m = fill_holes(m, conn)
     if box is None or not m.any():
-        raise ValueError(f"no lung voxels found in {volume.source_id or 'volume'}")
-    bits = np.zeros(volume.shape, dtype=bool)
+        raise ValueError("no lung voxels found")
+    bits = np.zeros(hu.shape, dtype=bool)
     bits[box] = m
     return bits
 

@@ -167,6 +167,16 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
     weights = {n: w.copy() for n, w in weights_init.items()}
     if config.max_epochs == 0:
         return weights, []
+    # a train-mode batchnorm needs two values per channel, which a batch of
+    # one patch through a layer of one voxel does not give
+    if config.batch_size == 1 or len(train_set) % config.batch_size == 1:
+        for i, (layer, shape) in enumerate(zip(spec.layers, nn.model_shapes(spec))):
+            if layer.kind == "batchnorm3d" and shape[1:] == (1, 1, 1):
+                raise ValueError(
+                    f"{len(train_set)} training patches in batches of "
+                    f"{config.batch_size} leave a batch of one, which batchnorm "
+                    f"layer {i} cannot normalize over its one voxel; change "
+                    f"train.batch_size")
 
     counts = np.bincount([s.label for s in train_set], minlength=spec.class_count)
     wvec = class_weights(counts, config.weight_mode)
@@ -183,7 +193,8 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
         for bidx in range(0, len(order), config.batch_size):
             picks = order[bidx:bidx + config.batch_size]
             if config.augment is not None:
-                chunk = [augment_sample(train_set[i], config.augment, epoch, int(i))
+                chunk = [augment_sample(train_set[i], config.augment, config.seed,
+                                        epoch, int(i))
                          for i in picks]
             else:
                 chunk = [train_set[i] for i in picks]

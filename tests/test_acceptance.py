@@ -12,7 +12,7 @@ import numpy as np
 from ctscreen import cli, nn_core as nn
 from ctscreen import train as tr
 from ctscreen.metrics import precision_recall_f1, roc_curve
-from ctscreen.nifti_io import DATATYPES, read_raw, write_nifti, Volume
+from ctscreen.nifti_io import DATATYPES, read_raw, write_nifti
 from ctscreen.packs import read_pack, write_pack
 from ctscreen.patch_sampler import PATCH_TABLE, Sample, extract_patches
 from ctscreen.phantoms import lung_phantom
@@ -282,9 +282,9 @@ def test_c04_published_confusion_rates_replay():
 def test_c05_phantom_segmentation_quality():
     with criterion(5, "phantom Dice >= 0.95, <= 2 parts, hole-free", 30):
         vessels = ((60, 74, 45), (55, 70, 40), (64, 186, 48))
-        volume, truth = lung_phantom(vessel_centers=vessels)
+        hu, truth = lung_phantom(vessel_centers=vessels)
         params = SegmentationParams(erode_radius=1.0)
-        got = segment_lung(volume, params)
+        got = segment_lung(hu, params)
         score = dice(got, truth)
         assert score >= 0.95, f"dice {score:.4f}"
         assert component_count(got, params.connectivity) <= 2
@@ -306,9 +306,8 @@ def test_c06_patch_count_law():
         bits = np.zeros(vox.shape, dtype=bool)
         bits[18:46, 20:80, 4:16] = True
         vox[bits] = rng.uniform(-900.0, -500.0, size=int(bits.sum()))
-        volume = Volume(vox, (1.0, 1.0, 1.0), "law")
         for name, count in per_scan.items():
-            patches = extract_patches(volume, bits, name, seed=17)
+            patches = extract_patches(vox, bits, name, seed=17, source_id="law")
             assert len(patches) == count, name
             assert all(p.tensor.shape == PATCH_TABLE[name][0] for p in patches)
 
@@ -447,12 +446,11 @@ def test_c10_cli_byte_determinism(tmp_path):
                        ((28, 40, 22), (32, 44, 28))]
         rows = []
         for i, vessels in enumerate(vessel_sets):
-            vol, _ = lung_phantom(shape=(64, 140, 52),
-                                  lung_semi_axes=(22, 26, 17),
-                                  vessel_centers=vessels)
+            hu, _ = lung_phantom(shape=(64, 140, 52),
+                                 lung_semi_axes=(22, 26, 17),
+                                 vessel_centers=vessels)
             path = scans / f"scan{i}.nii.gz"
-            path.write_bytes(write_nifti(vol.voxels.astype(np.float32),
-                                         spacing=vol.spacing, gzipped=True))
+            path.write_bytes(write_nifti(hu, gzipped=True))
             rows.append(f"{path},{'NOR' if i < 2 else 'MiNCP'}")
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("\n".join(rows) + "\n")

@@ -48,11 +48,10 @@ def workspace(tmp_path_factory):
     labels = ["NOR", "NOR", "MiNCP", "MiNCP"]
     rows = []
     for i, (vessels, label) in enumerate(zip(vessel_sets, labels)):
-        vol, _ = lung_phantom(shape=(64, 140, 52), lung_semi_axes=(22, 26, 17),
-                              vessel_centers=vessels, source_id=f"scan{i}")
+        hu, _ = lung_phantom(shape=(64, 140, 52), lung_semi_axes=(22, 26, 17),
+                             vessel_centers=vessels)
         path = scans / f"scan{i}.nii.gz"
-        path.write_bytes(nifti_io.write_nifti(vol.voxels.astype(np.float32),
-                                              spacing=vol.spacing, gzipped=True))
+        path.write_bytes(nifti_io.write_nifti(hu, gzipped=True))
         rows.append(f"{path},{label}")
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(rows) + "\n")
@@ -142,7 +141,6 @@ def test_config_round_trip_and_reseed(tmp_path):
     cfg = dataclasses.replace(cli.load_config(str(p)), seed=9)
     assert cfg.seed == 9
     assert cfg.train.seed == 9
-    assert cfg.policy.seed == 9
     assert cfg.train.augment is cfg.policy
     assert cfg.seg.erode_radius == 1.0
 
@@ -272,7 +270,7 @@ def test_pack_records_are_read_only_views():
         assert np.shares_memory(smp.tensor, np.frombuffer(blob, np.uint8))
         with pytest.raises(ValueError, match="read-only"):
             smp.tensor[0, 0, 0] = 0.5
-    policy = AugmentPolicy(seed=2)
+    policy = AugmentPolicy()
     for _, transform in transform_menu(policy):
         for i, smp in enumerate(samples):
             transform(smp.tensor, np.random.default_rng(i))
@@ -503,10 +501,10 @@ def _masks_with_scan1_empty(workspace, masks):
     for path in workspace["scan_paths"]:
         name = cli.mask_name(path)
         (masks / name).write_bytes((workspace["masks"] / name).read_bytes())
-    volume = nifti_io.read_volume(Path(workspace["scan_paths"][1]).read_bytes())
-    empty = np.zeros(volume.shape, dtype=bool)
+    header, hu = nifti_io.read_volume(Path(workspace["scan_paths"][1]).read_bytes())
+    empty = np.zeros(hu.shape, dtype=bool)
     (masks / cli.mask_name(workspace["scan_paths"][1])).write_bytes(
-        nifti_io.write_mask(empty, volume, gzipped=True))
+        nifti_io.write_mask(empty, header.spacing, gzipped=True))
     return masks
 
 
@@ -519,7 +517,7 @@ def test_patch_packs_past_an_empty_mask(workspace, tmp_path, capsys, level):
                    "--masks", str(masks), "--level", level, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan1\n"
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask\n"
     _, samples = read_pack((out / f"{level}.pack").read_bytes())
     assert sorted({s.source_id for s in samples}) == ["scan0", "scan2", "scan3"]
     assert len(samples) == 3 * cli.PATCH_TABLE[level][1]
@@ -627,12 +625,11 @@ def _expected_pack(scans, level, skip):
     for index, row in enumerate(rows):
         if index == skip:
             continue
-        volume = nifti_io.read_volume(Path(row.path).read_bytes(),
-                                      source_id=cli._stem(row.path))
-        mask = cli._read_mask(str(scans["masks"] / cli.mask_name(row.path)),
-                              volume.shape)
+        _, hu = nifti_io.read_volume(Path(row.path).read_bytes())
+        mask = cli._read_mask(str(scans["masks"] / cli.mask_name(row.path)), hu.shape)
         seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
-        samples += extract_patches(volume, mask, level, seed, label=int(labels[index]))
+        samples += extract_patches(hu, mask, level, seed, cli._stem(row.path),
+                                   label=int(labels[index]))
     return (write_pack(level, samples),
             pack_index_csv(index_records(samples)).encode())
 
@@ -688,9 +685,9 @@ def test_patch_stream_cut_short_leaves_no_temp_file(twelve, tmp_path, monkeypatc
     cut = cli.extract_patches
     bad = cli._stem(twelve["scan_paths"][6])
 
-    def faulty(volume, mask, level, seed, label=0):
-        patches = cut(volume, mask, level, seed, label=label)
-        if volume.source_id != bad:
+    def faulty(hu, mask, level, seed, source_id, label=0):
+        patches = cut(hu, mask, level, seed, source_id, label=label)
+        if source_id != bad:
             return patches
         if fault == "error":
             raise RuntimeError("stop")
@@ -1026,10 +1023,10 @@ def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
     spec, weights = nn_core.load_checkpoint(ck.read_bytes())
     probs = []
     for path in workspace["scan_paths"]:
-        volume = nifti_io.read_volume(Path(path).read_bytes())
+        _, hu = nifti_io.read_volume(Path(path).read_bytes())
         _, raw = nifti_io.read_raw(
             (workspace["masks"] / cli.mask_name(path)).read_bytes())
-        std = standardize_volume(volume, raw > 0)
+        std = standardize_volume(hu, raw > 0)
         probs.append(nn_core.model_forward(spec, weights, cli._model_input(std, spec),
                                            mode="infer")[0])
     labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
@@ -1062,7 +1059,7 @@ def test_eval_fails_a_scan_with_an_empty_mask(workspace, trained, tmp_path,
                    "--masks", str(masks), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {workspace['scan_paths'][1]}: empty mask for scan1\n"
+    assert err == f"error: {workspace['scan_paths'][1]}: empty mask\n"
     assert sorted(os.listdir(out)) == ["effective.cfg"]
 
 
@@ -1127,8 +1124,8 @@ def _threshold_checkpoint(workspace, path):
 
     # probe the brightness feature of the healthy scan through the real path
     cfg = cli.load_config(str(workspace["config"]))
-    vol = nifti_io.read_volume(Path(workspace["scan_paths"][0]).read_bytes())
-    std = cli.standardize_volume(vol, segment_lung(vol, cfg.seg))
+    _, hu = nifti_io.read_volume(Path(workspace["scan_paths"][0]).read_bytes())
+    std = cli.standardize_volume(hu, segment_lung(hu, cfg.seg))
     probe = dict(weights)
     w7 = np.zeros_like(weights["L7.weight"])
     w7[0, 0] = 1.0  # class-0 logit = unit 0, regardless of orientation
@@ -1161,9 +1158,9 @@ def test_scoring_frees_the_scan_before_the_forward(workspace, tmp_path, monkeypa
     refs, alive = [], []
     standardize, forward = cli.standardize_volume, nn_core.model_forward
 
-    def recording(volume, mask, *args, **kwargs):
-        refs.extend([weakref.ref(volume.voxels), weakref.ref(mask)])
-        return standardize(volume, mask, *args, **kwargs)
+    def recording(hu, mask, *args, **kwargs):
+        refs.extend([weakref.ref(hu), weakref.ref(mask)])
+        return standardize(hu, mask, *args, **kwargs)
 
     def checking(*args, **kwargs):
         alive.append([ref() is not None for ref in refs])

@@ -1,6 +1,7 @@
 """Every name a ctscreen module imports is used in that module, every
-exception class it defines is caught by name somewhere in the package, and
-every top-level function it defines is used by the package."""
+exception class it defines is caught by name somewhere in the package,
+every top-level function it defines is used by the package, and only the
+command line imports the file codec `nifti_io`."""
 
 import ast
 import importlib
@@ -95,3 +96,26 @@ def test_every_function_is_used_by_the_package():
     defined, read = _functions_and_references()
     unused = {(module, name) for module, name in defined if name not in read}
     assert unused == set(UNCALLED), f"functions the package never uses: {sorted(unused)}"
+
+
+def _imported_modules(source):
+    """Dotted names of the modules the source's imports load, and of the
+    names they take from a module (a relative import's dots dropped)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{a.name}" for a in node.names)
+    return names
+
+
+def test_only_cli_imports_nifti_io():
+    # the stages take and return plain arrays, so reading and writing scans
+    # and masks stays with the command line, the one module that touches files
+    importers = {path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if any("nifti_io" in name.split(".")
+                        for name in _imported_modules(path.read_text(encoding="utf-8")))}
+    assert importers == {"cli.py"}, f"modules that import nifti_io: {sorted(importers)}"

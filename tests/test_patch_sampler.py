@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctscreen.nifti_io import Volume
 from ctscreen import parallel, patch_sampler as ps
 
 
@@ -40,14 +39,14 @@ def full_mask(shape):
 # ----------------------------------------------------------- standardize
 
 def test_standardize_floor_maps_to_zero():
-    v = Volume(np.full(ps.STANDARD_SHAPE, -1000.0, dtype=np.float32), (1, 1, 1), "a")
+    v = np.full(ps.STANDARD_SHAPE, -1000.0, dtype=np.float32)
     out = ps.standardize_volume(v, full_mask(ps.STANDARD_SHAPE))
     assert out.shape == ps.STANDARD_SHAPE
     assert np.all(out == 0.0)
 
 
 def test_standardize_ceiling_maps_to_one():
-    v = Volume(np.full((8, 8, 8), 400.0, dtype=np.float32), (1, 1, 1), "a")
+    v = np.full((8, 8, 8), 400.0, dtype=np.float32)
     out = ps.standardize_volume(v, full_mask((8, 8, 8)), out_shape=(8, 8, 8))
     assert np.all(out == 1.0)
 
@@ -58,8 +57,7 @@ def test_standardize_clips_and_masks():
     arr[1, 1, 1] = -2000.0  # below air, clipped to -1000
     bits = np.ones((6, 6, 6), dtype=bool)
     bits[2, 2, 2] = False   # outside mask -> forced to air
-    out = ps.standardize_volume(Volume(arr, (1, 1, 1), "a"), bits,
-                                out_shape=(6, 6, 6))
+    out = ps.standardize_volume(arr, bits, out_shape=(6, 6, 6))
     assert out[0, 0, 0] == 1.0
     assert out[1, 1, 1] == 0.0
     assert out[2, 2, 2] == 0.0
@@ -70,8 +68,7 @@ def test_standardize_depth_resample_matches_point_oracle():
     rng = np.random.default_rng(11)
     arr = rng.uniform(-1000, 400, size=(20, 20, 41)).astype(np.float32)
     out_shape = (20, 20, 36)
-    out = ps.standardize_volume(Volume(arr, (1, 1, 1), "a"),
-                                full_mask(arr.shape), out_shape=out_shape)
+    out = ps.standardize_volume(arr, full_mask(arr.shape), out_shape=out_shape)
     for (r, c, s) in [(10, 10, 18), (0, 0, 0), (19, 19, 35), (5, 13, 7)]:
         pos = (r * 19 / 19, c * 19 / 19, s * 40 / 35)
         want = (trilinear_point_oracle(arr, pos) + 1000.0) / 1400.0
@@ -131,9 +128,9 @@ def trilinear_reference(arr, out_shape):
     return out
 
 
-def standardize_reference(volume, mask, out_shape=ps.STANDARD_SHAPE):
+def standardize_reference(hu, mask, out_shape=ps.STANDARD_SHAPE):
     lo, hi = ps.HU_CLIP
-    vox = np.where(mask, volume.voxels, np.float32(lo))
+    vox = np.where(mask, hu, np.float32(lo))
     vox = np.clip(vox, lo, hi)
     vox = trilinear_reference(vox, out_shape)
     vox = (vox - lo) / (hi - lo)
@@ -175,12 +172,11 @@ def test_standardize_matches_whole_grid_reference(in_shape, out_shape, monkeypat
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
-    vol, mask = Volume(arr, (1, 1, 1), "a"), bits
-    want = standardize_reference(vol, mask, out_shape)
+    want = standardize_reference(arr, bits, out_shape)
     # the pool's parts take runs of slabs; no byte depends on their count
     for parts in (1, 2, 3):
         monkeypatch.setattr(parallel, "CPUS", parts)
-        got = ps.standardize_volume(vol, mask, out_shape=out_shape)
+        got = ps.standardize_volume(arr, bits, out_shape=out_shape)
         assert same_bytes(got, want), parts
 
 
@@ -211,22 +207,21 @@ def test_standardize_box_matches_whole_grid(in_shape, out_shape, monkeypatch):
     arr = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
-    vol, mask = Volume(arr, (1, 1, 1), "a"), bits
-    whole = ps.standardize_volume(vol, mask, out_shape=out_shape)
+    whole = ps.standardize_volume(arr, bits, out_shape=out_shape)
     row = int(rng.integers(0, out_shape[0]))
     boxes = face_boxes(rng, out_shape) + [
         (slice(row, row + 1), slice(0, out_shape[1]), slice(0, out_shape[2])),
         tuple(slice(0, n) for n in out_shape),
     ] + [random_box(rng, out_shape) for _ in range(8)]
     for box in boxes:
-        got = ps.standardize_volume(vol, mask, out_shape=out_shape, box=box)
+        got = ps.standardize_volume(arr, bits, out_shape=out_shape, box=box)
         assert same_bytes(got, whole[box]), box
 
 
 def test_standardize_box_without_lung_is_air():
     bits = np.zeros((40, 30, 20), dtype=bool)
     bits[0, 0, 0] = True
-    vol = Volume(np.full(bits.shape, 100.0, dtype=np.float32), (1, 1, 1), "a")
+    vol = np.full(bits.shape, 100.0, dtype=np.float32)
     box = (slice(200, 216), slice(300, 316), slice(20, 29))
     out = ps.standardize_volume(vol, bits, box=box)
     assert out.shape == (16, 16, 9) and not out.any()
@@ -240,7 +235,7 @@ def test_standardize_box_without_lung_is_air():
     (slice(0, 4, 2), slice(0, 4), slice(0, 4)),
 ])
 def test_standardize_rejects_a_box_off_the_grid(box):
-    vol = Volume(np.zeros((6, 6, 6), dtype=np.float32), (1, 1, 1), "a")
+    vol = np.zeros((6, 6, 6), dtype=np.float32)
     with pytest.raises(ValueError):
         ps.standardize_volume(vol, full_mask((6, 6, 6)), out_shape=(8, 8, 9), box=box)
 
@@ -274,8 +269,7 @@ def test_standardize_peak_memory_is_one_output_plus_slab():
     # the whole-grid float64 resample peaked near 320 MB on this input
     rng = np.random.default_rng(15)
     shape = (128, 160, 40)
-    vol = Volume(rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32),
-                 (1, 1, 1), "a")
+    vol = rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32)
     mask = full_mask(shape)
     tracemalloc.start()
     try:
@@ -307,8 +301,7 @@ def test_sample_rejects_out_of_range_tensor():
 def std_volume(seed=0, shape=ps.STANDARD_SHAPE):
     """A scan on the standard grid, so a mask's box maps onto itself."""
     rng = np.random.default_rng(seed)
-    return Volume(rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32),
-                  (1, 1, 1), f"scan{seed}")
+    return rng.uniform(-1000.0, 400.0, size=shape).astype(np.float32)
 
 
 def center_mask(shape, frac=0.5):
@@ -325,7 +318,7 @@ def window(sample):
 def test_whole_volume_level_returns_standardized_grid():
     v = std_volume(1, shape=(128, 160, 40))
     m = center_mask(v.shape)
-    out = ps.extract_patches(v, m, "P6", seed=3)
+    out = ps.extract_patches(v, m, "P6", seed=3, source_id="s")
     assert len(out) == 1
     assert same_bytes(out[0].tensor, ps.standardize_volume(v, m))
     assert out[0].origin == (0, 0, 0)
@@ -334,14 +327,13 @@ def test_whole_volume_level_returns_standardized_grid():
 @pytest.mark.parametrize("in_shape", sorted({c[0] for c in STANDARDIZE_CASES}))
 def test_every_level_matches_whole_grid_windows(in_shape):
     rng = np.random.default_rng(sum(in_shape) * 7)
-    v = Volume(rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32),
-               (1, 1, 1), "a")
+    v = rng.uniform(-1800.0, 1500.0, size=in_shape).astype(np.float32)
     bits = rng.random(in_shape) < 0.6
     bits.flat[0] = True
     whole = ps.standardize_volume(v, bits)
     assert whole.min() >= 0.0 and whole.max() <= 1.0
     for level in ps.LEVELS:
-        for s in ps.extract_patches(v, bits, level, seed=29):
+        for s in ps.extract_patches(v, bits, level, seed=29, source_id="s"):
             assert same_bytes(s.tensor, whole[window(s)]), (level, s.origin)
 
 
@@ -352,7 +344,7 @@ def test_p1_extract_peak_memory_is_far_below_one_grid():
     m = center_mask(v.shape)
     tracemalloc.start()
     try:
-        out = ps.extract_patches(v, m, "P1", seed=1)
+        out = ps.extract_patches(v, m, "P1", seed=1, source_id="s")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,7 +388,7 @@ def test_map_bbox_matches_nonzero_box(shape):
             masks.append(bits)
     for bits in masks:
         for out_shape in (ps.STANDARD_SHAPE, (7, 3, 50)):
-            assert ps._map_bbox(bits, out_shape, "a") == \
+            assert ps._map_bbox(bits, out_shape) == \
                 map_bbox_reference(bits, out_shape)
 
 
@@ -405,7 +397,7 @@ def test_per_scan_counts_and_shapes_all_levels():
     m = center_mask(v.shape)
     for level in ps.LEVELS:
         shape, count = ps.PATCH_TABLE[level]
-        out = ps.extract_patches(v, m, level, seed=7)
+        out = ps.extract_patches(v, m, level, seed=7, source_id="s")
         assert len(out) == count
         for s in out:
             assert s.tensor.shape == shape
@@ -416,7 +408,7 @@ def test_patches_lie_inside_volume_and_match_slices():
     v = std_volume(3, shape=(100, 90, 30))
     m = center_mask(v.shape)
     whole = ps.standardize_volume(v, m)
-    out = ps.extract_patches(v, m, "P3", seed=5)
+    out = ps.extract_patches(v, m, "P3", seed=5, source_id="s")
     pr, pc, psz = ps.PATCH_TABLE["P3"][0]
     R, C, S = ps.STANDARD_SHAPE
     for s in out:
@@ -430,22 +422,22 @@ def test_patches_lie_inside_volume_and_match_slices():
 def test_same_seed_same_origins():
     v = std_volume(4)
     m = center_mask(v.shape)
-    a = ps.extract_patches(v, m, "P2", seed=11)
-    b = ps.extract_patches(v, m, "P2", seed=11)
+    a = ps.extract_patches(v, m, "P2", seed=11, source_id="s")
+    b = ps.extract_patches(v, m, "P2", seed=11, source_id="s")
     assert [s.origin for s in a] == [s.origin for s in b]
 
 
 def test_distinct_seeds_distinct_origins():
     v = std_volume(5)
     m = center_mask(v.shape)
-    a = ps.extract_patches(v, m, "P1", seed=1)
-    b = ps.extract_patches(v, m, "P1", seed=2)
+    a = ps.extract_patches(v, m, "P1", seed=1, source_id="s")
+    b = ps.extract_patches(v, m, "P1", seed=2, source_id="s")
     assert sorted(s.origin for s in a) != sorted(s.origin for s in b)
 
 
 def test_output_sorted_by_origin():
     v = std_volume(6)
-    out = ps.extract_patches(v, center_mask(v.shape), "P1", seed=9)
+    out = ps.extract_patches(v, center_mask(v.shape), "P1", seed=9, source_id="s")
     origins = [s.origin for s in out]
     assert origins == sorted(origins)
 
@@ -458,7 +450,7 @@ def test_origin_overlap_constraint():
     bc, ec = idx[1].min(), idx[1].max() + 1
     for level in ("P1", "P2", "P3", "P4"):
         pr, pc, _ = ps.PATCH_TABLE[level][0]
-        for s in ps.extract_patches(v, m, level, seed=13):
+        for s in ps.extract_patches(v, m, level, seed=13, source_id="s"):
             r, c, _ = s.origin
             ov = (max(0, min(r + pr, er) - max(r, br))
                   * max(0, min(c + pc, ec) - max(c, bc)))
@@ -471,7 +463,7 @@ def test_small_box_falls_back_to_best_overlap():
     v = std_volume(8)
     bits = np.zeros(v.shape, dtype=bool)
     bits[250:260, 250:260, 10:20] = True
-    out = ps.extract_patches(v, bits, "P5", seed=17)
+    out = ps.extract_patches(v, bits, "P5", seed=17, source_id="s")
     assert len(out) == 4
     pr, pc, _ = ps.PATCH_TABLE["P5"][0]
     for s in out:
@@ -487,7 +479,7 @@ def test_mask_in_native_grid_is_mapped():
     v = std_volume(9, shape=(64, 64, 20))
     native = np.zeros(v.shape, dtype=bool)
     native[16:48, 16:48, 5:15] = True
-    out = ps.extract_patches(v, native, "P4", seed=19)
+    out = ps.extract_patches(v, native, "P4", seed=19, source_id="s")
     lo = int(np.floor(16 * 511 / 63))
     hi = int(np.ceil(47 * 511 / 63)) + 1
     pr, pc, _ = ps.PATCH_TABLE["P4"][0]
@@ -500,15 +492,15 @@ def test_mask_in_native_grid_is_mapped():
 
 def test_empty_mask_raises():
     v = std_volume(10)
-    with pytest.raises(ValueError, match="empty mask for"):
+    with pytest.raises(ValueError, match="empty mask"):
         ps.extract_patches(v, np.zeros(v.shape, dtype=bool),
-                           "P1", seed=0)
+                           "P1", seed=0, source_id="s")
 
 
 def test_patch_larger_than_the_scan_is_cut_from_the_standard_grid():
     # a patch is cut from the standard grid, whatever the scan's own shape
-    v = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1, 1, 1), "s")
-    out = ps.extract_patches(v, full_mask((8, 8, 8)), "P1", seed=0)
+    v = np.zeros((8, 8, 8), dtype=np.float32)
+    out = ps.extract_patches(v, full_mask((8, 8, 8)), "P1", seed=0, source_id="s")
     assert len(out) == 64
     assert all(s.tensor.shape == (16, 16, 9) for s in out)
 
@@ -516,5 +508,6 @@ def test_patch_larger_than_the_scan_is_cut_from_the_standard_grid():
 def test_label_propagates_to_all_samples():
     v = std_volume(11)
     out = ps.extract_patches(v, center_mask(v.shape), "P2",
-                             seed=23, label=3)
+                             seed=23, source_id="scan11", label=3)
     assert all(s.label == 3 for s in out)
+    assert all(s.source_id == "scan11" for s in out)

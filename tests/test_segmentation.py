@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from ctscreen.nifti_io import Volume
 from ctscreen import segmentation as seg
 from ctscreen.phantoms import lung_phantom
 
 from synth import dice
 
 
-def vol(arr, sid="t"):
-    return Volume(np.asarray(arr, dtype=np.float32), (1.0, 1.0, 1.0), sid)
+def vol(arr):
+    """`arr` as a scan's float32 Hounsfield units."""
+    return np.asarray(arr, dtype=np.float32)
 
 
 # ---------------------------------------------------------------- oracles
@@ -457,9 +457,9 @@ def test_morphology_matches_edt_on_random_masks(radius):
 
 
 def test_morphology_matches_edt_on_phantom_at_default_radii():
-    volume, _ = lung_phantom(shape=(96, 96, 24), lung_semi_axes=(30, 18, 7))
+    hu, _ = lung_phantom(shape=(96, 96, 24), lung_semi_axes=(30, 18, 7))
     p = seg.SegmentationParams()
-    m = seg.threshold_lung(volume, p)
+    m = seg.threshold_lung(hu, p)
     m = seg.remove_border_components(m, p.connectivity)
     m = seg.largest_components(m, p.keep_k, p.connectivity)
     eroded = seg.morph_erode(m, p.erode_radius)
@@ -516,8 +516,8 @@ SMALL_PARAMS = seg.SegmentationParams(erode_radius=1.0, close_radius=2.0)
 
 
 def test_segment_phantom_recovers_lungs():
-    volume, truth = lung_phantom(**PHANTOM_KW)
-    out = seg.segment_lung(volume, SMALL_PARAMS)
+    hu, truth = lung_phantom(**PHANTOM_KW)
+    out = seg.segment_lung(hu, SMALL_PARAMS)
     # erosion trims a 1-voxel rind off each lung, so perfect overlap is
     # unreachable at this size; 0.9 leaves room for that rind only
     assert dice(out, truth) >= 0.9
@@ -533,30 +533,30 @@ def test_segment_uniform_body_raises():
 def test_segment_fills_vessel_holes():
     R, C, S = PHANTOM_KW["shape"]
     centers = [(R // 2, C // 2 - 29, S // 2), (R // 2 + 5, C // 2 + 29, S // 2 - 3)]
-    volume, truth = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
-    out = seg.segment_lung(volume, SMALL_PARAMS)
+    hu, truth = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
+    out = seg.segment_lung(hu, SMALL_PARAMS)
     for c in centers:
         assert out[c]  # vessel voxel ends up inside the mask
 
 
 def test_segment_deterministic():
-    volume, _ = lung_phantom(**PHANTOM_KW)
-    a = seg.segment_lung(volume, SMALL_PARAMS)
-    b = seg.segment_lung(volume, SMALL_PARAMS)
+    hu, _ = lung_phantom(**PHANTOM_KW)
+    a = seg.segment_lung(hu, SMALL_PARAMS)
+    b = seg.segment_lung(hu, SMALL_PARAMS)
     assert np.array_equal(a, b)
 
 
 def test_segment_component_cap_holds():
-    volume, _ = lung_phantom(**PHANTOM_KW)
+    hu, _ = lung_phantom(**PHANTOM_KW)
     for k in (1, 2):
         p = seg.SegmentationParams(keep_k=k, erode_radius=1.0, close_radius=2.0)
-        out = seg.segment_lung(volume, p)
+        out = seg.segment_lung(hu, p)
         assert seg.component_count(out, p.connectivity) <= k
 
 
 def test_segment_avoids_axial_faces():
-    volume, _ = lung_phantom(**PHANTOM_KW)
-    out = seg.segment_lung(volume, SMALL_PARAMS)
+    hu, _ = lung_phantom(**PHANTOM_KW)
+    out = seg.segment_lung(hu, SMALL_PARAMS)
     assert not out[0].any() and not out[-1].any()
     assert not out[:, 0].any() and not out[:, -1].any()
 
@@ -565,13 +565,13 @@ def test_stages_leave_their_input_alone():
     # masks are plain mutable arrays: a stage that wrote to its input, or
     # returned a view of it, would let a later stage change an earlier result
     rng = np.random.default_rng(44)
-    volume, _ = lung_phantom(**PHANTOM_KW)
-    volume.voxels += rng.normal(0, 60, volume.shape).astype(np.float32)
-    before = volume.voxels.copy()
-    for out in (seg.threshold_lung(volume, SMALL_PARAMS),
-                seg.segment_lung(volume, SMALL_PARAMS)):
-        assert not np.shares_memory(out, volume.voxels)
-    assert volume.voxels.tobytes() == before.tobytes()
+    hu, _ = lung_phantom(**PHANTOM_KW)
+    hu += rng.normal(0, 60, hu.shape).astype(np.float32)
+    before = hu.copy()
+    for out in (seg.threshold_lung(hu, SMALL_PARAMS),
+                seg.segment_lung(hu, SMALL_PARAMS)):
+        assert not np.shares_memory(out, hu)
+    assert hu.tobytes() == before.tobytes()
     for density in (0.05, 0.3, 0.7):
         bits = rng.random((14, 17, 11)) < density
         before = bits.copy()
@@ -609,9 +609,9 @@ def full_grid_largest_components(mask, k, connectivity=26):
     return np.isin(labels, keep)
 
 
-def full_grid_segment_lung(volume, params):
+def full_grid_segment_lung(hu, params):
     conn = params.connectivity
-    m = seg.threshold_lung(volume, params)
+    m = seg.threshold_lung(hu, params)
     m = seg.remove_border_components(m, conn)
     m = full_grid_largest_components(m, params.keep_k, conn)
     m = seg.morph_erode(m, params.erode_radius)
@@ -625,13 +625,13 @@ def assert_staged_equals_full_grid(bits, **params):
     """Lung HU where `bits` is set, body HU elsewhere; the staged pipeline
     gives the oracle's mask bit for bit, or both find nothing."""
     p = seg.SegmentationParams(**params)
-    volume = vol(np.where(bits, -800.0, 40.0))
-    want = full_grid_segment_lung(volume, p)
+    hu = vol(np.where(bits, -800.0, 40.0))
+    want = full_grid_segment_lung(hu, p)
     if not want.any():
         with pytest.raises(ValueError, match="no lung voxels found"):
-            seg.segment_lung(volume, p)
+            seg.segment_lung(hu, p)
         return
-    got = seg.segment_lung(volume, p)
+    got = seg.segment_lung(hu, p)
     assert got.shape == bits.shape
     assert np.array_equal(got, want), params
 
@@ -766,10 +766,9 @@ def test_staged_segmentation_with_the_dilation_at_the_box_edge(close):
 def test_staged_segmentation_matches_full_grid_on_phantoms(close):
     R, C, S = PHANTOM_KW["shape"]
     centers = [(R // 2, C // 2 - 29, S // 2), (R // 2 + 5, C // 2 + 29, S // 2 - 3)]
-    volume, _ = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
-    noisy = Volume(volume.voxels + np.random.default_rng(40).normal(
-        0, 150, volume.shape).astype(np.float32), volume.spacing, "noisy")
-    for v in (volume, noisy):
+    hu, _ = lung_phantom(vessel_centers=centers, vessel_radius=2, **PHANTOM_KW)
+    noisy = hu + np.random.default_rng(40).normal(0, 150, hu.shape).astype(np.float32)
+    for name, v in (("phantom", hu), ("noisy", noisy)):
         for k in (1, 2, 3):
             for erode in (0.0, 1.0):
                 for conn in (6, 26):
@@ -777,18 +776,18 @@ def test_staged_segmentation_matches_full_grid_on_phantoms(close):
                                                close_radius=close, connectivity=conn)
                     got = seg.segment_lung(v, p)
                     assert np.array_equal(got, full_grid_segment_lung(v, p)), \
-                        (v.source_id, k, erode, conn)
+                        (name, k, erode, conn)
 
 
 def test_segment_lung_peak_memory_on_a_512_grid():
     # a 512x512x40 phantom with noisy lungs: the full-grid pipeline peaked
     # at 241 MB here (np.isin and np.unique over the full-grid labels); the
     # lung box and lookup-table masks keep it near 63 MB
-    volume, _ = lung_phantom(shape=(512, 512, 40), lung_semi_axes=(150, 95, 12))
-    volume.voxels += np.random.default_rng(13).normal(0, 60, volume.shape).astype(np.float32)
+    hu, _ = lung_phantom(shape=(512, 512, 40), lung_semi_axes=(150, 95, 12))
+    hu += np.random.default_rng(13).normal(0, 60, hu.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        mask = seg.segment_lung(volume)
+        mask = seg.segment_lung(hu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -218,6 +218,33 @@ def test_fit_stops_on_non_finite_loss():
         tr.fit(spec, weights, data, data, quick_config())
 
 
+@pytest.mark.parametrize("count,batch_size", [(15, 7), (6, 1)])
+def test_fit_rejects_a_batch_of_one_that_batchnorm_cannot_normalize(
+        monkeypatch, count, batch_size):
+    # four blocks take a P1 patch down to one voxel before the last
+    # batchnorm, which cannot normalize one value per channel: a run whose
+    # last batch (or every batch) holds one patch stops before its first
+    # step, naming the key to change, not partway through an epoch
+    spec = nn.base_model((1, 9, 16, 16), 2, channels=(2, 2, 2, 2))
+    steps = []
+    step = tr.adam_step
+    monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(1) or step(*args))
+    data = blob_dataset(count, seed=16, shape=(16, 16, 9))
+    with pytest.raises(ValueError, match="train.batch_size") as info:
+        tr.fit(spec, nn.init_weights(spec, seed=16), data, data,
+               quick_config(batch_size=batch_size))
+    assert f"{count} training patches" in str(info.value)
+    assert steps == []
+
+
+def test_fit_trains_batches_of_one_when_batchnorm_sees_more_than_one_voxel():
+    spec = nn.base_model((1, 9, 16, 16), 2, channels=(2, 4))
+    data = blob_dataset(3, seed=17, shape=(16, 16, 9))
+    _, hist = tr.fit(spec, nn.init_weights(spec, seed=17), data, data,
+                     quick_config(batch_size=1, max_epochs=1, patience=0))
+    assert len(hist) == 1
+
+
 def test_fit_deterministic_same_seed():
     spec = tiny_spec()
     weights = nn.init_weights(spec, seed=6)
@@ -267,7 +294,7 @@ def test_fit_with_augmentation_runs_and_is_deterministic():
     spec = tiny_spec()
     weights = nn.init_weights(spec, seed=11)
     data = blob_dataset(16, seed=11)
-    policy = AugmentPolicy(seed=3, elastic_sigma=0.0)  # keep the fast menu
+    policy = AugmentPolicy(elastic_sigma=0.0)  # keep the fast menu
     cfg_kw = dict(max_epochs=2, patience=1, seed=5)
     _, h1 = tr.fit(spec, weights, data, data, quick_config(augment=policy, **cfg_kw))
     _, h2 = tr.fit(spec, weights, data, data, quick_config(augment=policy, **cfg_kw))
@@ -282,7 +309,7 @@ def test_fit_holds_one_batch_at_a_time(monkeypatch):
     # tensor put them two batches over)
     from ctscreen import augment as aug
 
-    def warp(sample, policy, epoch, index):
+    def warp(sample, policy, seed, epoch, index):
         tensor = aug.elastic_deform(sample.tensor, policy.elastic_grid,
                                     policy.elastic_sigma, index)
         return dataclasses.replace(sample, tensor=tensor)
@@ -295,7 +322,7 @@ def test_fit_holds_one_batch_at_a_time(monkeypatch):
     for n in (batch, 3 * batch):
         data = blob_dataset(n, seed=14, shape=shape)
         cfg = quick_config(max_epochs=1, patience=0, batch_size=batch,
-                           augment=aug.AugmentPolicy(seed=1))
+                           augment=aug.AugmentPolicy())
         tracemalloc.start()
         try:
             tr.fit(spec, weights, data, data[:2], cfg)
