@@ -264,8 +264,7 @@ def score_scans(spec, weights, seg, paths, masks, jobs):
             mask = _read_mask(os.path.join(masks, mask_name(path)), hu.shape)
         std = standardize_volume(hu, mask)
         del hu, mask  # before the forward
-        probs = nn_core.model_forward(spec, weights, _model_input(std, spec),
-                                      mode="infer")[0]
+        probs = nn_core.model_forward(spec, weights, _model_input(std, spec))[0]
         if not np.isfinite(probs).all():
             raise ValueError("checkpoint produced non-finite probabilities")
         return probs
@@ -355,8 +354,8 @@ def cmd_patch(args):
 def _read_level(cfg, packs_dir, name):
     """(train, val) of level `name`: its pack's records, read-only views of
     the pack's bytes, in a deterministic stratified split. A missing or bad
-    pack, one of another level or shape, one whose labels are not exactly
-    the protocol's classes, or too few records to split is a ConfigError."""
+    pack, one of another level or shape, or too few records of a class to
+    split is a ConfigError; `train.progressive_fit` checks the sets."""
     k = max(2, int(round(1.0 / cfg.val_fraction)))
     path = os.path.join(packs_dir, f"{name}.pack")
     if not os.path.exists(path):
@@ -372,13 +371,6 @@ def _read_level(cfg, packs_dir, name):
     if shape != want:
         raise ConfigError(
             f"{path} holds {shape} patches, level {name} needs {want}")
-    labels = {smp.label for smp in samples}
-    classes = len(PROTOCOL_CLASSES[cfg.protocol])
-    if max(labels) >= classes:
-        raise ConfigError(f"{path} holds label {max(labels)} outside [0,{classes})")
-    if len(labels) < classes:
-        raise ConfigError(f"{path} holds no patch of class "
-                          f"{min(set(range(classes)) - labels)}")
     try:
         folds = metrics.kfold_split([smp.label for smp in samples], k=k, seed=cfg.seed)
     except ValueError as exc:
@@ -386,17 +378,6 @@ def _read_level(cfg, packs_dir, name):
     train_set = [smp for smp, f in zip(samples, folds) if f != 0]
     val_set = [smp for smp, f in zip(samples, folds) if f == 0]
     return train_set, val_set
-
-
-def _load_level_datasets(cfg, packs_dir):
-    """Check one pack per configured level, then ({level: patch shape}, load)
-    for progressive_fit: load(level) reads that level's pack again when its
-    turn comes. Each check drops the pack it read, so a bad pack is an error
-    before any epoch and no more than one level's records are resident."""
-    for name in cfg.levels:
-        _read_level(cfg, packs_dir, name)
-    return ({name: PATCH_TABLE[name][0] for name in cfg.levels},
-            functools.partial(_read_level, cfg, packs_dir))
 
 
 def _check_out(path):
@@ -412,7 +393,8 @@ def cmd_train(args):
     cfg = load_config(args.config)
     _check_out(args.out)
     try:
-        results = train_ladder(cfg, *_load_level_datasets(cfg, args.packs))
+        results = train_ladder(cfg, {name: PATCH_TABLE[name][0] for name in cfg.levels},
+                               functools.partial(_read_level, cfg, args.packs))
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,32 +40,14 @@ DATATYPES = {
 
 @dataclass
 class NiftiHeader:
-    """The subset of the 348-byte NIfTI-1 header this pipeline uses."""
+    """The fields of the 348-byte NIfTI-1 header this pipeline reads."""
 
-    dim: tuple          # 8 ints; dim[0]=rank, dim[1..3]=rows, cols, slices
-    datatype_code: int
-    bitpix: int
-    pixdim: tuple       # 8 floats; pixdim[1..3] = voxel spacing in mm
+    shape: tuple        # rows, cols, slices
+    spacing: tuple      # voxel spacing in mm along each of them
+    dtype: np.dtype     # stored voxel type, in the file's byte order
     vox_offset: int
     scl_slope: float
     scl_inter: float
-    byte_order: str     # "<" little, ">" big
-
-    @property
-    def shape(self):
-        return tuple(int(d) for d in self.dim[1:4])
-
-    @property
-    def spacing(self):
-        return tuple(float(p) for p in self.pixdim[1:4])
-
-    @property
-    def dtype(self):
-        return np.dtype(self.byte_order + DATATYPES[self.datatype_code][0])
-
-    def data_length(self):
-        r, c, s = self.shape
-        return r * c * s * (self.bitpix // 8)
 
 
 def parse_header(buf: bytes) -> NiftiHeader:
@@ -108,14 +90,12 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise ValueError(f"vox_offset {vox_offset} is not finite")
 
     return NiftiHeader(
-        dim=tuple(int(d) for d in dim),
-        datatype_code=int(datatype_code),
-        bitpix=int(bitpix),
-        pixdim=tuple(float(p) for p in pixdim),
+        shape=tuple(int(d) for d in dim[1:4]),
+        spacing=tuple(float(p) for p in pixdim[1:4]),
+        dtype=np.dtype(bo + DATATYPES[datatype_code][0]),
         vox_offset=int(vox_offset),
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
-        byte_order=bo,
     )
 
 
@@ -143,7 +123,8 @@ def _inflated(data):
 
 def _extent(header):
     """(offset, length) of the voxel data in bytes of the file."""
-    return max(header.vox_offset, MIN_VOX_OFFSET), header.data_length()
+    need = math.prod(header.shape) * header.dtype.itemsize
+    return max(header.vox_offset, MIN_VOX_OFFSET), need
 
 
 def _short(need, present):

@@ -603,9 +603,9 @@ def _forward(spec, weights, x, mode, seed, backward=None):
     return x
 
 
-def model_forward(spec, weights, x, mode="infer", seed=0):
-    """Class probabilities for a batch; rows sum to 1."""
-    return _forward(spec, weights, x, mode, seed)
+def model_forward(spec, weights, x):
+    """Class probabilities for a batch, in infer mode; rows sum to 1."""
+    return _forward(spec, weights, x, "infer", 0)
 
 
 LOG_FLOOR = 1e-12  # probabilities are clamped here before the log
@@ -681,15 +681,14 @@ def base_model(input_shape, class_count, channels=BASE_CHANNELS):
 STEM_LAYER_COUNT = 3  # conv3d, maxpool3d, batchnorm3d
 
 
-def build_progressive(small_spec: ModelSpec, small_weights, large_input=None,
-                      seed=0):
-    """Wrap a trained model for a larger input.
+def progressive_spec(small_spec: ModelSpec, large_input=None):
+    """The spec of `small_spec` grown to take `large_input`.
 
     A stem block (conv3d k=3 stride 1 -> maxpool 2 -> batchnorm) is
-    prepended to map the larger grid down toward the old one; every carried
-    layer keeps its weights bit-for-bit. The stem's output channel count
-    equals the small model's input channels, which is what makes the carry
-    possible. Default large input doubles each spatial extent.
+    prepended to map the larger grid down toward the old one. The stem's
+    output channel count equals the small model's input channels, which is
+    what lets every old layer carry its weights. Default large input
+    doubles each spatial extent.
     """
     ci = small_spec.input_shape[0]
     if large_input is None:
@@ -700,8 +699,15 @@ def build_progressive(small_spec: ModelSpec, small_weights, large_input=None,
     stem = [LayerSpec("conv3d", kernel=3, stride=1, padding=1, out_channels=ci),
             LayerSpec("maxpool3d", window=2, clamp_window=True),
             LayerSpec("batchnorm3d")]
-    large_spec = ModelSpec(large_input, tuple(stem) + small_spec.layers,
-                           small_spec.class_count)
+    return ModelSpec(large_input, tuple(stem) + small_spec.layers,
+                     small_spec.class_count)
+
+
+def build_progressive(small_spec: ModelSpec, small_weights, large_input=None,
+                      seed=0):
+    """Wrap a trained model for a larger input: `progressive_spec`, with a
+    fresh stem and every carried layer's weights copied bit-for-bit."""
+    large_spec = progressive_spec(small_spec, large_input)
     dtype = next(iter(small_weights.values())).dtype
     large_weights = init_weights(large_spec, seed=seed, dtype=dtype)
     for name, tensor in small_weights.items():

@@ -1,5 +1,7 @@
 """Training loop: Adam, LR decay, early stopping, and progressive input
-enlargement, on the weighted cross-entropy of `nn_core`.
+enlargement, on the weighted cross-entropy of `nn_core`. `_check_sets`
+holds every check of a level's datasets, and `progressive_fit` runs it on
+every level before the first epoch.
 
 Datasets are plain lists of patch Samples. A patch stored as (rows, cols,
 slices) enters the network as (1, slices, rows, cols), i.e. channel-first
@@ -114,31 +116,41 @@ def lr_schedule(epoch, config: TrainConfig):
     return config.lr0 * config.decay_rate ** epoch
 
 
-def _monitor_value(stats: EpochStats, monitor):
-    return stats.val_acc if monitor == "val_accuracy" else -stats.val_loss
-
-
-def early_stop(history, patience, monitor="val_accuracy"):
-    """True when the monitored metric last improved `patience` epochs ago."""
-    if not history:
-        raise ValueError("history must be non-empty")
-    values = [_monitor_value(h, monitor) for h in history]
-    best = int(np.argmax(values))  # earliest best: later ties are not improvements
-    return (len(values) - 1) - best >= patience
-
-
 def to_batch(samples):
     x = np.stack([np.transpose(s.tensor, (2, 0, 1)) for s in samples])
     y = np.array([s.label for s in samples], dtype=np.int64)
     return x[:, None].astype(np.float32, copy=False), y
 
 
-def _check_dataset(dataset, class_count, name):
-    if not dataset:
-        raise ValueError(f"{name} dataset is empty")
-    for s in dataset:
-        if not 0 <= s.label < class_count:
-            raise ValueError(f"{name} label {s.label} outside [0,{class_count})")
+def _check_sets(spec, train_set, val_set, config: TrainConfig):
+    """Raise ValueError unless `spec` can train on `train_set` and validate on
+    `val_set`: both non-empty, of the model's patch shape, with labels in
+    [0, k) and every class in the training split. When epochs run, batches
+    of `config.batch_size` also leave no batch of one that a batchnorm
+    layer sees as one voxel per channel: train mode could not normalize it."""
+    _, s, r, c = spec.input_shape
+    k = spec.class_count
+    for name, dataset in (("train", train_set), ("validation", val_set)):
+        if not dataset:
+            raise ValueError(f"{name} dataset is empty")
+        if dataset[0].tensor.shape != (r, c, s):
+            raise ValueError(f"{name} dataset holds {dataset[0].tensor.shape} "
+                             f"patches, not {(r, c, s)}")
+        for smp in dataset:
+            if not 0 <= smp.label < k:
+                raise ValueError(f"{name} label {smp.label} outside [0,{k})")
+    missing = set(range(k)) - {smp.label for smp in train_set}
+    if missing:
+        raise ValueError(f"train dataset holds no patch of class {min(missing)}")
+    batch_size = config.batch_size
+    if config.max_epochs and (batch_size == 1 or len(train_set) % batch_size == 1):
+        for i, (layer, shape) in enumerate(zip(spec.layers, nn.model_shapes(spec))):
+            if layer.kind == "batchnorm3d" and shape[1:] == (1, 1, 1):
+                raise ValueError(
+                    f"{len(train_set)} training patches in batches of "
+                    f"{batch_size} leave a batch of one, which batchnorm "
+                    f"layer {i} cannot normalize over its one voxel; change "
+                    f"train.batch_size")
 
 
 def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
@@ -147,7 +159,7 @@ def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
     for i in range(0, len(dataset), batch_size):
         chunk = dataset[i:i + batch_size]
         x, y = to_batch(chunk)
-        probs = nn.model_forward(spec, weights, x, mode="infer")
+        probs = nn.model_forward(spec, weights, x)
         loss, _ = nn.weighted_cross_entropy(probs, y, weight_vec)
         total_loss += loss * len(chunk)
         hits += int((probs.argmax(axis=1) == y).sum())
@@ -157,33 +169,27 @@ def evaluate(spec, weights, dataset, weight_vec, batch_size=32):
 def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
     """Train; returns (best-epoch weights, history). Inputs are not mutated.
 
-    A NaN or infinite batch loss stops training with NonFiniteLoss, which
-    names the epoch and the batch.
+    Sets that `_check_sets` rejects are a ValueError before the first step;
+    with no epoch to run, the initial weights come back after its shape and
+    label checks. The best epoch is the earliest with the highest
+    validation accuracy, or the lowest validation loss when config.monitor
+    says so; training stops `config.patience` epochs after it. A NaN or
+    infinite batch loss stops training with NonFiniteLoss, which names the
+    epoch and the batch.
 
     `log`, when given, is called with each EpochStats as it completes.
     """
-    _check_dataset(train_set, spec.class_count, "train")
-    _check_dataset(val_set, spec.class_count, "validation")
+    _check_sets(spec, train_set, val_set, config)
     weights = {n: w.copy() for n, w in weights_init.items()}
     if config.max_epochs == 0:
         return weights, []
-    # a train-mode batchnorm needs two values per channel, which a batch of
-    # one patch through a layer of one voxel does not give
-    if config.batch_size == 1 or len(train_set) % config.batch_size == 1:
-        for i, (layer, shape) in enumerate(zip(spec.layers, nn.model_shapes(spec))):
-            if layer.kind == "batchnorm3d" and shape[1:] == (1, 1, 1):
-                raise ValueError(
-                    f"{len(train_set)} training patches in batches of "
-                    f"{config.batch_size} leave a batch of one, which batchnorm "
-                    f"layer {i} cannot normalize over its one voxel; change "
-                    f"train.batch_size")
 
     counts = np.bincount([s.label for s in train_set], minlength=spec.class_count)
     wvec = class_weights(counts, config.weight_mode)
     state = init_adam(weights)
     history = []
     best_weights = {n: w.copy() for n, w in weights.items()}
-    best_value = -np.inf
+    best_value, best_epoch = -np.inf, 0
 
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
@@ -219,10 +225,11 @@ def fit(spec, weights_init, train_set, val_set, config: TrainConfig, log=None):
         history.append(stats)
         if log is not None:
             log(stats)
-        if _monitor_value(stats, config.monitor) > best_value:
-            best_value = _monitor_value(stats, config.monitor)
+        value = val_acc if config.monitor == "val_accuracy" else -val_loss
+        if value > best_value:  # later ties are not improvements
+            best_value, best_epoch = value, epoch
             best_weights = {n: w.copy() for n, w in weights.items()}
-        if early_stop(history, config.patience, config.monitor):
+        if epoch - best_epoch >= config.patience:
             break
     return best_weights, history
 
@@ -232,8 +239,10 @@ def progressive_fit(shapes, load, config: TrainConfig, class_count,
     """Train through an ordered ladder of patch levels.
 
     shapes: {level: (rows, cols, slices)}, small to large, the patch shape
-    of each level. load(level) gives that level's (train, val) when its
-    turn comes, and they are dropped before the next level loads, so one
+    of each level. load(level) gives that level's (train, val). Before the
+    first epoch every level is loaded, held to `_check_sets` with its model
+    (an error names the level) and dropped; then each level is loaded again
+    when its turn comes, and dropped before the next level loads, so one
     level's datasets are resident at a time. Level n+1 starts from level
     n's best weights behind a fresh stem block. Returns a LevelResult per
     level; the last one's best_weights are the final model. `log`, when
@@ -246,29 +255,31 @@ def progressive_fit(shapes, load, config: TrainConfig, class_count,
         if any(x > y for x, y in zip(a, b)):
             raise ValueError(f"ladder must grow monotonically, got {a} -> {b}")
 
-    results = []
-    prev_spec, prev_best = None, None
-    for li, (name, (r, c, s)) in enumerate(shapes.items()):
-        train_set, val_set = load(name)
-        if not train_set:
-            raise ValueError(f"level {name}: train dataset is empty")
-        if train_set[0].tensor.shape != (r, c, s):
-            raise ValueError(f"level {name} holds {train_set[0].tensor.shape} "
-                             f"patches, not {(r, c, s)}")
+    specs, spec = {}, None
+    for name, (r, c, s) in shapes.items():
         input_shape = (1, s, r, c)
-        if prev_spec is None:
-            spec = nn.base_model(input_shape, class_count, channels=channels)
+        spec = (nn.base_model(input_shape, class_count, channels=channels)
+                if spec is None else nn.progressive_spec(spec, input_shape))
+        specs[name] = spec
+        train_set, val_set = load(name)
+        try:
+            _check_sets(spec, train_set, val_set, config)
+        except ValueError as exc:
+            raise ValueError(f"level {name}: {exc}") from exc
+        del train_set, val_set  # before the next level loads
+
+    results = []
+    for li, (name, spec) in enumerate(specs.items()):
+        if not results:
             init = nn.init_weights(spec, seed=config.seed)
         else:
-            spec, init = nn.build_progressive(prev_spec, prev_best,
-                                              large_input=input_shape,
-                                              seed=config.seed + li)
+            _, init = nn.build_progressive(results[-1].spec, results[-1].best_weights,
+                                           large_input=spec.input_shape,
+                                           seed=config.seed + li)
         level_log = None if log is None else (
             lambda stats, name=name: log(name, stats))
-        best, history = fit(spec, init, train_set, val_set, config, log=level_log)
-        del train_set, val_set  # before the next level loads
+        best, history = fit(spec, init, *load(name), config, log=level_log)
         results.append(LevelResult(name, spec, best, history))
-        prev_spec, prev_best = spec, best
     return results
 
 

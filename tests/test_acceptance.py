@@ -373,7 +373,7 @@ def _split(samples):
 
 def _final_auc(spec, weights, val_set):
     x, y = tr.to_batch(val_set)
-    probs = nn.model_forward(spec, weights, x, mode="infer")
+    probs = nn.model_forward(spec, weights, x)
     return roc_curve(probs[:, 1], y == 1)[1]
 
 

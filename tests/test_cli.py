@@ -829,14 +829,17 @@ def test_train_checks_every_pack_before_any_epoch(trained, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("labels, says", [
-    ([0] * 16, "holds no patch of class 1"),
-    ([0, 1, 3] * 7, "holds label 3 outside [0,2)"),
-], ids=["one-class", "outside"])
+@pytest.mark.parametrize("labels, epochs, says", [
+    ([0] * 16, 2, "train dataset holds no patch of class 1"),
+    ([0, 1, 3] * 7, 2, "train label 3 outside [0,2)"),
+    ([0] * 16, 0, "train dataset holds no patch of class 1"),
+], ids=["one-class", "outside", "one-class-no-epoch"])
 def test_train_checks_every_pack_s_labels_before_any_epoch(trained, tmp_path, capsys,
-                                                           labels, says):
+                                                           labels, epochs, says):
     # P2's labels are not the binary protocol's classes: P1 would train
-    # first, so only the check pass can fail the run before any epoch
+    # first, so only the check pass can fail the run before any epoch, and
+    # its error names the level. Only the batch-of-one check waits for an
+    # epoch, so a run of zero epochs fails too
     packs = tmp_path / "packs"
     packs.mkdir()
     (packs / "P1.pack").write_bytes(trained["packs"].joinpath("P1.pack").read_bytes())
@@ -844,13 +847,58 @@ def test_train_checks_every_pack_s_labels_before_any_epoch(trained, tmp_path, ca
     for smp, label in zip(samples, labels):
         smp.label = label
     (packs / "P2.pack").write_bytes(write_pack("P2", samples))
-    rc = cli.main(["train", "--config", str(trained["cfg"]), "--packs", str(packs),
+    cfg = tmp_path / "labels.cfg"
+    cfg.write_text(TRAIN_CFG.replace("max_epochs = 2", f"max_epochs = {epochs}")
+                   .replace("patience = 1", f"patience = {min(epochs, 1)}"))
+    rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     out, err = capsys.readouterr()
     assert "[P1] epoch" not in out
-    assert err == f"error: {packs / 'P2.pack'} {says}\n"
+    assert err == f"error: level P2: {says}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_train_checks_every_level_s_batches_before_any_epoch(trained, tmp_path, capsys):
+    # the default model's last batchnorm sees one voxel at P1 and at P2;
+    # P2's 8 training patches in batches of 7 leave a batch of one, which
+    # fails the run before P1 trains
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    (packs / "P1.pack").write_bytes(trained["packs"].joinpath("P1.pack").read_bytes())
+    (packs / "P2.pack").write_bytes(write_pack(
+        "P2", blob_dataset(12, seed=2, shape=(32, 32, 12), level="P2")))
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text(TRAIN_CFG.replace("model.channels = 2,4\n", "").replace(
+        "train.batch_size = 8", "train.batch_size = 7"))
+    rc = cli.main(["train", "--config", str(cfg), "--packs", str(packs),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "[P1] epoch" not in out
+    assert err.startswith("error: level P2: 8 training patches in batches of 7 ")
+    assert "train.batch_size" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_of_no_epoch_writes_the_initial_checkpoints(trained, tmp_path):
+    # no epoch draws a batch, so batches of one that the default model's
+    # last batchnorm could not normalize do not stop a run of zero epochs
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(TRAIN_CFG.replace("model.channels = 2,4\n", "").replace(
+        "max_epochs = 2", "max_epochs = 0").replace("patience = 1", "patience = 0")
+        .replace("batch_size = 8", "batch_size = 1"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--packs", str(trained["packs"]),
+                     "--out", str(out)]) == 0
+    spec, weights = nn_core.load_checkpoint((out / "checkpoint_P1.ctck").read_bytes())
+    init = nn_core.init_weights(nn_core.base_model((1, 9, 16, 16), 2), seed=5)
+    assert spec == nn_core.base_model((1, 9, 16, 16), 2)
+    assert weights.keys() == init.keys()
+    assert all(np.array_equal(weights[n], init[n]) for n in init)
+    spec, _ = nn_core.load_checkpoint((out / "checkpoint_final.ctck").read_bytes())
+    assert spec.input_shape == (1, 12, 32, 32)
+    assert (out / "history.csv").read_text().count("\n") == 1
 
 
 def test_train_holds_one_level_of_records(tmp_path):
@@ -1027,8 +1075,7 @@ def test_eval_report_is_the_report_of_every_scan(workspace, trained, tmp_path):
         _, raw = nifti_io.read_raw(
             (workspace["masks"] / cli.mask_name(path)).read_bytes())
         std = standardize_volume(hu, raw > 0)
-        probs.append(nn_core.model_forward(spec, weights, cli._model_input(std, spec),
-                                           mode="infer")[0])
+        probs.append(nn_core.model_forward(spec, weights, cli._model_input(std, spec))[0])
     labels = cli.class_labels(cli.load_manifest(str(workspace["manifest"])), "binary")
     report = metrics.evaluate_probs(np.stack(probs), labels)
     assert (out / "report.csv").read_bytes() == metrics.report_csv(

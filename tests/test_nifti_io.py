@@ -42,8 +42,7 @@ def test_parse_header_little_endian_fields():
                       slope=2.0, inter=-1024.0, spacing=(0.7, 0.7, 1.25))
     h = nio.parse_header(buf)
     assert h.shape == (10, 20, 30)
-    assert h.datatype_code == 16
-    assert h.byte_order == "<"
+    assert h.dtype == np.dtype("<f4")
     assert h.scl_slope == 2.0
     assert h.scl_inter == -1024.0
     assert np.allclose(h.spacing, (0.7, 0.7, 1.25))
@@ -52,9 +51,8 @@ def test_parse_header_little_endian_fields():
 def test_parse_header_big_endian_detected():
     buf = pack_header(bo=">", shape=(7, 6, 5), datatype=4, bitpix=16)
     h = nio.parse_header(buf)
-    assert h.byte_order == ">"
-    assert h.shape == (7, 6, 5)
     assert h.dtype == np.dtype(">i2")
+    assert h.shape == (7, 6, 5)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.5, float("inf"), float("nan")])
@@ -341,7 +339,7 @@ def test_write_mask_uint8_and_geometry(tmp_path):
     p = tmp_path / "mask.nii.gz"
     p.write_bytes(nio.write_mask(bits, hdr.spacing, gzipped=True))
     h2, back = nio.read_raw(p.read_bytes())
-    assert h2.datatype_code == 2  # uint8
+    assert h2.dtype == np.dtype("<u1")
     assert np.allclose(h2.spacing, hdr.spacing)
     assert np.array_equal(back.astype(bool), bits)
 

@@ -733,7 +733,7 @@ def test_model_forward_identical_rows_for_identical_samples():
     weights = nn.init_weights(spec, seed=1, dtype=np.float64)
     x1 = np.random.default_rng(21).standard_normal((1,) + spec.input_shape)
     x = np.concatenate([x1, x1], axis=0)
-    p = nn.model_forward(spec, weights, x, mode="infer")
+    p = nn.model_forward(spec, weights, x)
     assert np.array_equal(p[0], p[1])
 
 
@@ -748,7 +748,7 @@ def test_model_forward_matches_layer_by_layer_oracle():
         if n.endswith("running_var"):
             weights[n] = rng.uniform(0.5, 2.0, weights[n].shape)
     x = rng.standard_normal((3,) + spec.input_shape)
-    got = nn.model_forward(spec, weights, x, mode="infer")
+    got = nn.model_forward(spec, weights, x)
 
     # independent recomputation from first principles
     cur = conv_loop_oracle(x, weights["L0.kernel"], weights["L0.bias"],
@@ -774,7 +774,7 @@ def test_model_rows_sum_to_one_and_class_dims():
         weights = nn.init_weights(spec, seed=3)
         x = np.random.default_rng(23).standard_normal(
             (4,) + spec.input_shape).astype(np.float32)
-        p = nn.model_forward(spec, weights, x, mode="infer")
+        p = nn.model_forward(spec, weights, x)
         assert p.shape == (4, k)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-6
 
@@ -791,7 +791,7 @@ def test_infer_forward_leaves_running_stats():
     weights = nn.init_weights(spec, seed=5, dtype=np.float64)
     before = {n: w.copy() for n, w in weights.items()}
     x = np.random.default_rng(24).standard_normal((2,) + spec.input_shape)
-    nn.model_forward(spec, weights, x, mode="infer")
+    nn.model_forward(spec, weights, x)
     for n in before:
         assert np.array_equal(weights[n], before[n]), n
 
@@ -1063,7 +1063,7 @@ def test_dispatch_reproduces_legacy_bytes_on_a_progressive_model():
     for name in weights:  # running stats blended the same way
         assert same_bytes(new_w[name], old_w[name]), name
 
-    got = nn.model_forward(spec, weights, x, mode="infer")
+    got = nn.model_forward(spec, weights, x)
     assert same_bytes(got, legacy_forward(spec, weights, x, "infer", 0))
 
 
@@ -1101,7 +1101,7 @@ def test_base_model_runs_on_small_analog():
     spec = nn.base_model((1, 6, 16, 16), 4, channels=(4, 8))
     weights = nn.init_weights(spec, seed=10)
     x = np.random.default_rng(29).random((2,) + spec.input_shape).astype(np.float32)
-    p = nn.model_forward(spec, weights, x, mode="infer")
+    p = nn.model_forward(spec, weights, x)
     assert p.shape == (2, 4)
 
 
@@ -1125,7 +1125,7 @@ def test_progressive_non_dyadic_input():
     sw = nn.init_weights(small, seed=13)
     large_spec, lw = nn.build_progressive(small, sw, large_input=(1, 7, 16, 16))
     x = np.random.default_rng(30).random((2, 1, 7, 16, 16)).astype(np.float32)
-    p = nn.model_forward(large_spec, lw, x, mode="infer")
+    p = nn.model_forward(large_spec, lw, x)
     assert p.shape == (2, 2)
 
 

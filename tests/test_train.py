@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -150,33 +151,54 @@ def test_lr_sequence_non_increasing_in_history():
 
 # ------------------------------------------------------------- early stop
 
-def H(*vals):
-    return [tr.EpochStats(i, 1.0, 0.5, 1.0, v, 1e-4) for i, v in enumerate(vals)]
+def scripted_fit(monkeypatch, values, patience, monitor="val_accuracy"):
+    """fit on a tiny set for up to len(values) epochs, epoch i validating at
+    values[i] of the monitored metric; returns (epochs run, index of the
+    epoch whose weights fit returned)."""
+    script, seen = iter(values), []
+
+    def evaluate(spec, weights, dataset, weight_vec):
+        seen.append({n: w.copy() for n, w in weights.items()})
+        value = next(script)
+        return (1.0, value) if monitor == "val_accuracy" else (value, 0.5)
+    monkeypatch.setattr(tr, "evaluate", evaluate)
+    spec = tiny_spec()
+    data = blob_dataset(8, seed=18)
+    best, hist = tr.fit(spec, nn.init_weights(spec, seed=18), data, data,
+                        quick_config(max_epochs=len(values), patience=patience,
+                                     monitor=monitor))
+    assert len(hist) == len(seen)
+    picked = [i for i, w in enumerate(seen)
+              if all(np.array_equal(best[n], w[n]) for n in best)]
+    assert len(picked) == 1  # every epoch's weights differ
+    return len(hist), picked[0]
 
 
-def test_early_stop_improving_continues():
-    assert not tr.early_stop(H(0.1, 0.2, 0.3, 0.4), patience=3)
+def test_early_stop_improving_continues(monkeypatch):
+    assert scripted_fit(monkeypatch, (0.1, 0.2, 0.3, 0.4, 0.5), patience=1) == (5, 4)
 
 
-def test_early_stop_flat_after_peak_stops():
-    hist = H(*([0.9] + [0.9] * 15))
-    assert tr.early_stop(hist, patience=15)
+def test_early_stop_flat_after_peak_stops(monkeypatch):
+    # the later improvement comes too late: 15 flat epochs stop the run
+    vals = [0.9] * 16 + [1.0] * 4
+    assert scripted_fit(monkeypatch, vals, patience=15) == (16, 0)
 
 
-def test_early_stop_boundary_improvement_continues():
-    vals = [0.5] + [0.5] * 13 + [0.6]  # improvement at epoch patience-1
-    assert not tr.early_stop(H(*vals), patience=15)
+def test_early_stop_boundary_improvement_continues(monkeypatch):
+    # epoch 3 would stop the run, but it improves, so three more epochs run
+    vals = (0.5, 0.5, 0.5, 0.6, 0.6, 0.6, 0.6, 0.9)
+    assert scripted_fit(monkeypatch, vals, patience=3) == (7, 3)
 
 
-def test_early_stop_val_loss_monitor():
-    hist = [tr.EpochStats(i, 1.0, 0.5, loss, 0.5, 1e-4)
-            for i, loss in enumerate([1.0, 0.8, 0.8, 0.8])]
-    assert tr.early_stop(hist, patience=2, monitor="val_loss")
-    assert not tr.early_stop(hist, patience=3, monitor="val_loss")
+def test_early_stop_val_loss_monitor(monkeypatch):
+    losses = (1.0, 0.8, 0.8, 0.8, 0.1)
+    assert scripted_fit(monkeypatch, losses, 2, monitor="val_loss") == (4, 1)
+    assert scripted_fit(monkeypatch, losses, 3, monitor="val_loss") == (5, 4)
 
 
-def test_early_stop_ties_do_not_count_as_improvement():
-    assert tr.early_stop(H(0.7, 0.7, 0.7), patience=2)
+def test_early_stop_ties_do_not_count_as_improvement(monkeypatch):
+    # and the weights returned are the earliest best epoch's
+    assert scripted_fit(monkeypatch, (0.7, 0.7, 0.7, 0.9), patience=2) == (3, 0)
 
 
 # ------------------------------------------------------------------- fit
@@ -459,14 +481,31 @@ def test_progressive_fit_rejects_a_level_of_another_shape():
     datasets = ladder_datasets()
     shapes, load = in_memory(datasets)
     shapes["T2"] = (12, 12, 7)
-    with pytest.raises(ValueError, match="level T2 holds"):
+    with pytest.raises(ValueError, match=re.escape(
+            "level T2: train dataset holds (12, 12, 6) patches, not (12, 12, 7)")):
         tr.progressive_fit(shapes, load, quick_config(max_epochs=1, patience=0),
                            class_count=2, channels=(4, 8))
 
 
+def test_progressive_fit_rejects_a_later_batch_of_one_before_any_epoch(monkeypatch):
+    # four blocks take T1 down to one voxel before the last batchnorm, and
+    # T2's stem keeps it there: T2's 17 training patches in batches of 8
+    # leave a batch of one, which fails the run before T1 trains
+    monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+    datasets = {}
+    for i, (level, shape) in enumerate((("T1", (16, 16, 9)), ("T2", (32, 32, 12)))):
+        datasets[level] = (blob_dataset(16 + i, i, shape=shape, level=level),
+                           blob_dataset(4, 10 + i, shape=shape, level=level))
+    with pytest.raises(ValueError, match="level T2: 17 training patches in batches "
+                                         "of 8 leave a batch of one"):
+        tr.progressive_fit(*in_memory(datasets), quick_config(), class_count=2,
+                           channels=(2, 2, 2, 2))
+
+
 def test_progressive_fit_holds_one_level_at_a_time():
-    # each level loads when its turn comes, and the one before it is gone
-    # by then: nothing of progressive_fit still refers to its samples
+    # each level loads once for the check pass and once when its turn
+    # comes, and the one before it is gone by then: nothing of
+    # progressive_fit still refers to its samples
     loaded, alive = [], []
 
     def load(name):
@@ -479,7 +518,7 @@ def test_progressive_fit_holds_one_level_at_a_time():
     shapes = dict(LADDER)
     tr.progressive_fit(shapes, load, quick_config(max_epochs=1, patience=0),
                        class_count=2, channels=(4, 8))
-    assert loaded == list(shapes)
+    assert loaded == list(shapes) * 2
     assert alive[-1]() is None
 
 
