@@ -100,6 +100,12 @@ def parse_header(buf: bytes) -> NiftiHeader:
 
 
 GUNZIP_PIECE = 1 << 20  # most bytes one inflate call may return
+# most bytes of the file one inflate call is given. zlib copies the input a
+# call leaves unread, so handing it the whole rest of the file made each
+# piece cost the file's length; now inflating n bytes hands zlib at most the
+# file's length plus n / 2 bytes. Smaller feeds cost more calls: 64 KiB
+# read the 8 cohort bench scans about 15 % slower
+GUNZIP_FEED = 1 << 19
 # deflate makes at most 1032 bytes of each byte it reads, so a gzip stream
 # cannot hold more than this many bytes per byte of the file
 DEFLATE_MAX_RATIO = 1032
@@ -108,17 +114,26 @@ DEFLATE_MAX_RATIO = 1032
 def _inflated(data):
     """The inflated bytes of every gzip member in `data`, in pieces of at
     most GUNZIP_PIECE bytes; zlib checks each member's CRC and length."""
-    pending = data
-    while pending:
+    view = memoryview(data)
+    at = 0  # the first byte of the file zlib has not read
+    while True:
+        # gzip lets zero bytes pad the space after a member
+        while at < len(view) and view[at] == 0:
+            run = bytes(view[at:at + GUNZIP_FEED])
+            at += len(run) - len(run.lstrip(b"\0"))
+        if at == len(view):
+            return
         inflate = zlib.decompressobj(wbits=31)
         while not inflate.eof:
-            piece = inflate.decompress(pending, GUNZIP_PIECE)
-            pending = inflate.unconsumed_tail
-            if not (piece or pending or inflate.eof):
+            feed = view[at:at + GUNZIP_FEED]
+            piece = inflate.decompress(feed, GUNZIP_PIECE)
+            # at a member's end what zlib left unread is in unused_data, and
+            # unconsumed_tail may hold it too
+            left = inflate.unused_data if inflate.eof else inflate.unconsumed_tail
+            at += len(feed) - len(left)
+            if not (piece or at < len(view) or inflate.eof):
                 raise ValueError("compressed stream ended early")
             yield piece
-        # gzip lets zero bytes pad the space after a member
-        pending = inflate.unused_data.lstrip(b"\0")
 
 
 def _extent(header):
@@ -253,13 +268,18 @@ def _build_header_bytes(shape, spacing, datatype_code, scl_slope, scl_inter) -> 
     return buf
 
 
+# gzip level of the files write_nifti writes: a 512x512x40 mask takes 21 ms at
+# level 1 and 234 ms at gzip's default 9, for 95 KB against 29 KB
+GZIP_LEVEL = 1
+
+
 def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
                 scl_inter=0.0, gzipped=False):
     """Serialize a raw (R, C, S) array as a little-endian single-file NIfTI-1.
 
     The array dtype selects the datatype code; unsupported dtypes raise
-    ValueError. Returns the byte string. Gzip output uses mtime=0
-    so identical inputs give identical bytes.
+    ValueError. Returns the byte string. Gzip output is at GZIP_LEVEL with
+    mtime=0, so identical inputs give identical bytes.
     """
     if raw.ndim != 3:
         raise ValueError(f"expected 3D array, got shape {raw.shape}")
@@ -274,7 +294,7 @@ def write_nifti(raw: np.ndarray, spacing=(1.0, 1.0, 1.0), scl_slope=1.0,
     le = raw.astype(raw.dtype.newbyteorder("<"), copy=False)
     buf += le.transpose(2, 1, 0).tobytes()  # restore first-index-fastest order
     out = bytes(buf)
-    return gzip.compress(out, mtime=0) if gzipped else out
+    return gzip.compress(out, GZIP_LEVEL, mtime=0) if gzipped else out
 
 
 def write_mask(mask, spacing, gzipped=False):

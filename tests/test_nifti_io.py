@@ -7,6 +7,7 @@ against the byte layout, not against the writer.
 import gzip
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -257,6 +258,47 @@ def test_read_raw_matches_a_whole_buffer_decode(parts, bo, piece, monkeypatch):
             assert np.array_equal(got, raw)
 
 
+# bytes of the file per inflate call: one, a few, and some hundreds, so
+# members and their zero padding begin and end inside and across calls
+@pytest.mark.parametrize("feed", [1, 5, 300])
+@pytest.mark.parametrize("piece", [7, nio.GUNZIP_PIECE])
+def test_read_raw_in_any_feed_size_matches_a_whole_buffer_decode(feed, piece, monkeypatch):
+    monkeypatch.setattr(nio, "GUNZIP_FEED", feed)
+    monkeypatch.setattr(nio, "GUNZIP_PIECE", piece)
+    for raw, plain in read_raw_cases("<"):
+        for blob in (gzip_members(plain, ()), gzip_members(plain, (100, 371)) + bytes(7),
+                     gzip.compress(plain[:200], mtime=0) + bytes(700)
+                     + gzip.compress(plain[200:], mtime=0)):
+            want_hdr, want = whole_buffer_decode(blob)
+            hdr, got = nio.read_raw(blob)
+            assert hdr == want_hdr and got.tobytes() == want.tobytes()
+
+
+def test_gzip_read_hands_zlib_each_byte_of_the_file_about_once(monkeypatch):
+    # 8 MB of int16 noise gzip to about 4 MB: handing zlib the whole rest
+    # of the file for each 1 MiB piece gave it about 4.5 times its length
+    raw = np.random.default_rng(5).normal(0, 15, (256, 256, 64)).astype(np.int16)
+    blob = nio.write_nifti(raw, gzipped=True)
+    given = []
+    real = zlib.decompressobj
+
+    class CountingInflate:
+        def __init__(self, *args, **kwargs):
+            self._inflate = real(*args, **kwargs)
+
+        def decompress(self, data, *args):
+            given.append(len(data))
+            return self._inflate.decompress(data, *args)
+
+        def __getattr__(self, name):
+            return getattr(self._inflate, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", CountingInflate)
+    _, back = nio.read_raw(blob)
+    assert np.array_equal(back, raw)
+    assert len(blob) > 2 << 20 and sum(given) <= 2 * len(blob), (sum(given), len(blob))
+
+
 def test_read_raw_rejects_a_header_the_stream_cannot_fill():
     # 32767^3 int16 voxels from a few hundred bytes: no buffer is made for them
     hdr = pack_header(shape=(32767, 32767, 32767))
@@ -324,6 +366,15 @@ def test_write_gzip_deterministic_bytes():
     a = nio.write_nifti(raw, gzipped=True)
     b = nio.write_nifti(raw, gzipped=True)
     assert a == b
+
+
+def test_gzipped_write_inflates_to_the_plain_write():
+    raw = np.random.default_rng(8).integers(0, 2, size=(40, 30, 20)).astype(np.uint8)
+    blob = nio.write_nifti(raw, spacing=(0.8, 0.8, 8.0), gzipped=True)
+    assert blob[:2] == b"\x1f\x8b"
+    assert gzip.decompress(blob) == nio.write_nifti(raw, spacing=(0.8, 0.8, 8.0))
+    hdr, back = nio.read_raw(blob)
+    assert back.tobytes() == raw.tobytes() and np.allclose(hdr.spacing, (0.8, 0.8, 8.0))
 
 
 def test_write_rejects_unsupported_dtype():

@@ -286,6 +286,90 @@ def test_seam_on_grids_one_and_two_rows_deep(parts, depth):
                                   one_call_border_connected(bits, connectivity))
 
 
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_reach_matches_the_oracles_on_lines_of_any_word_count(parts, connectivity):
+    # lines of one and two words, full and with one voxel over, and grids
+    # one voxel thick on each axis
+    rng = np.random.default_rng(14)
+    shapes = [(9, 8, s) for s in (1, 2, 63, 64, 65, 128, 129)]
+    shapes += [(1, 9, 70), (9, 1, 70), (9, 70, 1)]
+    for shape in shapes:
+        for density in (0.2, 0.5, 0.8):
+            bits = rng.random(shape) < density
+            got = seg._border_connected(bits, connectivity)
+            assert np.array_equal(got, flood_from_border(bits, connectivity)), (shape, density)
+            assert np.array_equal(got, one_call_border_connected(bits, connectivity))
+
+
+def counted_labels(monkeypatch):
+    """The argument tuples of every segmentation._label call from here on."""
+    calls = []
+    label = seg._label
+
+    def counted(*args):
+        calls.append(args)
+        return label(*args)
+    monkeypatch.setattr(seg, "_label", counted)
+    return calls
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_reach_runs_each_way_along_each_axis(parts, connectivity, monkeypatch):
+    # short corridors, each from one face only: along axis 2 across a word
+    # boundary each way, along axes 1 and 0 each way (across the seams of
+    # 2 and 3 parts), and a blob no face reaches
+    bits = np.zeros((9, 9, 129), dtype=bool)
+    bits[:5, 4, 60] = bits[4, 4, 60:70] = True   # up across 63 | 64
+    bits[2, :7, 66] = bits[2, 6, 56:67] = True   # down across 64 | 63
+    bits[6, 2, 120:] = True                      # down across 128 | 127
+    bits[6, 1:, 40] = True
+    bits[3, :8, 110] = True
+    bits[1:, 2, 90] = True
+    bits[:8, 7, 10] = True
+    bits[6:8, 5:7, 60:70] = True
+    calls = counted_labels(monkeypatch)
+    got = seg._border_connected(bits, connectivity)
+    want = bits.copy()
+    want[6:8, 5:7, 60:70] = False
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, flood_from_border(bits, connectivity))
+    assert not calls
+
+
+def serpentine(lanes, lane=16):
+    """A corridor in the middle row of a 3-row grid: `lanes` lanes of `lane`
+    voxels along axis 2, each joined to the next at alternate ends, and only
+    the first reaching a face (axis 2's first). Its far end lies more than
+    lanes * lane steps from any face, under either connectivity."""
+    bits = np.zeros((3, 2 * lanes + 1, lane + 2), dtype=bool)
+    for i in range(lanes):
+        bits[1, 2 * i + 1, 1:lane + 1] = True
+        if i + 1 < lanes:
+            bits[1, 2 * i + 2, lane if i % 2 == 0 else 1] = True
+    bits[1, 1, 0] = True
+    return bits
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_reach_past_the_round_bound_ends_exactly_through_the_labeller(parts, connectivity,
+                                                                      monkeypatch):
+    calls = counted_labels(monkeypatch)
+    longer = serpentine(2 * seg.REACH_ROUNDS // 16 + 1)
+    got = seg._border_connected(longer, connectivity)
+    assert len(calls) == 1
+    assert np.array_equal(got, longer)
+    assert np.array_equal(got, flood_from_border(longer, connectivity))
+    calls.clear()
+    shorter = serpentine(2)
+    assert np.array_equal(seg._border_connected(shorter, connectivity), shorter)
+    assert not calls
+
+
+def test_border_removal_rejects_a_connectivity_other_than_6_or_26():
+    with pytest.raises(ValueError, match="must be 6 or 26, got 8"):
+        seg.remove_border_components(np.ones((4, 4, 4), dtype=bool), 8)
+
+
 def test_border_removal_empty_identity():
     m = np.zeros((4, 4, 4), dtype=bool)
     assert not seg.remove_border_components(m, 26).any()
